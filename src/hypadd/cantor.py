@@ -7,7 +7,7 @@ reference oracle: transporting two coordinate points here, adding, and
 transporting back must reproduce `star` whenever the latter is defined.
 """
 
-from .errors import NonGenericDivisor, NotOnJacobian
+from .errors import InvariantViolation, NonGenericDivisor, NonzeroRemainder, NotOnJacobian
 from .field import FieldSpec
 from .groupoid import CurveParams, GroupoidPoint, curve_poly, u_poly, v_poly
 from .poly import Poly, xgcd
@@ -93,19 +93,23 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> Mumfor
     s1, s2, s3 = c1 * e1, c1 * e2, c2
 
     u, rem = divmod(u1 * u2, dd * dd)
-    assert rem.is_zero(), "composition gcd must divide u1*u2"
+    if not rem.is_zero():
+        raise NonzeroRemainder("composition gcd must divide u1*u2")
     v_num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
     v_half, rem = divmod(v_num, dd)
-    assert rem.is_zero(), "composition gcd must divide the v numerator"
+    if not rem.is_zero():
+        raise NonzeroRemainder("composition gcd must divide the v numerator")
     v = v_half % u
 
     rounds = 0
     while u.degree > c.genus:
         u_next, rem = divmod(f - v * v, u)
-        assert rem.is_zero(), "membership invariant broken during reduction"
+        if not rem.is_zero():
+            raise NonzeroRemainder("membership invariant broken during reduction")
         u_next = u_next.monic()
         v = (-v) % u_next
         u = u_next
         rounds += 1
-        assert rounds <= 2 * c.genus + 2, "reduction failed to terminate"
+        if rounds > 2 * c.genus + 2:
+            raise InvariantViolation("reduction failed to terminate")
     return MumfordDivisor(u.monic(), v % u)

@@ -25,6 +25,7 @@ from .errors import (
     AnchorMismatch,
     DegenerateConfiguration,
     HypaddError,
+    InvariantViolation,
     NonGenericDivisor,
     NotOnJacobian,
 )
@@ -389,6 +390,9 @@ def run(argv=None) -> int:
         return HANDLERS[args.command](args)
     except _Failure as exc:
         print(dumps(exc.doc), file=sys.stderr)
+        return FAILURE
+    except InvariantViolation as exc:
+        print(dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return FAILURE
     except DegenerateConfiguration as exc:
         print(

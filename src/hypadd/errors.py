@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Every failure mode that callers are expected to branch on gets its own
-class.  Anything not listed here is a plain bug and surfaces as a bare
-AssertionError or TypeError.
+class.  Internal consistency checks raise InvariantViolation rather than
+using assert, so they still run under python -O.
 """
 
 
@@ -53,6 +53,12 @@ class AnchorMismatch(HypaddError):
 
 class NonzeroRemainder(HypaddError):
     """Exact polynomial division left a remainder where none is possible."""
+
+
+class InvariantViolation(HypaddError):
+    """An internal consistency check failed: two routes that must agree
+    disagree, or a result lacks a shape the algebra guarantees.  This is
+    a bug in the library, not a property of the input."""
 
 
 class NotMonicDegree3g(HypaddError):

@@ -15,6 +15,16 @@ produces a third triple on the same curve: the g residual intersection
 points of the curve with the lowest-order function vanishing at both
 inverted inputs.  Inversion flips the sign of the odd part.
 
+(u, v) is the Mumford pair of the point, and the steps of the law are
+polynomial arithmetic modulo u:
+
+    anchor       Z1 = (v^2 - x^(2g+1) - x^g z) mod u
+    kl_columns   x^k (x^g mod u) and x^k v mod u, one product by x at a time
+    odd part     v3 = -(x^g r2 + r3) r1^(-1) mod u3, u3 = norm(R) / (u1 u2)
+
+The matrix routes (build_r_determinant, rank_witness, anchor_s) stay as
+independent checks of that core.
+
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are stored highest weight first.
 """
@@ -22,6 +32,7 @@ weight k.  All vectors here are stored highest weight first.
 from .errors import (
     AnchorMismatch,
     DegenerateConfiguration,
+    InvariantViolation,
     NonzeroRemainder,
     NotMonicDegree3g,
     RepeatedAbscissa,
@@ -29,8 +40,8 @@ from .errors import (
     ZeroScale,
 )
 from .field import FieldSpec, Scalar
-from .linalg import Matrix, companion, det, mat_pow, rank, solve, vandermonde
-from .poly import Poly, x_power
+from .linalg import Matrix, det, rank, solve, vandermonde
+from .poly import Poly, from_roots, x_power, xgcd
 
 
 class CurveParams:
@@ -206,10 +217,6 @@ def invert(a: GroupoidPoint) -> GroupoidPoint:
     return GroupoidPoint(a.p_even, tuple(-p for p in a.p_odd), a.z)
 
 
-def _vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def _vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
@@ -217,43 +224,53 @@ def _vec_sub(u, v):
 def anchor(a: GroupoidPoint):
     """Project a point to its curve coefficients (Z1, Z2).
 
-    Z2 is the z vector itself; Z1 is determined by requiring every
-    encoded curve point (x_i, v(x_i)) to satisfy the curve equation.
-    Both halves come back highest weight first.
+    Z2 is the z vector itself.  Z1 is determined by requiring every
+    encoded curve point (x_i, v(x_i)) to satisfy the curve equation,
+    which is the single congruence
+
+        Z1 = (v^2 - x^(2g+1) - x^g z) mod u
+
+    with z read as a polynomial ascending in x.  Both halves come back
+    highest weight first.
     """
     g = a.genus
     field = a.field
-    c = companion(field, a.p_even)
-    # sum over j of p_odd[j] C^j, by Horner
-    m = Matrix(field, [[field.zero()] * g for _ in range(g)])
-    eye = Matrix.identity(field, g)
-    for coeff in reversed(a.p_odd):
-        scaled = Matrix(field, [[coeff * e for e in row] for row in eye.rows])
-        m = m.mul(c) + scaled
-    cg = mat_pow(c, g)
-    z1 = _vec_sub(m.vec(a.p_odd), cg.vec(_vec_add(c.vec(a.p_even), a.z)))
-    return z1, a.z
+    v = v_poly(a)
+    lower = x_power(field, g) * Poly(field, a.z)
+    rem = (v * v - x_power(field, 2 * g + 1) - lower) % u_poly(a)
+    return tuple(rem[i] for i in range(g)), a.z
 
 
 def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
     return CurveParams(genus, z1, z2)
 
 
-def kl_columns(a: GroupoidPoint):
-    """First g+1 columns of (Y, CY, C^2 Y, ...) with Y = (p_even, p_odd).
+def _times_x_mod_u(w, p_even):
+    """x * w mod u on ascending coefficient vectors of length g.
 
-    Returns the g x g matrix L of the first g columns and the (g+1)-st
-    column ell as a vector.
+    The x^g term that the shift pushes out folds back in through
+    x^g = sum p_even[i] x^i (mod u).
+    """
+    top = w[-1]
+    return (top * p_even[0],) + tuple(w[i - 1] + top * p_even[i] for i in range(1, len(w)))
+
+
+def kl_columns(a: GroupoidPoint):
+    """First g+1 columns of (E, O, x E, x O, x^2 E, ...) mod u.
+
+    E = x^g mod u (the vector p_even) and O = v (the vector p_odd), so
+    column 2k is x^(g+k) mod u and column 2k+1 is x^k v mod u, each as
+    an ascending coefficient vector.  Returns the g x g matrix L of the
+    first g columns and the (g+1)-st column ell as a vector.
     """
     g = a.genus
-    c = companion(a.field, a.p_even)
     cols = []
     even, odd = a.p_even, a.p_odd
     while len(cols) < g + 1:
         cols.append(even)
         cols.append(odd)
-        even = c.vec(even)
-        odd = c.vec(odd)
+        even = _times_x_mod_u(even, a.p_even)
+        odd = _times_x_mod_u(odd, a.p_even)
     ell = cols[g]
     return Matrix.from_cols(a.field, cols[:g]), ell
 
@@ -271,7 +288,8 @@ def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
         ) from exc
     h1 = tuple(-(t + e) for t, e in zip(l1.vec(h2), ell1))
     h1_other = tuple(-(t + e) for t, e in zip(l2.vec(h2), ell2))
-    assert h1 == h1_other, "inconsistent overdetermined h-system"
+    if h1 != h1_other:
+        raise InvariantViolation("inconsistent overdetermined h-system")
     return h1, h2
 
 
@@ -313,6 +331,16 @@ def _monomial_coweight(g: int, j: int) -> int:
     return 3 * g - 2 * j if j < g else 2 * g - j
 
 
+def _stacked_rows(points):
+    """The rows (e_i | L_i | ell_i) of each point's (I | L | ell) block, stacked."""
+    rows = []
+    for b in points:
+        l, ell = kl_columns(b)
+        eye = Matrix.identity(b.field, b.genus)
+        rows += [list(e) + list(lr) + [el] for e, lr, el in zip(eye.rows, l.rows, ell)]
+    return rows
+
+
 def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction:
     """Independent construction of the same RFunction via one bordered
     determinant.
@@ -324,12 +352,7 @@ def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction
     """
     g = a1bar.genus
     field = a1bar.field
-    block = []
-    for b in (a1bar, a2bar):
-        l, ell = kl_columns(b)
-        eye = Matrix.identity(field, g)
-        for i in range(g):
-            block.append(list(eye.rows[i]) + list(l.rows[i]) + [ell[i]])
+    block = _stacked_rows((a1bar, a2bar))
     width = 2 * g + 1
     cofactors = []
     for j in range(width):
@@ -352,7 +375,7 @@ def phi_poly(r: RFunction, c: CurveParams) -> Poly:
     """Norm of R against the hyperelliptic involution, restricted to the curve.
 
     phi = (-1)^g [ (x^g r2 + r3)^2 - r1^2 f ]; always monic of degree 3g
-    for a well-formed (r, c) pair, and that shape is asserted.
+    for a well-formed (r, c) pair, and that shape is checked.
     """
     g = r.genus
     f = curve_poly(c)
@@ -363,17 +386,6 @@ def phi_poly(r: RFunction, c: CurveParams) -> Poly:
     if phi.degree != 3 * g or not phi.is_monic():
         raise NotMonicDegree3g(f"expected monic degree {3 * g}, got {phi!r}")
     return phi
-
-
-def _poly_at_matrix(p: Poly, m: Matrix) -> Matrix:
-    field = p.field
-    n = m.nrows
-    acc = Matrix(field, [[field.zero()] * n for _ in range(n)])
-    eye = Matrix.identity(field, n)
-    for coeff in reversed(p.coeffs):
-        scaled = Matrix(field, [[coeff * e for e in row] for row in eye.rows])
-        acc = acc.mul(m) + scaled
-    return acc
 
 
 class StarResult:
@@ -398,25 +410,24 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True
     b1, b2 = invert(a1), invert(a2)
     h1, h2 = _solve_h_core(b1, b2)
     r = build_r_from_h(h1, h2, g)
-    if dual_check:
-        assert r == build_r_determinant(b1, b2), "determinant route disagrees"
+    if dual_check and r != build_r_determinant(b1, b2):
+        raise InvariantViolation("determinant route disagrees")
     curve = CurveParams(g, z1, z2)
     phi = phi_poly(r, curve)
-    quotient, remainder = divmod(phi, u_poly(a1) * u_poly(a2))
+    u3, remainder = divmod(phi, u_poly(a1) * u_poly(a2))
     if not remainder.is_zero():
         raise NonzeroRemainder("norm polynomial not divisible by u1*u2")
-    assert quotient.degree == g and quotient.is_monic()
-    p3_even = tuple(-quotient[i] for i in range(g))
-    c3 = companion(a1.field, p3_even)
-    r1_at = _poly_at_matrix(r.r1(), c3)
-    r2_at = _poly_at_matrix(r.r2(), c3)
-    rhs = tuple(-(a + b) for a, b in zip(h1, r2_at.vec(p3_even)))
-    try:
-        p3_odd = solve(r1_at, rhs)
-    except SingularMatrix as exc:
+    if u3.degree != g or not u3.is_monic():
+        raise InvariantViolation(f"expected a monic degree-{g} quotient, got {u3!r}")
+    # R vanishes on the product, so r1 v3 + x^g r2 + r3 = 0 (mod u3).
+    d, r1_inv, _ = xgcd(r.r1(), u3)
+    if d.degree != 0:
         raise DegenerateConfiguration(
             "odd-part recovery is singular; fall back to cantor_add"
-        ) from exc
+        )
+    v3 = (-(x_power(a1.field, g) * r.r2() + r.r3()) * r1_inv) % u3
+    p3_even = tuple(-u3[i] for i in range(g))
+    p3_odd = tuple(v3[i] for i in range(g))
     return StarResult(GroupoidPoint(p3_even, p3_odd, a1.z), r)
 
 
@@ -432,18 +443,11 @@ def viete_phi(t: PointListRep) -> GroupoidPoint:
     xs = [x for x, _ in t.pairs]
     if len({x.value for x in xs}) != len(xs):
         raise RepeatedAbscissa("abscissas must be pairwise distinct")
-    u = _monic_from_roots(field, xs)
+    u = from_roots(field, xs)
     p_even = tuple(-u[i] for i in range(t.genus))
     v = vandermonde(field, xs)
     p_odd = solve(v, [y for _, y in t.pairs])
     return GroupoidPoint(p_even, p_odd, t.z)
-
-
-def _monic_from_roots(field, roots):
-    acc = Poly(field, [1])
-    for r in roots:
-        acc = acc * Poly(field, [-r, field.one()])
-    return acc
 
 
 def anchor_s(t: PointListRep):
@@ -470,15 +474,8 @@ def rank_witness(a1: GroupoidPoint, a2: GroupoidPoint, a3: GroupoidPoint) -> boo
     """True when the stacked (1 | L | ell) blocks of (inverted a1,
     inverted a2, a3) have rank below 2g+1, i.e. the three point sets
     admit a common vanishing function of lowest order."""
-    g = a1.genus
-    field = a1.field
-    rows = []
-    for b in (invert(a1), invert(a2), a3):
-        l, ell = kl_columns(b)
-        eye = Matrix.identity(field, g)
-        for i in range(g):
-            rows.append(list(eye.rows[i]) + list(l.rows[i]) + [ell[i]])
-    return rank(Matrix(field, rows)) < 2 * g + 1
+    rows = _stacked_rows((invert(a1), invert(a2), a3))
+    return rank(Matrix(a1.field, rows)) < 2 * a1.genus + 1
 
 
 def grade_scale(a: GroupoidPoint, c: CurveParams, t: Scalar):

@@ -55,13 +55,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.rows))
 
-    def __add__(self, other):
-        self._check(other)
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
     def __sub__(self, other):
         self._check(other)
         return Matrix(
@@ -77,17 +70,6 @@ class Matrix:
             raise FieldMismatch("matrices over different fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for row in self.rows:
-            out.append([_dot(row, c, self.field) for c in cols])
-        return Matrix(self.field, out)
 
     def vec(self, v):
         """Matrix-vector product; v is a sequence of Scalars."""
@@ -229,21 +211,6 @@ def rank(m: Matrix) -> int:
     return r
 
 
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    if m.nrows != m.ncols:
-        raise NotSquare("power of a non-square matrix")
-    if k < 0:
-        raise ValueError("negative power")
-    result = Matrix.identity(m.field, m.nrows)
-    base = m
-    while k:
-        if k & 1:
-            result = result.mul(base)
-        base = base.mul(base)
-        k >>= 1
-    return result
-
-
 def vandermonde(field: FieldSpec, xs) -> Matrix:
     """Square Vandermonde matrix with rows (1, x_i, ..., x_i^(n-1))."""
     xs = [field.scalar(x) for x in xs]
@@ -253,24 +220,5 @@ def vandermonde(field: FieldSpec, xs) -> Matrix:
         row = [field.one()]
         for _ in range(n - 1):
             row.append(row[-1] * x)
-        rows.append(row)
-    return Matrix(field, rows)
-
-
-def companion(field: FieldSpec, p_even) -> Matrix:
-    """Companion matrix with characteristic polynomial x^g - sum p[i] x^(g-1-i).
-
-    p_even is given highest weight first, and lands in the last column in
-    that order; the subdiagonal carries ones.
-    """
-    p_even = [field.scalar(c) for c in p_even]
-    g = len(p_even)
-    zero, one = field.zero(), field.one()
-    rows = []
-    for i in range(g):
-        row = [zero] * g
-        if i > 0:
-            row[i - 1] = one
-        row[g - 1] = p_even[i]
         rows.append(row)
     return Matrix(field, rows)

@@ -19,24 +19,13 @@ def FP():
     return make_field("fp", TEST_PRIME)
 
 
-def fp_pair(field, genus, rng, max_tries=50):
+def fp_pair(field, genus, rng):
     """A curve and two points on it over a prime field."""
-    for _ in range(max_tries):
-        c = random_curve_fp(field, genus, rng)
-        try:
-            return c, sample_point_fp(c, rng), sample_point_fp(c, rng)
-        except DegenerateConfiguration:
-            continue
-    raise RuntimeError("sampling kept failing")
+    c = random_curve_fp(field, genus, rng)
+    return c, sample_point_fp(c, rng), sample_point_fp(c, rng)
 
 
-def q_pair(genus, rng, max_tries=50):
-    for _ in range(max_tries):
-        try:
-            return sample_pair_q(genus, rng)
-        except DegenerateConfiguration:
-            continue
-    raise RuntimeError("sampling kept failing")
+q_pair = sample_pair_q
 
 
 def star_or_none(a1, a2):

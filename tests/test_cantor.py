@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hypadd import (
@@ -5,6 +7,7 @@ from hypadd import (
     GroupoidPoint,
     cantor_add,
     cantor_neg,
+    curve_poly,
     divisor_valid,
     from_mumford,
     identity_divisor,
@@ -162,6 +165,55 @@ def test_master_oracle_fp():
                 continue
             assert s == m
             done += 1
+
+
+def curve_points(c):
+    """Every point of c: each (u, v) with u monic of degree g, deg v < g
+    and u | v^2 - f."""
+    field, g = c.field, c.genus
+    f = curve_poly(c)
+    vectors = list(product(range(field.modulus), repeat=g))
+    points = []
+    for uc in vectors:
+        u = Poly(field, uc + (1,))
+        for vc in vectors:
+            v = Poly(field, vc)
+            if ((v * v - f) % u).is_zero():
+                points.append(from_mumford(MumfordDivisor(u, v), c))
+    return points
+
+
+def exhaustive_outcomes(g, p):
+    """(answered, refused) of star over every ordered pair of points on
+    the curve with every lambda set to 1, each answer checked
+    against Cantor; any other exception propagates."""
+    field = make_field("fp", p)
+    c = CurveParams(g, (field.one(),) * g, (field.one(),) * g)
+    points = curve_points(c)
+    answered = refused = 0
+    for a in points:
+        for b in points:
+            try:
+                want = from_mumford(cantor_add(to_mumford(a, c), to_mumford(b, c), c), c)
+            except NonGenericDivisor:
+                want = None
+            try:
+                got = star(a, b)
+            except DegenerateConfiguration:
+                refused += 1
+                continue
+            assert got == want
+            answered += 1
+    return answered, refused
+
+
+@pytest.mark.parametrize("g, p", [(1, 3), (1, 5), (1, 7), (1, 11), (2, 3), (2, 5), (2, 7)])
+def test_star_matches_cantor_exhaustively(g, p):
+    """star equals Cantor or raises DegenerateConfiguration, and both
+    happen.  Doubling, shared roots of u1 and u2, sub-generic sums and
+    (at g = 2, p = 5) a non-invertible r1 mod u3 all occur here."""
+    answered, refused = exhaustive_outcomes(g, p)
+    assert answered > 0 and refused > 0
 
 
 def test_opposite_points_sum_to_identity():

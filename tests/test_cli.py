@@ -1,8 +1,9 @@
 import json
 
-from hypadd import GroupoidPoint, invert, make_field, star, to_mumford
+from hypadd import GroupoidPoint, cli, invert, make_field, star, to_mumford
 from hypadd.cantor import cantor_add
 from hypadd.cli import run
+from hypadd.errors import InvariantViolation
 from hypadd.jsonio import (
     curve_from_json,
     curve_to_json,
@@ -61,6 +62,17 @@ def test_add_doubling_exits_3_and_names_fallback(tmp_path, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "DegenerateConfiguration"
     assert "cantor" in err["fallback"]
+
+
+def test_add_invariant_violation_exits_1(tmp_path, capsys, monkeypatch):
+    c, a, b = setup_worked(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("determinant route disagrees")
+
+    monkeypatch.setattr(cli, "star", broken)
+    assert run(["add", "--curve", c, "--a", a, "--b", b]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
 
 
 def test_add_doubling_succeeds_via_cantor(tmp_path, capsys):

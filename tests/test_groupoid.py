@@ -5,10 +5,12 @@ import pytest
 from hypadd import (
     CurveParams,
     GroupoidPoint,
+    RFunction,
     anchor,
     curve_from_anchor,
     curve_poly,
     grade_scale,
+    groupoid,
     invert,
     make_field,
     rank_witness,
@@ -21,6 +23,7 @@ from hypadd import (
 from hypadd.errors import (
     AnchorMismatch,
     DegenerateConfiguration,
+    InvariantViolation,
     NotMonicDegree3g,
     RepeatedAbscissa,
     ZeroScale,
@@ -144,16 +147,14 @@ def test_viete_repeated_abscissa():
 
 def test_anchor_s_agrees_with_anchor():
     rng = seeded("anchor-s")
-    for _ in range(8):
-        xs = []
-        while len(set(xs)) < 2:
-            xs = [rng.randint(-9, 9) for _ in range(2)]
-        ys = [rng.randint(1, 9) for _ in range(2)]
-        z = qs(rng.randint(-5, 5), rng.randint(-5, 5))
-        t = PointListRep(
-            ((Q.scalar(xs[0]), Q.scalar(ys[0])), (Q.scalar(xs[1]), Q.scalar(ys[1]))), z
-        )
-        assert anchor_s(t) == anchor(viete_phi(t))
+    for field in (Q, P):
+        for g in (1, 2, 3, 4):
+            for _ in range(8):
+                xs = rng.sample(range(-9, 10), g)
+                pairs = tuple((field.scalar(x), field.scalar(rng.randint(1, 9))) for x in xs)
+                z = tuple(field.scalar(rng.randint(-5, 5)) for _ in range(g))
+                t = PointListRep(pairs, z)
+                assert anchor_s(t) == anchor(viete_phi(t))
 
 
 def test_solve_h_worked_g1():
@@ -232,6 +233,23 @@ def test_phi_wrong_genus_not_monic():
     c2 = CurveParams(2, qs(1, 0), qs(0, 0))
     with pytest.raises(NotMonicDegree3g):
         phi_poly(res.r, c2)
+
+
+def test_dual_check_disagreement_raises(monkeypatch):
+    """A determinant route that disagrees stops star with a typed error,
+    so the dual check still holds under python -O."""
+    real = groupoid.build_r_determinant
+
+    def off_by_one(b1, b2):
+        r = real(b1, b2)
+        h = dict(r.h)
+        h[1] = h[1] + 1
+        return RFunction(r.genus, h)
+
+    monkeypatch.setattr(groupoid, "build_r_determinant", off_by_one)
+    with pytest.raises(InvariantViolation):
+        star(A1, A2)
+    assert star(A1, A2, dual_check=False) == A3
 
 
 def test_dual_r_routes_agree():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import NotSquare, SingularMatrix
-from hypadd.linalg import Matrix, companion, det, mat_pow, rank, solve, vandermonde
+from hypadd.linalg import Matrix, det, rank, solve, vandermonde
 
 Q = make_field("q")
 P = make_field("fp", 10007)
@@ -100,12 +100,6 @@ def test_rank_rectangular():
     assert rank(m) == 2
 
 
-def test_mat_pow():
-    m = qmat([[1, 1], [0, 1]])
-    assert mat_pow(m, 0) == Matrix.identity(Q, 2)
-    assert mat_pow(m, 5) == qmat([[1, 5], [0, 1]])
-
-
 def test_vandermonde_determinant():
     xs = tuple(Q.scalar(v) for v in (1, 2, 4))
     v = vandermonde(Q, xs)
@@ -114,20 +108,6 @@ def test_vandermonde_determinant():
         for j in range(i + 1, 3):
             want = want * (xs[j] - xs[i])
     assert det(v) == want
-
-
-def test_companion_charpoly_roots():
-    # column convention: subdiagonal ones, last column the given vector
-    p_even = (Q.scalar(-2), Q.scalar(3))
-    c = companion(Q, p_even)
-    # u(x) = x^2 - 3x + 2 has roots 1 and 2; row vectors (1, xi) are
-    # left eigenvectors
-    for root in (Q.scalar(1), Q.scalar(2)):
-        row = (Q.one(), root)
-        prod = tuple(
-            row[0] * c.rows[0][j] + row[1] * c.rows[1][j] for j in range(2)
-        )
-        assert prod == (root * row[0], root * row[1])
 
 
 def test_matrix_vec():
