@@ -34,6 +34,11 @@ class NotSquare(HypaddError):
     """Matrix operation requires a square matrix."""
 
 
+class SqrtOverRationals(HypaddError):
+    """Square roots are taken only over F_p; rational points come from
+    curve fitting instead."""
+
+
 class SingularMatrix(HypaddError):
     """Exact solve hit a singular coefficient matrix."""
 

@@ -40,7 +40,7 @@ from .errors import (
     ZeroScale,
 )
 from .field import FieldSpec, Scalar
-from .linalg import Matrix, det, rank, solve, vandermonde
+from .linalg import Matrix, rank, solve, vandermonde
 from .poly import Poly, from_roots, x_power, xgcd
 
 
@@ -342,32 +342,27 @@ def _stacked_rows(points):
 
 
 def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction:
-    """Independent construction of the same RFunction via one bordered
+    """Independent construction of the same RFunction from the bordered
     determinant.
 
-    The matrix stacks a monomial row (1, x, ..., x^(g-1), x^g, y, ...)
-    over the identity-plus-(L|ell) rows of both inputs; expanding along
-    the monomial row and normalizing the leading slot to 1 yields the
-    coefficients directly.
+    The bordered matrix stacks a monomial row (1, x, ..., x^(g-1), x^g,
+    y, ...) over the (I | L | ell) rows of both inputs.  Expanding along
+    the monomial row and normalizing the leading (ell) slot to 1 gives,
+    by Cramer's rule, the solution of (I | L) x = -ell on the stacked
+    rows; the leading cofactor is det (I | L), so it vanishes exactly
+    when that system is singular.
     """
     g = a1bar.genus
-    field = a1bar.field
     block = _stacked_rows((a1bar, a2bar))
-    width = 2 * g + 1
-    cofactors = []
-    for j in range(width):
-        minor = Matrix(field, [row[:j] + row[j + 1 :] for row in block])
-        c = det(minor)
-        if j % 2 == 1:
-            c = -c
-        cofactors.append(c)
-    lead = cofactors[width - 1]
-    if lead.is_zero():
+    a = Matrix(a1bar.field, [row[:-1] for row in block])
+    try:
+        x = solve(a, [-row[-1] for row in block])
+    except SingularMatrix as exc:
         raise DegenerateConfiguration(
             "bordered determinant has zero leading slot; fall back to cantor_add"
-        )
-    inv = lead.inverse()
-    h = {_monomial_coweight(g, j): c * inv for j, c in enumerate(cofactors)}
+        ) from exc
+    h = {_monomial_coweight(g, j): c for j, c in enumerate(x)}
+    h[_monomial_coweight(g, 2 * g)] = a1bar.field.one()
     return RFunction(g, h)
 
 

@@ -1,17 +1,12 @@
 """Exact dense linear algebra over the shared Scalar type.
 
-Determinants over the rationals go through fraction-free (Bareiss)
-elimination on a denominator-cleared integer matrix, which keeps the
-intermediate entries from exploding.  Over F_p plain Gaussian
-elimination is used.  Pivoting is always "first nonzero", so runs are
-reproducible across platforms.
+`solve` and `rank` share one Gauss-Jordan elimination over the field,
+with Fraction entries over Q and residues over F_p.  Pivoting is always
+"first nonzero", so runs are reproducible across platforms.
 """
 
-from fractions import Fraction
-from math import lcm
-
 from .errors import FieldMismatch, NotSquare, SingularMatrix
-from .field import FieldSpec, Scalar
+from .field import FieldSpec
 
 
 class Matrix:
@@ -90,107 +85,20 @@ def _dot(a, b, field):
     return acc
 
 
-def det(m: Matrix) -> Scalar:
-    if m.nrows != m.ncols:
-        raise NotSquare(f"{m.nrows}x{m.ncols} determinant")
-    if m.nrows == 0:
-        return m.field.one()
-    if m.field.modulus == 0:
-        return _det_bareiss_rational(m)
-    return _det_gauss(m)
+def _reduce(a, ncols: int) -> list:
+    """Gauss-Jordan elimination in place on the first ncols columns of the
+    row list a; returns the pivot columns.
 
-
-def _det_bareiss_rational(m: Matrix) -> Scalar:
-    # Clear each row to integers first; Bareiss then divides exactly at
-    # every step, so all intermediates stay integral.
-    n = m.nrows
-    scale = Fraction(1)
-    a = []
-    for row in m.rows:
-        d = lcm(*(c.value.denominator for c in row)) if n else 1
-        scale *= d
-        a.append([int(c.value * d) for c in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return m.field.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return m.field.scalar(Fraction(sign * a[n - 1][n - 1], 1) / scale)
-
-
-def _det_gauss(m: Matrix) -> Scalar:
-    n = m.nrows
-    a = [list(row) for row in m.rows]
-    result = m.field.one()
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if not a[i][k].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return m.field.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            result = -result
-        pivot = a[k][k]
-        result = result * pivot
-        inv = pivot.inverse()
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor.is_zero():
-                continue
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
-            a[i][k] = m.field.zero()
-    return result
-
-
-def solve(m: Matrix, rhs) -> tuple:
-    """Solve m @ x = rhs exactly for square m; raises SingularMatrix."""
-    if m.nrows != m.ncols:
-        raise NotSquare(f"{m.nrows}x{m.ncols} solve")
-    n = m.nrows
-    rhs = [m.field.scalar(v) for v in rhs]
-    if len(rhs) != n:
-        raise ValueError("rhs length mismatch")
-    a = [list(row) + [rhs[i]] for i, row in enumerate(m.rows)]
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if not a[i][k].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrix("no pivot in column %d" % k)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv = a[k][k].inverse()
-        a[k] = [c * inv for c in a[k]]
-        for i in range(n):
-            if i != k and not a[i][k].is_zero():
-                factor = a[i][k]
-                a[i] = [ci - factor * ck for ci, ck in zip(a[i], a[k])]
-    return tuple(a[i][n] for i in range(n))
-
-
-def rank(m: Matrix) -> int:
-    a = [list(row) for row in m.rows]
+    Each pivot is the first nonzero entry at or below the current row,
+    its row is scaled to a leading 1 and the column is cleared above
+    and below it.
+    """
+    pivots = []
     nr = len(a)
-    nc = m.ncols
-    r = 0
-    for col in range(nc):
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
         pivot_row = None
         for i in range(r, nr):
             if not a[i][col].is_zero():
@@ -205,10 +113,27 @@ def rank(m: Matrix) -> int:
             if i != r and not a[i][col].is_zero():
                 factor = a[i][col]
                 a[i] = [ci - factor * ck for ci, ck in zip(a[i], a[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+        pivots.append(col)
+    return pivots
+
+
+def solve(m: Matrix, rhs) -> tuple:
+    """Solve m @ x = rhs exactly for square m; raises SingularMatrix."""
+    if m.nrows != m.ncols:
+        raise NotSquare(f"{m.nrows}x{m.ncols} solve")
+    n = m.nrows
+    rhs = [m.field.scalar(v) for v in rhs]
+    if len(rhs) != n:
+        raise ValueError("rhs length mismatch")
+    a = [list(row) + [rhs[i]] for i, row in enumerate(m.rows)]
+    pivots = _reduce(a, n)
+    if len(pivots) != n:
+        raise SingularMatrix(f"rank {len(pivots)} < {n}")
+    return tuple(row[n] for row in a)
+
+
+def rank(m: Matrix) -> int:
+    return len(_reduce([list(row) for row in m.rows], m.ncols))
 
 
 def vandermonde(field: FieldSpec, xs) -> Matrix:

@@ -9,10 +9,10 @@ ordinates freely and fit the 2g curve coefficients through them.
 
 import random
 
-from .errors import NotSquare
+from .errors import SqrtOverRationals
 from .field import FieldSpec, Scalar
 from .groupoid import CurveParams, GroupoidPoint, PointListRep, curve_poly, viete_phi
-from .linalg import Matrix, solve
+from .linalg import solve, vandermonde
 
 
 def sqrt_mod(a: int, p: int):
@@ -46,9 +46,9 @@ def sqrt_mod(a: int, p: int):
 
 
 def scalar_sqrt(s: Scalar):
-    """Square root in F_p, or None; raises NotSquare over the rationals."""
+    """Square root in F_p, or None; raises SqrtOverRationals over Q."""
     if s.field.modulus == 0:
-        raise NotSquare("use curve fitting over the rationals")
+        raise SqrtOverRationals("use curve fitting over the rationals")
     root = sqrt_mod(s.value, s.field.modulus)
     if root is None:
         return None
@@ -90,15 +90,10 @@ def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
     abscissas make the system a nonsingular Vandermonde.
     """
     g = genus
-    rows = []
-    rhs = []
-    for x, y in pairs:
-        row = [field.one()]
-        for _ in range(2 * g - 1):
-            row.append(row[-1] * x)
-        rows.append(row)
-        rhs.append(y * y - x ** (2 * g + 1))
-    lam = solve(Matrix(field, rows), rhs)
+    if len(pairs) != 2 * g:
+        raise ValueError(f"expected {2 * g} points, got {len(pairs)}")
+    rhs = [y * y - x ** (2 * g + 1) for x, y in pairs]
+    lam = solve(vandermonde(field, [x for x, _ in pairs]), rhs)
     # unknown i is the x^i coefficient, i.e. weight 4g+2-2i
     lambda1 = tuple(lam[:g])
     lambda2 = tuple(lam[g : 2 * g])
@@ -136,18 +131,13 @@ def sample_point_q_on_template(c: CurveParams, rng: random.Random, bound: int = 
     xs = _distinct_ints(rng, g, -bound, bound)
     pairs = [(field.scalar(x), field.scalar(rng.randint(1, bound))) for x in xs]
     # g linear conditions on the g upper coefficients
-    rows = []
     rhs = []
     for x, y in pairs:
-        row = [field.one()]
-        for _ in range(g - 1):
-            row.append(row[-1] * x)
-        rows.append(row)
         lower = field.zero()
         for i, lam in enumerate(c.lambda2):
             lower = lower + lam * x ** (g + i)
         rhs.append(y * y - x ** (2 * g + 1) - lower)
-    lam1 = solve(Matrix(field, rows), rhs)
+    lam1 = solve(vandermonde(field, [x for x, _ in pairs]), rhs)
     fitted = CurveParams(g, tuple(lam1), c.lambda2)
     point = viete_phi(PointListRep(pairs, fitted.lambda2))
     return fitted, point

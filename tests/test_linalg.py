@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import NotSquare, SingularMatrix
-from hypadd.linalg import Matrix, det, rank, solve, vandermonde
+from hypadd.linalg import Matrix, rank, solve, vandermonde
 
 Q = make_field("q")
 P = make_field("fp", 10007)
 
 
 def leibniz_det(m: Matrix):
-    """Brute-force determinant, the oracle for the fast routes."""
+    """Brute-force determinant, the oracle for solve and rank."""
     n = len(m.rows)
     total = m.field.zero()
     for perm in permutations(range(n)):
@@ -49,38 +49,40 @@ def pmats(n):
     )
 
 
-@settings(max_examples=40)
-@given(st.one_of(qmats(1), qmats(2), qmats(3), qmats(4)))
-def test_det_matches_leibniz_q(m):
-    assert det(m) == leibniz_det(m)
-
-
-@settings(max_examples=40)
-@given(st.one_of(pmats(2), pmats(3), pmats(4)))
-def test_det_matches_leibniz_fp(m):
-    assert det(m) == leibniz_det(m)
-
-
-def test_det_pivot_swap_sign():
-    # leading zero forces a row swap
-    assert det(qmat([[0, 5], [1, 7]])) == Q.scalar(-5)
-
-
-def test_det_not_square():
-    with pytest.raises(NotSquare):
-        det(qmat([[1, 2, 3], [4, 5, 6]]))
-
-
 @settings(max_examples=30)
-@given(qmats(3), st.lists(entries, min_size=3, max_size=3))
-def test_solve_round_trip(m, b):
-    bvec = tuple(Q.scalar(x) for x in b)
-    if det(m) == Q.zero():
+@given(
+    st.one_of(
+        st.tuples(qmats(3), st.lists(entries, min_size=3, max_size=3)),
+        st.tuples(pmats(3), st.lists(st.integers(0, 10006), min_size=3, max_size=3)),
+    )
+)
+def test_solve_round_trip(case):
+    m, b = case
+    bvec = tuple(m.field.scalar(x) for x in b)
+    if leibniz_det(m).is_zero():
         with pytest.raises(SingularMatrix):
             solve(m, bvec)
         return
     x = solve(m, bvec)
     assert m.vec(x) == bvec
+
+
+def test_solve_pivot_swap():
+    # leading zero forces a row swap
+    m = qmat([[0, 5], [1, 7]])
+    b = (Q.scalar(10), Q.scalar(9))
+    assert solve(m, b) == (Q.scalar(-5), Q.scalar(2))
+
+
+def test_solve_not_square():
+    with pytest.raises(NotSquare):
+        solve(qmat([[1, 2, 3], [4, 5, 6]]), (Q.one(), Q.one()))
+
+
+@settings(max_examples=40)
+@given(st.one_of(qmats(1), qmats(2), qmats(3), pmats(2), pmats(3)))
+def test_rank_full_iff_det_nonzero(m):
+    assert (rank(m) == m.nrows) == (not leibniz_det(m).is_zero())
 
 
 def test_solve_identity():
@@ -107,7 +109,7 @@ def test_vandermonde_determinant():
     for i in range(3):
         for j in range(i + 1, 3):
             want = want * (xs[j] - xs[i])
-    assert det(v) == want
+    assert leibniz_det(v) == want
 
 
 def test_matrix_vec():

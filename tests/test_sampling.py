@@ -1,4 +1,7 @@
+import pytest
+
 from hypadd import anchor, divisor_valid, make_field, to_mumford
+from hypadd.errors import SqrtOverRationals
 from hypadd.groupoid import u_poly, v_poly
 from hypadd.sampling import (
     fit_curve_through,
@@ -30,6 +33,11 @@ def test_scalar_sqrt_fp():
     nine = P.scalar(9)
     r = scalar_sqrt(nine)
     assert r is not None and r * r == nine
+
+
+def test_scalar_sqrt_q_raises():
+    with pytest.raises(SqrtOverRationals):
+        scalar_sqrt(Q.scalar(9))
 
 
 def test_sample_point_fp_is_on_curve():
@@ -70,6 +78,8 @@ def test_fit_curve_through():
     f = curve_poly(c)
     for x, y in pairs:
         assert f(x) == y * y
+    with pytest.raises(ValueError):
+        fit_curve_through(Q, g, pairs[:-1])
 
 
 def test_sample_point_q_on_template_keeps_lambda2():
