@@ -29,7 +29,7 @@ def g1_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     u2, u3 = a1.p_even[0], a1.p_odd[0]
     v2, v3 = a2.p_even[0], a2.p_odd[0]
     if u2 == v2:
-        raise DegenerateConfiguration("equal abscissa coordinates")
+        raise DegenerateConfiguration("equal abscissa coordinates", stage="slope_den")
     h = (v3 - u3) / (v2 - u2)
     w2 = -(u2 + v2) + h * h
     w3 = -_half(field) * (u3 + v3) + field.scalar(Fraction(3, 2)) * (u2 + v2) * h - h**3
@@ -80,7 +80,7 @@ def g2_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
         hp = hp_e.eval(env, field)
         hpp = hpp_e.eval(env, field)
     except ZeroDenominator as exc:
-        raise DegenerateConfiguration("slope denominator vanishes") from exc
+        raise DegenerateConfiguration("slope denominator vanishes", stage="slope_den") from exc
 
     half = _half(field)
     quarter = field.scalar(Fraction(1, 4))

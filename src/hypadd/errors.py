@@ -49,7 +49,17 @@ class DegenerateConfiguration(HypaddError):
     Doubling, shared u-polynomials, and any configuration that makes one
     of the law's linear systems singular land here.  The total fallback
     is the divisor-arithmetic path (cantor_add).
+
+    `stage` names the step that refused, or is None where no stage was
+    given: "h_solve" (the column difference L1 - L2 is singular),
+    "det_lead" (the bordered determinant's leading cofactor vanishes),
+    "odd_recovery" (r1 is not invertible mod u3) or "slope_den" (a
+    closed-form slope has a zero denominator).
     """
+
+    def __init__(self, *args, stage=None):
+        super().__init__(*args)
+        self.stage = stage
 
 
 class AnchorMismatch(HypaddError):

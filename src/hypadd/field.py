@@ -6,6 +6,12 @@ canonical range [0, p).  Every Scalar remembers the FieldSpec it came
 from, and mixed-field arithmetic raises FieldMismatch instead of
 guessing a coercion.
 
+Scalars live at the API: every coefficient, entry and coordinate a
+caller sees or passes in is one.  The loops inside poly, linalg and
+groupoid compute on the bare values instead (Fractions over Q, ints
+over F_p), reduce them with `% p` where the modulus is nonzero, and box
+the results once through FieldSpec._box.
+
 Characteristic 2 is rejected up front: the curve model and the addition
 law divide by 2 freely.
 """
@@ -57,7 +63,7 @@ class FieldSpec:
     def scalar(self, value) -> "Scalar":
         """Wrap an int, Fraction, or decimal/fraction string as a Scalar."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar from {value.field}, not {self}")
             return value
         if isinstance(value, str):
@@ -78,6 +84,14 @@ class FieldSpec:
         if self.modulus == 0:
             return Scalar(self, Fraction(int(text)))
         return Scalar(self, int(text) % self.modulus)
+
+    def _box(self, values) -> tuple:
+        """Scalars of this field from bare values: Fractions over Q, any
+        ints over F_p (reduced here)."""
+        p = self.modulus
+        if p:
+            values = [v % p for v in values]
+        return tuple([Scalar(self, v) for v in values])
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -116,6 +130,12 @@ def field_from_string(text: str) -> FieldSpec:
     raise ValueError(f"bad field string {text!r}")
 
 
+def _inverse_value(value, modulus: int):
+    """Inverse of a nonzero bare value: a Fraction over Q (modulus 0),
+    a residue in [0, p) over F_p."""
+    return pow(value, -1, modulus) if modulus else 1 / value
+
+
 class Scalar:
     """One field element.  Immutable; all arithmetic stays in the field."""
 
@@ -127,7 +147,7 @@ class Scalar:
 
     def _lift(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
@@ -197,9 +217,7 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.field.modulus == 0:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, -1, self.field.modulus))
+        return Scalar(self.field, _inverse_value(self.value, self.field.modulus))
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -212,7 +230,9 @@ class Scalar:
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        if other.field is not self.field and other.field != self.field:
+            return False
+        return self.value == other.value
 
     def __hash__(self):
         return hash((self.field, self.value))

@@ -214,7 +214,7 @@ def v_poly(a: GroupoidPoint) -> Poly:
 
 def invert(a: GroupoidPoint) -> GroupoidPoint:
     """The groupoid involution: flip the sign of the odd part."""
-    return GroupoidPoint(a.p_even, tuple(-p for p in a.p_odd), a.z)
+    return GroupoidPoint(a.p_even, tuple([-p for p in a.p_odd]), a.z)
 
 
 def _vec_sub(u, v):
@@ -238,21 +238,24 @@ def anchor(a: GroupoidPoint):
     v = v_poly(a)
     lower = x_power(field, g) * Poly(field, a.z)
     rem = (v * v - x_power(field, 2 * g + 1) - lower) % u_poly(a)
-    return tuple(rem[i] for i in range(g)), a.z
+    return tuple([rem[i] for i in range(g)]), a.z
 
 
 def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
     return CurveParams(genus, z1, z2)
 
 
-def _times_x_mod_u(w, p_even):
-    """x * w mod u on ascending coefficient vectors of length g.
+def _times_x_mod_u(w, p_even, p):
+    """x * w mod u on ascending lists of g bare coefficients.
 
     The x^g term that the shift pushes out folds back in through
-    x^g = sum p_even[i] x^i (mod u).
+    x^g = sum p_even[i] x^i (mod u).  Only that term is reduced mod p,
+    so entries grow by less than p^2 per step and stay exact.
     """
     top = w[-1]
-    return (top * p_even[0],) + tuple(w[i - 1] + top * p_even[i] for i in range(1, len(w)))
+    if p:
+        top %= p
+    return [top * p_even[0]] + [w[i - 1] + top * p_even[i] for i in range(1, len(w))]
 
 
 def kl_columns(a: GroupoidPoint):
@@ -264,30 +267,32 @@ def kl_columns(a: GroupoidPoint):
     first g columns and the (g+1)-st column ell as a vector.
     """
     g = a.genus
+    field = a.field
+    p_even = [c.value for c in a.p_even]
     cols = []
-    even, odd = a.p_even, a.p_odd
+    even, odd = p_even, [c.value for c in a.p_odd]
     while len(cols) < g + 1:
         cols.append(even)
         cols.append(odd)
-        even = _times_x_mod_u(even, a.p_even)
-        odd = _times_x_mod_u(odd, a.p_even)
-    ell = cols[g]
-    return Matrix.from_cols(a.field, cols[:g]), ell
+        even = _times_x_mod_u(even, p_even, field.modulus)
+        odd = _times_x_mod_u(odd, p_even, field.modulus)
+    rows = [[col[i] for col in cols[:g]] for i in range(g)]
+    return Matrix._from_raw(field, rows), field._box(cols[g])
 
 
 def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
     l1, ell1 = kl_columns(b1)
     l2, ell2 = kl_columns(b2)
     m = l1 - l2
-    rhs = tuple(-(x - y) for x, y in zip(ell1, ell2))
+    rhs = [y - x for x, y in zip(ell1, ell2)]
     try:
         h2 = solve(m, rhs)
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
-            "column difference is singular; fall back to cantor_add"
+            "column difference is singular; fall back to cantor_add", stage="h_solve"
         ) from exc
-    h1 = tuple(-(t + e) for t, e in zip(l1.vec(h2), ell1))
-    h1_other = tuple(-(t + e) for t, e in zip(l2.vec(h2), ell2))
+    h1 = tuple([-(t + e) for t, e in zip(l1.vec(h2), ell1)])
+    h1_other = tuple([-(t + e) for t, e in zip(l2.vec(h2), ell2)])
     if h1 != h1_other:
         raise InvariantViolation("inconsistent overdetermined h-system")
     return h1, h2
@@ -359,7 +364,8 @@ def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction
         x = solve(a, [-row[-1] for row in block])
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
-            "bordered determinant has zero leading slot; fall back to cantor_add"
+            "bordered determinant has zero leading slot; fall back to cantor_add",
+            stage="det_lead",
         ) from exc
     h = {_monomial_coweight(g, j): c for j, c in enumerate(x)}
     h[_monomial_coweight(g, 2 * g)] = a1bar.field.one()
@@ -418,11 +424,11 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True
     d, r1_inv, _ = xgcd(r.r1(), u3)
     if d.degree != 0:
         raise DegenerateConfiguration(
-            "odd-part recovery is singular; fall back to cantor_add"
+            "odd-part recovery is singular; fall back to cantor_add", stage="odd_recovery"
         )
     v3 = (-(x_power(a1.field, g) * r.r2() + r.r3()) * r1_inv) % u3
-    p3_even = tuple(-u3[i] for i in range(g))
-    p3_odd = tuple(v3[i] for i in range(g))
+    p3_even = tuple([-u3[i] for i in range(g)])
+    p3_odd = tuple([v3[i] for i in range(g)])
     return StarResult(GroupoidPoint(p3_even, p3_odd, a1.z), r)
 
 

@@ -3,10 +3,15 @@
 Coefficients are stored ascending (index i holds the x^i coefficient)
 with trailing zeros stripped, so the zero polynomial is the empty tuple
 and reports degree -inf.  All operations are exact.
+
+`coeffs`, `p[i]`, `lc()` and evaluation results are Scalars.  The
+arithmetic unwraps its operands' bare values once, computes on them
+(sums and products left unreduced mod p until the result is built) and
+boxes the result once through `_from_raw`.
 """
 
 from .errors import BothZero, DivisionByZeroPoly, FieldMismatch
-from .field import FieldSpec, Scalar
+from .field import FieldSpec, Scalar, _inverse_value
 
 NEG_INF = float("-inf")
 
@@ -21,6 +26,22 @@ class Poly:
         self.field = field
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _from_raw(cls, field: FieldSpec, values) -> "Poly":
+        """The polynomial with the given ascending bare coefficients
+        (reduced mod p here), trailing zeros stripped."""
+        cs = field._box(values)
+        n = len(cs)
+        while n and not cs[n - 1].value:
+            n -= 1
+        out = cls.__new__(cls)
+        out.field = field
+        out.coeffs = cs[:n]
+        return out
+
+    def _values(self) -> list:
+        return [c.value for c in self.coeffs]
+
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -29,7 +50,7 @@ class Poly:
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.coeffs) and self.coeffs[-1].value == 1
 
     def lc(self) -> Scalar:
         """Leading coefficient; zero for the zero polynomial."""
@@ -54,49 +75,62 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] + other[i] for i in range(n)])
+        a, b = self._values(), other._values()
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._from_raw(self.field, [x + y for x, y in zip(a, b)] + a[len(b) :])
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] - other[i] for i in range(n)])
+        a, b = self._values(), other._values()
+        n = min(len(a), len(b))
+        out = [x - y for x, y in zip(a, b)] + a[n:] + [-y for y in b[n:]]
+        return Poly._from_raw(self.field, out)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._from_raw(self.field, [-c for c in self._values()])
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            return Poly(self.field, [c * other for c in self.coeffs])
+            s = self.field.scalar(other).value
+            return Poly._from_raw(self.field, [c * s for c in self._values()])
         self._check(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self._values(), other._values()
+        if not a or not b:
             return Poly(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        m = len(b)
+        out = [0] * (len(a) + m - 1)
+        for i, x in enumerate(a):
+            out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
+        return Poly._from_raw(self.field, out)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        """Exact long division: self = q*other + r with deg r < deg other."""
+        """Exact long division: self = q*other + r with deg r < deg other.
+
+        Remainder entries stay unreduced mod p; each quotient
+        coefficient is reduced as it is taken.
+        """
         self._check(other)
         if other.is_zero():
             raise DivisionByZeroPoly("division by the zero polynomial")
         if self.degree < other.degree:
             return Poly(self.field), self
-        inv_lc = other.lc().inverse()
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        quo = [self.field.zero()] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] * inv_lc
+        p = self.field.modulus
+        rem, b = self._values(), other._values()
+        m = len(b) - 1
+        inv_lc = _inverse_value(b[m], p)
+        b = b[:m]
+        quo = [0] * (len(rem) - m)
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + m] * inv_lc
+            if p:
+                c %= p
             quo[k] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(self.field, quo), Poly(self.field, rem)
+            if c:
+                rem[k : k + m] = [r - c * y for r, y in zip(rem[k : k + m], b)]
+        return Poly._from_raw(self.field, quo), Poly._from_raw(self.field, rem[:m])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -106,10 +140,14 @@ class Poly:
 
     def __call__(self, at: Scalar) -> Scalar:
         """Horner evaluation."""
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * at + c
-        return acc
+        x = self.field.scalar(at).value
+        p = self.field.modulus
+        acc = self.field.zero().value
+        for c in reversed(self._values()):
+            acc = acc * x + c
+            if p:
+                acc %= p
+        return Scalar(self.field, acc)
 
     def monic(self) -> "Poly":
         if self.is_zero():

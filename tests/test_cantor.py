@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -200,14 +201,15 @@ def r_routes_agree(a, b):
 
 
 def exhaustive_outcomes(g, p):
-    """(answered, refused) of star over every ordered pair of points on
-    the curve with every lambda set to 1, each answer checked
-    against Cantor and each pair's two R routes checked against each
-    other; any other exception propagates."""
+    """(answered, refused, refusals per stage) of star over every ordered
+    pair of points on the curve with every lambda set to 1, each answer
+    checked against Cantor and each pair's two R routes checked against
+    each other; any other exception propagates."""
     field = make_field("fp", p)
     c = CurveParams(g, (field.one(),) * g, (field.one(),) * g)
     points = curve_points(c)
     answered = refused = 0
+    stages = Counter()
     for a in points:
         for b in points:
             assert r_routes_agree(a, b)
@@ -217,12 +219,13 @@ def exhaustive_outcomes(g, p):
                 want = None
             try:
                 got = star(a, b)
-            except DegenerateConfiguration:
+            except DegenerateConfiguration as exc:
                 refused += 1
+                stages[exc.stage] += 1
                 continue
             assert got == want
             answered += 1
-    return answered, refused
+    return answered, refused, dict(stages)
 
 
 # (answered, refused) per (g, p) on the curve with every lambda set to 1.
@@ -236,14 +239,30 @@ EXHAUSTIVE_OUTCOMES = {
     (2, 7): (484, 92),
 }
 
+# Refusals per stage on the same curves.  The bordered determinant is
+# singular exactly when the h-solve is, and the h-solve runs first, so
+# "det_lead" never appears.
+EXHAUSTIVE_STAGES = {
+    (1, 3): {"h_solve": 5},
+    (1, 5): {"h_solve": 16},
+    (1, 7): {"h_solve": 8},
+    (1, 11): {"h_solve": 25},
+    (2, 3): {"h_solve": 17},
+    (2, 5): {"h_solve": 204, "odd_recovery": 40},
+    (2, 7): {"h_solve": 92},
+}
+
 
 @pytest.mark.parametrize("g, p", list(EXHAUSTIVE_OUTCOMES))
 def test_star_matches_cantor_exhaustively(g, p):
     """star equals Cantor or raises DegenerateConfiguration, with the
-    (answered, refused) counts pinned.  Doubling, shared roots of u1 and
-    u2, sub-generic sums and (at g = 2, p = 5) a non-invertible r1 mod u3
-    all occur here."""
-    assert exhaustive_outcomes(g, p) == EXHAUSTIVE_OUTCOMES[g, p]
+    (answered, refused) counts and the refusals per stage pinned.
+    Doubling, shared roots of u1 and u2, sub-generic sums and (at g = 2,
+    p = 5) a non-invertible r1 mod u3 all occur here."""
+    answered, refused, stages = exhaustive_outcomes(g, p)
+    assert (answered, refused) == EXHAUSTIVE_OUTCOMES[g, p]
+    assert None not in stages
+    assert stages == EXHAUSTIVE_STAGES[g, p]
 
 
 def test_opposite_points_sum_to_identity():

@@ -49,8 +49,9 @@ def test_g1_preserves_anchor_fp():
 
 
 def test_g1_equal_abscissa_degenerate():
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(DegenerateConfiguration) as exc:
         g1_add(A1, GroupoidPoint(qs(2), qs(-3), qs(0)))
+    assert exc.value.stage == "slope_den"
 
 
 def test_g1_anchor_mismatch():
@@ -106,8 +107,9 @@ def test_g2_shared_u_degenerate():
     t1 = PointListRep(tuple(zip(xs, ys)), qs(0, 0))
     t2 = PointListRep(((xs[0], -ys[0]), (xs[1], ys[1])), qs(0, 0))
     b1, b2 = viete_phi(t1), viete_phi(t2)
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(DegenerateConfiguration) as exc:
         g2_add(b1, b2)
+    assert exc.value.stage == "slope_den"
 
 
 def test_g2_genus_check():

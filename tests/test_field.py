@@ -79,6 +79,13 @@ def test_int_lifting():
 def test_cross_field_rejected():
     with pytest.raises(FieldMismatch):
         Q.scalar(1) + P.scalar(1)
+    with pytest.raises(FieldMismatch):
+        P.scalar(Q.scalar(1))
+    # An equal but distinct FieldSpec is the same field.
+    other_p = make_field("fp", 10007)
+    assert other_p is not P
+    assert P.scalar(3) + other_p.scalar(4) == other_p.scalar(7)
+    assert Q.scalar(3) != P.scalar(3)
 
 
 def test_field_construction_errors():

@@ -189,13 +189,25 @@ def test_symmetrized_h1_display_probe():
 
 
 def test_solve_h_doubling_degenerate():
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(DegenerateConfiguration) as exc:
         solve_h(invert(A1), invert(A1))
+    assert exc.value.stage == "h_solve"
 
 
 def test_star_doubling_degenerate():
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(DegenerateConfiguration) as exc:
         star(A1, A1)
+    assert exc.value.stage == "h_solve"
+
+
+def test_build_r_determinant_doubling_degenerate():
+    with pytest.raises(DegenerateConfiguration) as exc:
+        build_r_determinant(invert(A1), invert(A1))
+    assert exc.value.stage == "det_lead"
+
+
+def test_degenerate_stage_defaults_to_none():
+    assert DegenerateConfiguration("no stage given").stage is None
 
 
 def test_star_anchor_mismatch():
@@ -345,5 +357,6 @@ def test_shared_u_configuration_degenerate_g2():
     b1, b2 = viete_phi(t1), viete_phi(t2)
     assert b1.p_even == b2.p_even
     assert anchor(b1) == anchor(b2)
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(DegenerateConfiguration) as exc:
         star(b1, b2)
+    assert exc.value.stage == "h_solve"

@@ -1,10 +1,11 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypadd import make_field
-from hypadd.errors import NotSquare, SingularMatrix
+from hypadd.errors import FieldMismatch, NotSquare, SingularMatrix
 from hypadd.linalg import Matrix, rank, solve, vandermonde
 
 Q = make_field("q")
@@ -27,6 +28,13 @@ def leibniz_det(m: Matrix):
             term = term * m.rows[i][perm[i]]
         total = total + term
     return total
+
+
+def holds_field_scalars(values, field):
+    kind = Fraction if field.modulus == 0 else int
+    return type(values) is tuple and all(
+        c.field == field and type(c.value) is kind for c in values
+    )
 
 
 def qmat(rows):
@@ -54,6 +62,7 @@ def pmats(n):
     st.one_of(
         st.tuples(qmats(3), st.lists(entries, min_size=3, max_size=3)),
         st.tuples(pmats(3), st.lists(st.integers(0, 10006), min_size=3, max_size=3)),
+        st.tuples(pmats(5), st.lists(st.integers(0, 10006), min_size=5, max_size=5)),
     )
 )
 def test_solve_round_trip(case):
@@ -64,6 +73,7 @@ def test_solve_round_trip(case):
             solve(m, bvec)
         return
     x = solve(m, bvec)
+    assert holds_field_scalars(x, m.field)
     assert m.vec(x) == bvec
 
 
@@ -115,3 +125,25 @@ def test_vandermonde_determinant():
 def test_matrix_vec():
     m = qmat([[1, 2], [3, 4]])
     assert m.vec((Q.scalar(1), Q.scalar(1))) == (Q.scalar(3), Q.scalar(7))
+
+
+def test_results_hold_field_scalars():
+    for m in (qmat([[1, 2], [3, 4]]), Matrix(P, ((1, 2), (3, 4)))):
+        v = (m.field.scalar(1), m.field.scalar(-1))
+        assert holds_field_scalars(m.vec(v), m.field)
+        assert holds_field_scalars(solve(m, v), m.field)
+        for row in (m - m).rows + (-m).rows:
+            assert holds_field_scalars(row, m.field)
+
+
+def test_foreign_field_rejected():
+    f7 = make_field("fp", 7)
+    with pytest.raises(FieldMismatch):
+        Matrix(f7, [[Q.scalar(1)]])
+    m = Matrix(f7, [[1, 0], [0, 1]])
+    with pytest.raises(FieldMismatch):
+        solve(m, (f7.one(), Q.one()))
+    with pytest.raises(FieldMismatch):
+        m.vec((f7.one(), P.one()))
+    with pytest.raises(FieldMismatch):
+        m - Matrix(P, [[1, 0], [0, 1]])

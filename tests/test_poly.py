@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hypadd import make_field
-from hypadd.errors import BothZero, DivisionByZeroPoly
+from hypadd.errors import BothZero, DivisionByZeroPoly, FieldMismatch
 from hypadd.poly import NEG_INF, Poly, from_roots, x_power, xgcd
 
 Q = make_field("q")
 F7 = make_field("fp", 7)
+F10007 = make_field("fp", 10007)
 
 
 def qp(*coeffs):
@@ -20,6 +23,33 @@ coeff_lists = st.lists(
 
 def qpolys():
     return coeff_lists.map(lambda cs: Poly(Q, tuple(Q.scalar(c) for c in cs)))
+
+
+def fp_elements(field):
+    return st.integers(min_value=0, max_value=field.modulus - 1)
+
+
+def fppolys(field):
+    return st.lists(fp_elements(field), max_size=6).map(lambda cs: Poly(field, cs))
+
+
+def polys_over_one_field(n):
+    """A field (Q, F_7 or F_10007), n polynomials over it and an element
+    of it to evaluate at."""
+    at = st.fractions(min_value=-50, max_value=50, max_denominator=10)
+    q = st.tuples(st.just(Q), st.tuples(*[qpolys()] * n), at)
+    fp = [
+        st.tuples(st.just(f), st.tuples(*[fppolys(f)] * n), fp_elements(f))
+        for f in (F7, F10007)
+    ]
+    return st.one_of(q, *fp)
+
+
+def holds_field_scalars(p, field):
+    kind = Fraction if field.modulus == 0 else int
+    return p.field is field and all(
+        c.field == field and type(c.value) is kind for c in p.coeffs
+    )
 
 
 def test_product_hand_value():
@@ -85,17 +115,20 @@ def test_from_roots():
     assert f(Q.scalar(1)) == Q.zero()
 
 
-@given(qpolys(), qpolys())
-def test_divmod_invariant(a, b):
+@given(polys_over_one_field(2))
+def test_divmod_invariant(case):
+    field, (a, b), _ = case
     if b.is_zero():
         return
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero() or r.degree < b.degree
+    assert holds_field_scalars(q, field) and holds_field_scalars(r, field)
 
 
-@given(qpolys(), qpolys())
-def test_xgcd_is_common_divisor(a, b):
+@given(polys_over_one_field(2))
+def test_xgcd_is_common_divisor(case):
+    field, (a, b), _ = case
     if a.is_zero() and b.is_zero():
         return
     d, s, t = xgcd(a, b)
@@ -105,18 +138,49 @@ def test_xgcd_is_common_divisor(a, b):
         assert (a % d).is_zero()
     if not b.is_zero():
         assert (b % d).is_zero()
+    assert all(holds_field_scalars(x, field) for x in (d, s, t))
 
 
-@given(qpolys(), qpolys(), qpolys())
-def test_ring_axioms(a, b, c):
+@given(polys_over_one_field(3))
+def test_ring_axioms(case):
+    field, (a, b, c), _ = case
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
     assert (a - a).is_zero()
+    assert a - b == a + (-b)
+    assert holds_field_scalars(a * b, field)
 
 
-@given(qpolys(), qpolys(), st.fractions(min_value=-50, max_value=50, max_denominator=10))
-def test_eval_is_ring_hom(a, b, x0):
-    x = Q.scalar(x0)
+@given(polys_over_one_field(2))
+def test_eval_is_ring_hom(case):
+    field, (a, b), x0 = case
+    x = field.scalar(x0)
     assert (a * b)(x) == a(x) * b(x)
     assert (a + b)(x) == a(x) + b(x)
+    assert (a - b)(x) == a(x) - b(x)
+    assert (a * x)(x) == a(x) * x
+
+
+def test_monic_and_eval_fp():
+    # 3x^2 + 5 over F_7: monic is x^2 + 4, and 3*2^2 + 5 = 17 = 3
+    f = Poly(F7, [5, 0, 3])
+    assert f.monic() == Poly(F7, [4, 0, 1])
+    assert f(F7.scalar(2)) == F7.scalar(3)
+    assert Poly(F7)(F7.scalar(2)) == F7.zero()
+
+
+def test_foreign_field_rejected():
+    f7p = Poly(F7, [1, 2])
+    with pytest.raises(FieldMismatch):
+        Poly(F7, [Q.scalar(1)])
+    with pytest.raises(FieldMismatch):
+        qp(1, 2) + f7p
+    with pytest.raises(FieldMismatch):
+        f7p * qp(1)
+    with pytest.raises(FieldMismatch):
+        divmod(f7p, Poly(F10007, [1, 1]))
+    with pytest.raises(FieldMismatch):
+        f7p * Q.scalar(3)
+    with pytest.raises(FieldMismatch):
+        f7p(Q.scalar(3))
