@@ -400,6 +400,7 @@ def run(argv=None) -> int:
                 {
                     "error": "DegenerateConfiguration",
                     "detail": str(exc),
+                    "stage": exc.stage,
                     "fallback": "re-run with --method cantor",
                 }
             ),

@@ -2,17 +2,22 @@
 
 These are the fully expanded versions of `star`: no linear solves, just
 rational expressions in the input coordinates.  Genus 2 is written in
-terms of a seed slope h and its first two images under the shift
-operator from `expr.apply_L`; the third image vanishes identically,
-which is checked by the tests.
+terms of a seed slope h and its images h' = L(h), h'' = L(h') under the
+shift operator L of `expr.apply_L`.  L differentiates only u2, v2, u4
+and v4, with coefficients in u3, v3, u5 and v5 alone, so it is d/dt
+along the fixed direction d = L(p): h(p + t*d) = h + t*h' + (t^2/2)*h''.
+`g2_add` reads h, h' and h'' off one evaluation of the slope on
+polynomials in t; its denominator is constant along L.  The expression
+trees of `g2_slope_exprs` are kept as the tests' oracle for that
+tangency identity and for L(h'') = 0.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import AnchorMismatch, DegenerateConfiguration, ZeroDenominator
-from .expr import Sub, Var, apply_L
+from .errors import AnchorMismatch, DegenerateConfiguration
+from .expr import APPLY_L_VARS, Var, apply_L
 from .groupoid import GroupoidPoint, anchor
+from .poly import Poly
 
 
 def _half(field):
@@ -36,34 +41,23 @@ def g1_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     return GroupoidPoint((w2,), (w3,), a1.z)
 
 
-@lru_cache(maxsize=1)
+def _g2_slope(u2, u3, u4, u5, v2, v3, v4, v5) -> tuple:
+    """Numerator and denominator of the genus-2 seed slope h.
+
+    Built from +, - and * only, so it runs on `Var`s and on `Poly`s.
+    The overall sign is pinned by the equality tests against star.
+    """
+    num = (v4 - u4) * ((v4 + v2 * v2) - (u4 + u2 * u2)) - (v2 - u2) * (v2 * v4 - u2 * u4)
+    den = (v4 - u4) * (v3 - u3) - (v2 - u2) * (v5 - u5)
+    return num, den
+
+
 def g2_slope_exprs() -> tuple:
     """The genus-2 seed slope h and its images h' = L(h), h'' = L(h')."""
-    u2, u3, u4, u5 = Var("u2"), Var("u3"), Var("u4"), Var("u5")
-    v2, v3, v4, v5 = Var("v2"), Var("v3"), Var("v4"), Var("v5")
-    num = Sub(
-        Sub(v4, u4) * Sub(v4 + v2 * v2, u4 + u2 * u2),
-        Sub(v2, u2) * Sub(v2 * v4, u2 * u4),
-    )
-    den = Sub(Sub(v4, u4) * Sub(v3, u3), Sub(v2, u2) * Sub(v5, u5))
-    # The overall sign is pinned by the equality tests against star.
+    num, den = _g2_slope(*[Var(name) for name in APPLY_L_VARS])
     h = num / den
     hp = apply_L(h)
-    hpp = apply_L(hp)
-    return h, hp, hpp
-
-
-def _g2_env(a1: GroupoidPoint, a2: GroupoidPoint) -> dict:
-    return {
-        "u4": a1.p_even[0],
-        "u2": a1.p_even[1],
-        "u5": a1.p_odd[0],
-        "u3": a1.p_odd[1],
-        "v4": a2.p_even[0],
-        "v2": a2.p_even[1],
-        "v5": a2.p_odd[0],
-        "v3": a2.p_odd[1],
-    }
+    return h, hp, apply_L(hp)
 
 
 def g2_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
@@ -73,24 +67,25 @@ def g2_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     if anchor(a1) != anchor(a2):
         raise AnchorMismatch("summands sit over different curve parameters")
     field = a1.field
-    env = _g2_env(a1, a2)
-    h_e, hp_e, hpp_e = g2_slope_exprs()
-    try:
-        h = h_e.eval(env, field)
-        hp = hp_e.eval(env, field)
-        hpp = hpp_e.eval(env, field)
-    except ZeroDenominator as exc:
-        raise DegenerateConfiguration("slope denominator vanishes", stage="slope_den") from exc
-
     half = _half(field)
-    quarter = field.scalar(Fraction(1, 4))
-    eighth = field.scalar(Fraction(1, 8))
-    frac54 = field.scalar(Fraction(5, 4))
-    frac32 = field.scalar(Fraction(3, 2))
     u4, u2 = a1.p_even
     u5, u3 = a1.p_odd
     v4, v2 = a2.p_even
     v5, v3 = a2.p_odd
+
+    # The slope at p + t*d: d = L(p) moves u2, v2 by +-d2 and u4, v4 by +-d4.
+    d2, d4 = half * (u3 - v3), half * (u5 - v5)
+    moved = ((u2, d2), (u3,), (u4, d4), (u5,), (v2, -d2), (v3,), (v4, -d4), (v5,))
+    num, den = _g2_slope(*[Poly(field, c) for c in moved])
+    if den.is_zero():
+        raise DegenerateConfiguration("slope denominator vanishes", stage="slope_den")
+    inv = den[0].inverse()
+    h, hp, hpp = num[0] * inv, num[1] * inv, 2 * num[2] * inv
+
+    quarter = field.scalar(Fraction(1, 4))
+    eighth = field.scalar(Fraction(1, 8))
+    frac54 = field.scalar(Fraction(5, 4))
+    frac32 = field.scalar(Fraction(3, 2))
 
     s2 = u2 + v2
     s3 = u3 + v3

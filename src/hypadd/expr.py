@@ -1,11 +1,12 @@
 """Tiny expression trees for exact symbolic work.
 
-Just enough calculus for the closed-form addition layer: constants,
+Just enough calculus to state the genus-2 slope identities: constants,
 variables, the four arithmetic operations, formal differentiation, and
 evaluation into any FieldSpec.  Constants are kept as exact rationals
 so one tree serves both the rationals and every odd prime field.  No
-simplification is performed; trees share subterms, and evaluation
-memoizes on node identity so shared structure is walked once.
+simplification is performed; trees share subterms, and evaluation and
+differentiation memoize on node identity, so shared structure is walked
+once and shared subterms get one shared derivative.
 """
 
 from fractions import Fraction
@@ -60,7 +61,15 @@ class Expr:
         return Mul(Const(-1), self)
 
     def diff(self, var: str) -> "Expr":
-        raise NotImplementedError
+        """The formal derivative d/d(var); no simplification."""
+        return self._diff(var, {})
+
+    def _diff(self, var, memo):
+        key = id(self)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = self._diff_node(var, memo)
+        return got
 
     def eval(self, env: dict, field: FieldSpec | None = None) -> Scalar:
         """Evaluate with Scalar bindings; the field defaults to the env's."""
@@ -94,7 +103,7 @@ class Const(Expr):
     def __init__(self, value):
         self.value = Fraction(value)
 
-    def diff(self, var):
+    def _diff_node(self, var, memo):
         return Const(0)
 
     def _eval_node(self, env, field, memo):
@@ -113,7 +122,7 @@ class Var(Expr):
     def __init__(self, name: str):
         self.name = name
 
-    def diff(self, var):
+    def _diff_node(self, var, memo):
         return Const(1 if var == self.name else 0)
 
     def _eval_node(self, env, field, memo):
@@ -147,8 +156,8 @@ class _Binary(Expr):
 class Add(_Binary):
     __slots__ = ()
 
-    def diff(self, var):
-        return Add(self.left.diff(var), self.right.diff(var))
+    def _diff_node(self, var, memo):
+        return Add(self.left._diff(var, memo), self.right._diff(var, memo))
 
     def _eval_node(self, env, field, memo):
         return self.left._eval(env, field, memo) + self.right._eval(env, field, memo)
@@ -160,8 +169,8 @@ class Add(_Binary):
 class Sub(_Binary):
     __slots__ = ()
 
-    def diff(self, var):
-        return Sub(self.left.diff(var), self.right.diff(var))
+    def _diff_node(self, var, memo):
+        return Sub(self.left._diff(var, memo), self.right._diff(var, memo))
 
     def _eval_node(self, env, field, memo):
         return self.left._eval(env, field, memo) - self.right._eval(env, field, memo)
@@ -173,8 +182,9 @@ class Sub(_Binary):
 class Mul(_Binary):
     __slots__ = ()
 
-    def diff(self, var):
-        return Add(Mul(self.left.diff(var), self.right), Mul(self.left, self.right.diff(var)))
+    def _diff_node(self, var, memo):
+        left, right = self.left, self.right
+        return Add(Mul(left._diff(var, memo), right), Mul(left, right._diff(var, memo)))
 
     def _eval_node(self, env, field, memo):
         return self.left._eval(env, field, memo) * self.right._eval(env, field, memo)
@@ -186,9 +196,10 @@ class Mul(_Binary):
 class Div(_Binary):
     __slots__ = ()
 
-    def diff(self, var):
-        num = Sub(Mul(self.left.diff(var), self.right), Mul(self.left, self.right.diff(var)))
-        return Div(num, Mul(self.right, self.right))
+    def _diff_node(self, var, memo):
+        left, right = self.left, self.right
+        num = Sub(Mul(left._diff(var, memo), right), Mul(left, right._diff(var, memo)))
+        return Div(num, Mul(right, right))
 
     def _eval_node(self, env, field, memo):
         den = self.right._eval(env, field, memo)

@@ -173,14 +173,6 @@ class RFunction:
         g = self.genus
         return Poly(self.field, [self.h_at(3 * g - 2 * i) for i in range(g)])
 
-    def h1_vec(self) -> tuple:
-        g = self.genus
-        return tuple(self.h_at(3 * g - 2 * i) for i in range(g))
-
-    def h2_vec(self) -> tuple:
-        g = self.genus
-        return tuple(self.h_at(g - k) for k in range(g))
-
     def __eq__(self, other):
         if not isinstance(other, RFunction):
             return NotImplemented

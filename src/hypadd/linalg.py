@@ -48,9 +48,6 @@ class Matrix:
         one, zero = field.one(), field.zero()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def col(self, j: int):
-        return tuple([row[j] for row in self.rows])
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

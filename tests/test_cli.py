@@ -61,6 +61,7 @@ def test_add_doubling_exits_3_and_names_fallback(tmp_path, capsys):
     assert code == 3
     err = json.loads(captured.err)
     assert err["error"] == "DegenerateConfiguration"
+    assert err["stage"] == "h_solve"
     assert "cantor" in err["fallback"]
 
 

@@ -1,13 +1,15 @@
 import pytest
 
 from hypadd import GroupoidPoint, anchor, g1_add, g2_add, make_field, star, star_detail
-from hypadd.closedform import _g2_env, g2_slope_exprs
+from hypadd.closedform import g2_slope_exprs
 from hypadd.errors import AnchorMismatch, DegenerateConfiguration
+from hypadd.expr import Expr
 from hypadd.groupoid import PointListRep, viete_phi
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 Q = make_field("q")
 P = make_field("fp", TEST_PRIME)
+G2_NAMES = ("u4", "u2", "u5", "u3", "v4", "v2", "v5", "v3")
 
 
 def qs(*vals):
@@ -80,6 +82,22 @@ def test_g2_matches_star_fp():
         assert g2_add(a1, a2) == star(a1, a2)
 
 
+def test_g2_add_evaluates_no_expression(monkeypatch):
+    """g2_add expands the slope along L on polynomials; the expression
+    trees are only the tests' oracle."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("g2_add evaluated an expression tree")
+
+    monkeypatch.setattr(Expr, "eval", refuse)
+    rng = seeded("g2-no-expr")
+    for _ in range(5):
+        c, a1, a2 = fp_pair(P, 2, rng)
+        assert g2_add(a1, a2) == star(a1, a2)
+        c, a1, a2 = q_pair(2, rng)
+        assert g2_add(a1, a2) == star(a1, a2)
+
+
 def test_g2_commutes():
     rng = seeded("g2-comm")
     c, a1, a2 = q_pair(2, rng)
@@ -96,20 +114,23 @@ def test_g2_slope_is_the_h1_coefficient():
     for _ in range(6):
         c, a1, a2 = q_pair(2, rng)
         h1 = star_detail(a1, a2).r.h_at(1)
-        h_val = h_e.eval(_g2_env(a1, a2), Q)
+        env = dict(zip(G2_NAMES, a1.p_even + a1.p_odd + a2.p_even + a2.p_odd))
+        h_val = h_e.eval(env, Q)
         assert h_val == h1
         assert -h_val != h1 or h1 == Q.zero()
 
 
 def test_g2_shared_u_degenerate():
-    xs = (Q.scalar(1), Q.scalar(3))
-    ys = (Q.scalar(2), Q.scalar(5))
-    t1 = PointListRep(tuple(zip(xs, ys)), qs(0, 0))
-    t2 = PointListRep(((xs[0], -ys[0]), (xs[1], ys[1])), qs(0, 0))
-    b1, b2 = viete_phi(t1), viete_phi(t2)
-    with pytest.raises(DegenerateConfiguration) as exc:
-        g2_add(b1, b2)
-    assert exc.value.stage == "slope_den"
+    for field in (Q, P):
+        xs = (field.scalar(1), field.scalar(3))
+        ys = (field.scalar(2), field.scalar(5))
+        zs = (field.zero(), field.zero())
+        t1 = PointListRep(tuple(zip(xs, ys)), zs)
+        t2 = PointListRep(((xs[0], -ys[0]), (xs[1], ys[1])), zs)
+        b1, b2 = viete_phi(t1), viete_phi(t2)
+        with pytest.raises(DegenerateConfiguration) as exc:
+            g2_add(b1, b2)
+        assert exc.value.stage == "slope_den"
 
 
 def test_g2_genus_check():

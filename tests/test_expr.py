@@ -108,6 +108,14 @@ def test_shared_subtree_evaluates_once():
     assert e.eval({"x": Q.scalar(5)}, Q) == Q.scalar(50)
 
 
+def test_shared_subtree_gets_one_derivative():
+    x = Var("x")
+    e = x * x
+    d = (e * e).diff("x")  # Add(Mul(e', e), Mul(e, e'))
+    assert d.left.left is d.right.right
+    assert d.eval({"x": Q.scalar(2)}, Q) == Q.scalar(32)
+
+
 def test_apply_l_hand_values():
     u2, u3, u4, u5 = Var("u2"), Var("u3"), Var("u4"), Var("u5")
     v2, v3, v4, v5 = Var("v2"), Var("v3"), Var("v4"), Var("v5")
