@@ -14,6 +14,11 @@ class NonPrimeModulus(HypaddError):
     """Requested prime-field modulus is composite."""
 
 
+class UncertifiedModulus(HypaddError):
+    """Requested prime-field modulus is too large for the exact primality
+    test; it is refused rather than accepted as a probable prime."""
+
+
 class EvenCharacteristic(HypaddError):
     """Characteristic 2 is rejected: the curve model needs 2 invertible."""
 

@@ -3,10 +3,13 @@
 Just enough calculus to state the genus-2 slope identities: constants,
 variables, the four arithmetic operations, formal differentiation, and
 evaluation into any FieldSpec.  Constants are kept as exact rationals
-so one tree serves both the rationals and every odd prime field.  No
-simplification is performed; trees share subterms, and evaluation and
-differentiation memoize on node identity, so shared structure is walked
-once and shared subterms get one shared derivative.
+so one tree serves both the rationals and every odd prime field.
+Differentiation folds the constants 0 and 1 that the sum, product and
+quotient rules introduce; nothing else is simplified, and every Div
+node is kept so a derivative still refuses where its expression does.
+Trees share subterms, and evaluation and differentiation memoize on
+node identity, so shared structure is walked once and shared subterms
+get one shared derivative.
 """
 
 from fractions import Fraction
@@ -61,7 +64,7 @@ class Expr:
         return Mul(Const(-1), self)
 
     def diff(self, var: str) -> "Expr":
-        """The formal derivative d/d(var); no simplification."""
+        """The formal derivative d/d(var), with 0 and 1 folded."""
         return self._diff(var, {})
 
     def _diff(self, var, memo):
@@ -157,7 +160,7 @@ class Add(_Binary):
     __slots__ = ()
 
     def _diff_node(self, var, memo):
-        return Add(self.left._diff(var, memo), self.right._diff(var, memo))
+        return _plus(self.left._diff(var, memo), self.right._diff(var, memo))
 
     def _eval_node(self, env, field, memo):
         return self.left._eval(env, field, memo) + self.right._eval(env, field, memo)
@@ -170,7 +173,7 @@ class Sub(_Binary):
     __slots__ = ()
 
     def _diff_node(self, var, memo):
-        return Sub(self.left._diff(var, memo), self.right._diff(var, memo))
+        return _minus(self.left._diff(var, memo), self.right._diff(var, memo))
 
     def _eval_node(self, env, field, memo):
         return self.left._eval(env, field, memo) - self.right._eval(env, field, memo)
@@ -184,7 +187,7 @@ class Mul(_Binary):
 
     def _diff_node(self, var, memo):
         left, right = self.left, self.right
-        return Add(Mul(left._diff(var, memo), right), Mul(left, right._diff(var, memo)))
+        return _plus(_times(left._diff(var, memo), right), _times(left, right._diff(var, memo)))
 
     def _eval_node(self, env, field, memo):
         return self.left._eval(env, field, memo) * self.right._eval(env, field, memo)
@@ -198,7 +201,7 @@ class Div(_Binary):
 
     def _diff_node(self, var, memo):
         left, right = self.left, self.right
-        num = Sub(Mul(left._diff(var, memo), right), Mul(left, right._diff(var, memo)))
+        num = _minus(_times(left._diff(var, memo), right), _times(left, right._diff(var, memo)))
         return Div(num, Mul(right, right))
 
     def _eval_node(self, env, field, memo):
@@ -209,6 +212,30 @@ class Div(_Binary):
 
     def __repr__(self):
         return f"({self.left!r} / {self.right!r})"
+
+
+def _is_const(e: Expr, value) -> bool:
+    return isinstance(e, Const) and e.value == value
+
+
+def _plus(a: Expr, b: Expr) -> Expr:
+    if _is_const(a, 0):
+        return b
+    return a if _is_const(b, 0) else Add(a, b)
+
+
+def _minus(a: Expr, b: Expr) -> Expr:
+    if _is_const(b, 0):
+        return a
+    return -b if _is_const(a, 0) else Sub(a, b)
+
+
+def _times(a: Expr, b: Expr) -> Expr:
+    if _is_const(a, 0) or _is_const(b, 0):
+        return Const(0)
+    if _is_const(a, 1):
+        return b
+    return a if _is_const(b, 1) else Mul(a, b)
 
 
 APPLY_L_VARS = ("u2", "u3", "u4", "u5", "v2", "v3", "v4", "v5")

@@ -7,10 +7,13 @@ from, and mixed-field arithmetic raises FieldMismatch instead of
 guessing a coercion.
 
 Scalars live at the API: every coefficient, entry and coordinate a
-caller sees or passes in is one.  The loops inside poly, linalg and
-groupoid compute on the bare values instead (Fractions over Q, ints
-over F_p), reduce them with `% p` where the modulus is nonzero, and box
-the results once through FieldSpec._box.
+caller sees or passes in is one.  `Poly` and `Matrix` store bare values
+instead (Fractions over Q, ints in [0, p) over F_p): FieldSpec._value
+converts what enters them, FieldSpec._canonical reduces computed values
+mod p, and FieldSpec._box builds Scalars only where a caller reads them.
+
+A prime modulus is checked by deterministic Miller-Rabin, which is
+exact below 3.3e24; a larger one that passes is refused, never assumed prime.
 
 Characteristic 2 is rejected up front: the curve model and the addition
 law divide by 2 freely.
@@ -18,22 +21,42 @@ law divide by 2 freely.
 
 from fractions import Fraction
 
-from .errors import EvenCharacteristic, FieldMismatch, NonPrimeModulus
+from .errors import EvenCharacteristic, FieldMismatch, NonPrimeModulus, UncertifiedModulus
 
 RATIONALS = "q"
 PRIME = "fp"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  A composite is always found; a number
+    at or above the bound that passes every base raises
+    UncertifiedModulus rather than being accepted as a probable prime."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_EXACT_BELOW:
+        raise UncertifiedModulus(f"{n} passes Miller-Rabin but is too large to certify as prime")
     return True
 
 
@@ -62,36 +85,40 @@ class FieldSpec:
 
     def scalar(self, value) -> "Scalar":
         """Wrap an int, Fraction, or decimal/fraction string as a Scalar."""
+        if isinstance(value, Scalar) and value.field is self:
+            return value
+        return Scalar(self, self._value(value))
+
+    def _value(self, value):
+        """The bare value of an int, Fraction, string or Scalar of this
+        field: a Fraction over Q, a residue in [0, p) over F_p."""
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar from {value.field}, not {self}")
-            return value
+            return value.value
         if isinstance(value, str):
-            return self._parse(value)
+            text = value.strip()
+            if "/" in text:
+                num, den = text.split("/", 1)
+                return self._value(Fraction(int(num), int(den)))
+            value = int(text)
         if self.modulus == 0:
-            return Scalar(self, Fraction(value))
-        if isinstance(value, Fraction):
-            num = value.numerator % self.modulus
-            den = value.denominator % self.modulus
-            return Scalar(self, num * pow(den, -1, self.modulus) % self.modulus)
-        return Scalar(self, value % self.modulus)
+            return Fraction(value)
+        if isinstance(value, int):
+            return value % self.modulus
+        num = value.numerator % self.modulus
+        den = value.denominator % self.modulus
+        return num * pow(den, -1, self.modulus) % self.modulus
 
-    def _parse(self, text: str) -> "Scalar":
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.scalar(Fraction(int(num), int(den)))
-        if self.modulus == 0:
-            return Scalar(self, Fraction(int(text)))
-        return Scalar(self, int(text) % self.modulus)
+    def _canonical(self, values) -> list:
+        """Bare values in canonical form: any ints over F_p are reduced
+        mod p, Fractions over Q pass through."""
+        p = self.modulus
+        return [v % p for v in values] if p else list(values)
 
     def _box(self, values) -> tuple:
-        """Scalars of this field from bare values: Fractions over Q, any
-        ints over F_p (reduced here)."""
-        p = self.modulus
-        if p:
-            values = [v % p for v in values]
-        return tuple([Scalar(self, v) for v in values])
+        """Scalars of this field from bare values, made canonical here."""
+        return tuple([Scalar(self, v) for v in self._canonical(values)])
 
     def zero(self) -> "Scalar":
         return self.scalar(0)

@@ -22,8 +22,9 @@ polynomial arithmetic modulo u:
     kl_columns   x^k (x^g mod u) and x^k v mod u, one product by x at a time
     odd part     v3 = -(x^g r2 + r3) r1^(-1) mod u3, u3 = norm(R) / (u1 u2)
 
-The matrix routes (build_r_determinant, rank_witness, anchor_s) stay as
-independent checks of that core.
+`star` certifies R by (r1 v + x^g r2 + r3) mod u = 0 at both inverted
+inputs.  The matrix routes (build_r_determinant, rank_witness,
+anchor_s) stay as the tests' independent oracles.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are stored highest weight first.
@@ -196,21 +197,17 @@ def curve_poly(c: CurveParams) -> Poly:
 
 def u_poly(a: GroupoidPoint) -> Poly:
     """Monic abscissa polynomial x^g - sum p_even[i] x^i."""
-    return Poly(a.field, [-p for p in a.p_even] + [a.field.one()])
+    return Poly._from_raw(a.field, [-p.value for p in a.p_even] + [a.field._value(1)])
 
 
 def v_poly(a: GroupoidPoint) -> Poly:
     """Ordinate interpolation polynomial of degree < g."""
-    return Poly(a.field, a.p_odd)
+    return Poly._from_raw(a.field, [p.value for p in a.p_odd])
 
 
 def invert(a: GroupoidPoint) -> GroupoidPoint:
     """The groupoid involution: flip the sign of the odd part."""
-    return GroupoidPoint(a.p_even, tuple([-p for p in a.p_odd]), a.z)
-
-
-def _vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
+    return GroupoidPoint(a.p_even, a.field._box([-p.value for p in a.p_odd]), a.z)
 
 
 def anchor(a: GroupoidPoint):
@@ -275,10 +272,8 @@ def kl_columns(a: GroupoidPoint):
 def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
     l1, ell1 = kl_columns(b1)
     l2, ell2 = kl_columns(b2)
-    m = l1 - l2
-    rhs = [y - x for x, y in zip(ell1, ell2)]
     try:
-        h2 = solve(m, rhs)
+        h2 = solve(l1 - l2, [y.value - x.value for x, y in zip(ell1, ell2)])
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
@@ -309,8 +304,7 @@ def build_r_from_h(h1, h2, genus: int) -> RFunction:
     h1 fills co-weights 3g, 3g-2, ..., g+2 (ascending powers of r3);
     h2 fills co-weights g, g-1, ..., 1; h0 is pinned to 1.
     """
-    h1 = tuple(h1)
-    h2 = tuple(h2)
+    h1, h2 = tuple(h1), tuple(h2)
     if len(h1) != genus or len(h2) != genus:
         raise ValueError("expected g coefficients in each block")
     field = h1[0].field
@@ -393,7 +387,9 @@ class StarResult:
 
 def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True) -> StarResult:
     """The partial product, keeping the internal RFunction for callers
-    that inspect its coefficients."""
+    that inspect its coefficients.  dual_check certifies R on u and v
+    alone, sharing no code with the h-solve: r1 v + x^g r2 + r3 must
+    vanish mod u at both inverted inputs, else InvariantViolation."""
     if a1.genus != a2.genus:
         raise ValueError("genus mismatch")
     z1, z2 = anchor(a1)
@@ -403,8 +399,11 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True
     b1, b2 = invert(a1), invert(a2)
     h1, h2 = _solve_h_core(b1, b2)
     r = build_r_from_h(h1, h2, g)
-    if dual_check and r != build_r_determinant(b1, b2):
-        raise InvariantViolation("determinant route disagrees")
+    r1, even_half = r.r1(), x_power(a1.field, g) * r.r2() + r.r3()
+    if dual_check:
+        for b in (b1, b2):
+            if not ((r1 * v_poly(b) + even_half) % u_poly(b)).is_zero():
+                raise InvariantViolation("R does not vanish on an inverted summand")
     curve = CurveParams(g, z1, z2)
     phi = phi_poly(r, curve)
     u3, remainder = divmod(phi, u_poly(a1) * u_poly(a2))
@@ -413,20 +412,21 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True
     if u3.degree != g or not u3.is_monic():
         raise InvariantViolation(f"expected a monic degree-{g} quotient, got {u3!r}")
     # R vanishes on the product, so r1 v3 + x^g r2 + r3 = 0 (mod u3).
-    d, r1_inv, _ = xgcd(r.r1(), u3)
+    d, r1_inv, _ = xgcd(r1, u3)
     if d.degree != 0:
         raise DegenerateConfiguration(
             "odd-part recovery is singular; fall back to cantor_add", stage="odd_recovery"
         )
-    v3 = (-(x_power(a1.field, g) * r.r2() + r.r3()) * r1_inv) % u3
-    p3_even = tuple([-u3[i] for i in range(g)])
+    v3 = (-even_half * r1_inv) % u3
+    p3_even = (-u3).coeffs[:g]
     p3_odd = tuple([v3[i] for i in range(g)])
     return StarResult(GroupoidPoint(p3_even, p3_odd, a1.z), r)
 
 
 def star(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True) -> GroupoidPoint:
     """Add two points sharing an anchor; raises DegenerateConfiguration
-    outside the generic chart (doubling, shared abscissa polynomial, ...)."""
+    outside the generic chart (doubling, shared abscissa polynomial, ...)
+    and InvariantViolation if the certificate of star_detail fails."""
     return star_detail(a1, a2, dual_check=dual_check).point
 
 
@@ -459,8 +459,8 @@ def anchor_s(t: PointListRep):
     y_vec = [y * y - x ** (2 * g + 1) for x, y in t.pairs]
     vz = v.vec(t.z)
     xvz = [x**g * w for x, w in zip(xs, vz)]
-    z1 = _vec_sub(solve(v, y_vec), solve(v, xvz))
-    return tuple(z1), tuple(t.z)
+    z1 = tuple(x - y for x, y in zip(solve(v, y_vec), solve(v, xvz)))
+    return z1, tuple(t.z)
 
 
 def rank_witness(a1: GroupoidPoint, a2: GroupoidPoint, a3: GroupoidPoint) -> bool:

@@ -8,6 +8,7 @@ co-weight has no monomial.
 
 from typing import NamedTuple
 
+from .closedform import g2_add
 from .expr import Const, Var
 from .field import Scalar
 from .groupoid import GroupoidPoint, RFunction, star_detail
@@ -80,7 +81,9 @@ def check_zp_consistency(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
 
         2 z1s - p222s - 3 p22s z2s + z2s^3
 
-    must vanish.  h3 must also be absent (gap co-weight) at genus 2.
+    must vanish.  It does so for any p222s (`zp_formal_expression`), so
+    the product's p3 is also checked on its own, against the w3 of the
+    closed form `g2_add`.  h3 must be absent (gap co-weight) at genus 2.
     """
     if a1.genus != 2:
         raise ValueError("genus-2 identity")
@@ -89,7 +92,7 @@ def check_zp_consistency(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
     if not h3.is_zero():
         return False
     p22s = _p2(a1) + _p2(a2) + _p2(res.point)
-    if p22s != h1 * h1 - 2 * h2:
+    if p22s != h1 * h1 - 2 * h2 or _p3(res.point) != _p3(g2_add(a1, a2)):
         return False
     p222s = 2 * (_p3(a1) + _p3(a2) - _p3(res.point))
     half = a1.field.scalar(1) / a1.field.scalar(2)

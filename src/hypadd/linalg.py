@@ -4,9 +4,10 @@
 with Fraction entries over Q and residues over F_p.  Pivoting is always
 "first nonzero", so runs are reproducible across platforms.
 
-`Matrix.rows`, `vec`'s result and `solve`'s solution are Scalars.  The
-elimination and the products unwrap the entries' bare values once,
-compute on them and box the results once.
+A Matrix holds its field and a tuple of rows of bare values.  The
+elimination and the products compute on those, and Scalars are built
+only where a caller reads one: `rows`, `vec`'s result and `solve`'s
+solution.
 """
 
 from .errors import FieldMismatch, NotSquare, SingularMatrix
@@ -14,34 +15,33 @@ from .field import FieldSpec, _inverse_value
 
 
 class Matrix:
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "_values")
 
     def __init__(self, field: FieldSpec, rows):
         self.field = field
-        self.rows = tuple([tuple([field.scalar(c) for c in row]) for row in rows])
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
+        self._values = tuple([tuple([field._value(c) for c in row]) for row in rows])
+        if len({len(r) for r in self._values}) > 1:
+            raise ValueError("ragged rows")
 
     @classmethod
     def _from_raw(cls, field: FieldSpec, rows) -> "Matrix":
         """The matrix with the given rows of bare values (reduced mod p here)."""
         out = cls.__new__(cls)
         out.field = field
-        out.rows = tuple([field._box(row) for row in rows])
+        out._values = tuple([tuple(field._canonical(row)) for row in rows])
         return out
 
-    def _values(self) -> list:
-        return [[c.value for c in row] for row in self.rows]
+    @property
+    def rows(self) -> tuple:
+        return tuple([self.field._box(row) for row in self._values])
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._values)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self._values[0]) if self._values else 0
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -51,20 +51,20 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and self._values == other._values
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self._values))
 
     def __sub__(self, other):
         self._check(other)
         return Matrix._from_raw(
             self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._values(), other._values())],
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._values, other._values)],
         )
 
     def __neg__(self):
-        return Matrix._from_raw(self.field, [[-a for a in row] for row in self._values()])
+        return Matrix._from_raw(self.field, [[-a for a in row] for row in self._values])
 
     def _check(self, other):
         if self.field != other.field:
@@ -74,10 +74,10 @@ class Matrix:
 
     def vec(self, v):
         """Matrix-vector product; v is a sequence of Scalars."""
-        v = [self.field.scalar(c).value for c in v]
+        v = [self.field._value(c) for c in v]
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
-        return self.field._box([sum([x * y for x, y in zip(row, v)]) for row in self._values()])
+        return self.field._box([sum([x * y for x, y in zip(row, v)]) for row in self._values])
 
     def __repr__(self):
         body = "; ".join(" ".join(c.to_string() for c in row) for row in self.rows)
@@ -130,10 +130,10 @@ def solve(m: Matrix, rhs) -> tuple:
     if m.nrows != m.ncols:
         raise NotSquare(f"{m.nrows}x{m.ncols} solve")
     n = m.nrows
-    rhs = [m.field.scalar(v).value for v in rhs]
+    rhs = [m.field._value(v) for v in rhs]
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
-    a = [row + [b] for row, b in zip(m._values(), rhs)]
+    a = [list(row) + [b] for row, b in zip(m._values, rhs)]
     pivots = _reduce(a, n, m.field.modulus)
     if len(pivots) != n:
         raise SingularMatrix(f"rank {len(pivots)} < {n}")
@@ -141,7 +141,7 @@ def solve(m: Matrix, rhs) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(m._values(), m.ncols, m.field.modulus))
+    return len(_reduce([list(row) for row in m._values], m.ncols, m.field.modulus))
 
 
 def vandermonde(field: FieldSpec, xs) -> Matrix:

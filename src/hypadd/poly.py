@@ -1,13 +1,12 @@
 """Dense univariate polynomials over an exact field.
 
-Coefficients are stored ascending (index i holds the x^i coefficient)
-with trailing zeros stripped, so the zero polynomial is the empty tuple
-and reports degree -inf.  All operations are exact.
+A Poly holds its field and its bare coefficients (ints in [0, p) over
+F_p, Fractions over Q) ascending, with trailing zeros stripped, so the
+zero polynomial is the empty tuple and reports degree -inf.
 
-`coeffs`, `p[i]`, `lc()` and evaluation results are Scalars.  The
-arithmetic unwraps its operands' bare values once, computes on them
-(sums and products left unreduced mod p until the result is built) and
-boxes the result once through `_from_raw`.
+The exact arithmetic computes on bare values (left unreduced mod p
+until `_from_raw` builds the result), and Scalars are built only where
+a caller reads one: `coeffs`, `p[i]`, `lc()` and evaluation results.
 """
 
 from .errors import BothZero, DivisionByZeroPoly, FieldMismatch
@@ -17,85 +16,86 @@ NEG_INF = float("-inf")
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_values")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        cs = [field.scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        vs = [field._value(c) for c in coeffs]
+        while vs and not vs[-1]:
+            vs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self._values = tuple(vs)
 
     @classmethod
     def _from_raw(cls, field: FieldSpec, values) -> "Poly":
-        """The polynomial with the given ascending bare coefficients
-        (reduced mod p here), trailing zeros stripped."""
-        cs = field._box(values)
-        n = len(cs)
-        while n and not cs[n - 1].value:
+        """The polynomial with these ascending bare coefficients (reduced
+        mod p here; Fractions only over Q), trailing zeros stripped."""
+        values = field._canonical(values)
+        n = len(values)
+        while n and not values[n - 1]:
             n -= 1
         out = cls.__new__(cls)
         out.field = field
-        out.coeffs = cs[:n]
+        out._values = tuple(values[:n])
         return out
 
-    def _values(self) -> list:
-        return [c.value for c in self.coeffs]
+    @property
+    def coeffs(self) -> tuple:
+        return self.field._box(self._values)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._values) - 1 if self._values else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._values
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].value == 1
+        return bool(self._values) and self._values[-1] == 1
 
     def lc(self) -> Scalar:
         """Leading coefficient; zero for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else self.field.zero()
+        return self[len(self._values) - 1]
 
     def __getitem__(self, i: int) -> Scalar:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._values):
+            return Scalar(self.field, self._values[i])
         return self.field.zero()
 
     def _check(self, other):
-        if self.field != other.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("polynomials over different fields")
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self._values == other._values
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._values))
 
     def __add__(self, other):
         self._check(other)
-        a, b = self._values(), other._values()
+        a, b = self._values, other._values
         if len(a) < len(b):
             a, b = b, a
-        return Poly._from_raw(self.field, [x + y for x, y in zip(a, b)] + a[len(b) :])
+        return Poly._from_raw(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __sub__(self, other):
         self._check(other)
-        a, b = self._values(), other._values()
+        a, b = self._values, other._values
         n = min(len(a), len(b))
-        out = [x - y for x, y in zip(a, b)] + a[n:] + [-y for y in b[n:]]
+        out = [x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]]
         return Poly._from_raw(self.field, out)
 
     def __neg__(self):
-        return Poly._from_raw(self.field, [-c for c in self._values()])
+        return Poly._from_raw(self.field, [-c for c in self._values])
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            s = self.field.scalar(other).value
-            return Poly._from_raw(self.field, [c * s for c in self._values()])
+            s = self.field._value(other)
+            return Poly._from_raw(self.field, [c * s for c in self._values])
         self._check(other)
-        a, b = self._values(), other._values()
+        a, b = self._values, other._values
         if not a or not b:
             return Poly(self.field)
         m = len(b)
@@ -118,7 +118,7 @@ class Poly:
         if self.degree < other.degree:
             return Poly(self.field), self
         p = self.field.modulus
-        rem, b = self._values(), other._values()
+        rem, b = list(self._values), other._values
         m = len(b) - 1
         inv_lc = _inverse_value(b[m], p)
         b = b[:m]
@@ -140,10 +140,10 @@ class Poly:
 
     def __call__(self, at: Scalar) -> Scalar:
         """Horner evaluation."""
-        x = self.field.scalar(at).value
+        x = self.field._value(at)
         p = self.field.modulus
-        acc = self.field.zero().value
-        for c in reversed(self._values()):
+        acc = self.field._value(0)
+        for c in reversed(self._values):
             acc = acc * x + c
             if p:
                 acc %= p
@@ -172,7 +172,7 @@ class Poly:
 
 def x_power(field: FieldSpec, k: int) -> Poly:
     """The monomial x^k."""
-    return Poly(field, [0] * k + [1])
+    return Poly._from_raw(field, [field._value(0)] * k + [field._value(1)])
 
 
 def from_roots(field: FieldSpec, roots) -> Poly:

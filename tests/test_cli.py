@@ -227,6 +227,13 @@ def test_verify_unknown_prop_exits_2(capsys):
     assert code == 2
 
 
+def test_uncertified_modulus_exits_2(capsys):
+    code = run(["verify", "--field", f"fp:{2**89 - 1}", "--genus", "1", "--trials", "1"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "UncertifiedModulus"
+
+
 def test_verify_needs_curve_or_field(capsys):
     code = run(["verify", "--props", "comm"])
     capsys.readouterr()

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import UnboundVariable, UnknownVariable, ZeroDenominator
-from hypadd.expr import Add, Const, Div, Mul, Sub, Var, apply_L
+from hypadd.closedform import g2_slope_exprs
+from hypadd.expr import Add, Const, Div, Mul, Sub, Var, _Binary, apply_L
 
 Q = make_field("q")
 
@@ -114,6 +115,34 @@ def test_shared_subtree_gets_one_derivative():
     d = (e * e).diff("x")  # Add(Mul(e', e), Mul(e, e'))
     assert d.left.left is d.right.right
     assert d.eval({"x": Q.scalar(2)}, Q) == Q.scalar(32)
+
+
+def test_diff_folds_zero_and_one():
+    x, y = Var("x"), Var("y")
+    assert (x * y).diff("x") is y
+    assert (y * x + Const(3)).diff("x") is y
+    zero = (x * y - Const(2)).diff("z")
+    assert isinstance(zero, Const) and zero.value == 0
+    env = {"x": Q.one(), "y": Q.scalar(5)}
+    assert (Const(2) - y).diff("y").eval(env, Q) == -Q.one()
+    # A quotient's derivative keeps its Div, so it still refuses at a pole.
+    with pytest.raises(ZeroDenominator):
+        (y / x).diff("y").eval({"x": Q.zero(), "y": Q.one()}, Q)
+
+
+def test_h2_prime_has_no_zero_factor():
+    """h'' = L(L(h)) of the genus-2 slope carries no product with a
+    literal 0 factor; the unfolded derivative had 300 of them."""
+    _, _, hpp = g2_slope_exprs()
+    seen, stack = set(), [hpp]
+    while stack:
+        e = stack.pop()
+        if id(e) in seen or not isinstance(e, _Binary):
+            continue
+        seen.add(id(e))
+        if isinstance(e, Mul):
+            assert not any(isinstance(f, Const) and f.value == 0 for f in (e.left, e.right))
+        stack += [e.left, e.right]
 
 
 def test_apply_l_hand_values():

@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hypadd import make_field, field_from_string
-from hypadd.errors import EvenCharacteristic, FieldMismatch, NonPrimeModulus
+from hypadd.errors import EvenCharacteristic, FieldMismatch, NonPrimeModulus, UncertifiedModulus
+from hypadd.field import _is_prime
 
 Q = make_field("q")
 P = make_field("fp", 10007)
@@ -95,6 +97,36 @@ def test_field_construction_errors():
         make_field("fp", 10006)
     with pytest.raises(NonPrimeModulus):
         make_field("fp", 1)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if by_trial(n)]
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    assert make_field("fp", 2**61 - 1).modulus == 2**61 - 1
+    assert time.perf_counter() - start < 0.1
+
+
+def test_pseudoprimes_rejected():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7.
+    for n in (561, 3215031751, (2**61 - 1) * (2**31 - 1)):
+        with pytest.raises(NonPrimeModulus):
+            make_field("fp", n)
+
+
+def test_modulus_above_certified_bound_refused():
+    # 2^89 - 1 is prime but above 3.3e24, where 13 Miller-Rabin bases
+    # stop being a proof; a composite there is still found.
+    with pytest.raises(UncertifiedModulus):
+        make_field("fp", 2**89 - 1)
+    with pytest.raises(NonPrimeModulus):
+        make_field("fp", (2**89 - 1) * 3)
 
 
 def test_field_string_round_trip():

@@ -5,7 +5,6 @@ import pytest
 from hypadd import (
     CurveParams,
     GroupoidPoint,
-    RFunction,
     anchor,
     curve_from_anchor,
     curve_poly,
@@ -24,6 +23,7 @@ from hypadd.errors import (
     AnchorMismatch,
     DegenerateConfiguration,
     InvariantViolation,
+    NonzeroRemainder,
     NotMonicDegree3g,
     RepeatedAbscissa,
     ZeroScale,
@@ -248,20 +248,57 @@ def test_phi_wrong_genus_not_monic():
 
 
 def test_dual_check_disagreement_raises(monkeypatch):
-    """A determinant route that disagrees stops star with a typed error,
-    so the dual check still holds under python -O."""
-    real = groupoid.build_r_determinant
+    """An h-solve that returns a wrong R stops star with a typed error
+    from the certificate, so the dual check still holds under python -O;
+    without the check the wrong R reaches the norm division instead."""
+    real = groupoid._solve_h_core
 
     def off_by_one(b1, b2):
-        r = real(b1, b2)
-        h = dict(r.h)
-        h[1] = h[1] + 1
-        return RFunction(r.genus, h)
+        h1, h2 = real(b1, b2)
+        return h1, (h2[0] + 1,) + h2[1:]
 
-    monkeypatch.setattr(groupoid, "build_r_determinant", off_by_one)
+    monkeypatch.setattr(groupoid, "_solve_h_core", off_by_one)
     with pytest.raises(InvariantViolation):
         star(A1, A2)
-    assert star(A1, A2, dual_check=False) == A3
+    with pytest.raises(NonzeroRemainder):
+        star(A1, A2, dual_check=False)
+
+
+def test_dual_check_catches_kl_columns_fault(monkeypatch):
+    """The certificate reads u and v directly, so a fault in the
+    kl_columns that feed the h-solve cannot pass it, whether it hits
+    both inputs or only one of them."""
+    real = groupoid.kl_columns
+    rng = seeded("kl-fault")
+    pairs = [A1, A2], list(q_pair(2, rng)[1:]), list(fp_pair(P, 3, rng)[1:])
+    for a1, a2 in pairs:
+        for faulty in ((invert(a1), invert(a2)), (invert(a1),), (invert(a2),)):
+
+            def perturbed(b, faulty=faulty):
+                l, ell = real(b)
+                return (l, (ell[0] + 1,) + ell[1:]) if b in faulty else (l, ell)
+
+            monkeypatch.setattr(groupoid, "kl_columns", perturbed)
+            with pytest.raises(InvariantViolation):
+                star(a1, a2)
+
+
+def test_star_makes_one_solve(monkeypatch):
+    """The default star solves one linear system: the h-solve."""
+    calls = []
+    real = groupoid.solve
+
+    def counted(m, rhs):
+        calls.append(m.nrows)
+        return real(m, rhs)
+
+    monkeypatch.setattr(groupoid, "solve", counted)
+    rng = seeded("one-solve")
+    for g in (1, 3, 8):
+        c, a1, a2 = fp_pair(P, g, rng)
+        calls.clear()
+        star(a1, a2)
+        assert calls == [g]
 
 
 def test_dual_r_routes_agree():

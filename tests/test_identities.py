@@ -1,6 +1,7 @@
 import random
 
-from hypadd import GroupoidPoint, make_field, star_detail
+from hypadd import GroupoidPoint, identities, make_field, star_detail
+from hypadd.groupoid import StarResult
 from hypadd.identities import (
     check_g1_wp_prime_sum,
     check_pgg_sum,
@@ -89,6 +90,26 @@ def test_zp_consistency_random():
     for _ in range(6):
         c, b1, b2 = fp_pair(P, 2, rng)
         assert check_zp_consistency(b1, b2)
+
+
+def test_zp_consistency_catches_wrong_p3(monkeypatch):
+    """A product whose p3 is off fails the check; the cubic relation
+    alone cannot see it, because it holds for any p3."""
+    real = identities.star_detail
+
+    def wrong_p3(a1, a2):
+        res = real(a1, a2)
+        p = res.point
+        odd = p.p_odd[:-1] + (p.p_odd[-1] + 1,)
+        return StarResult(GroupoidPoint(p.p_even, odd, p.z), res.r)
+
+    rng = seeded("zp-wrong")
+    pairs = [q_pair(2, rng)[1:], fp_pair(P, 2, rng)[1:]]
+    for a1, a2 in pairs:
+        assert check_zp_consistency(a1, a2)
+    monkeypatch.setattr(identities, "star_detail", wrong_p3)
+    for a1, a2 in pairs:
+        assert not check_zp_consistency(a1, a2)
 
 
 def test_zp_formal_expression_vanishes():

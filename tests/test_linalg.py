@@ -147,3 +147,13 @@ def test_foreign_field_rejected():
         m.vec((f7.one(), P.one()))
     with pytest.raises(FieldMismatch):
         m - Matrix(P, [[1, 0], [0, 1]])
+
+
+def test_equality_on_canonical_entries():
+    """Computed matrices compare and hash by their reduced entries, and
+    matrices over different fields never compare equal."""
+    m = Matrix(P, [[1, 2], [3, 4]])
+    neg = Matrix(P, [[10006, 10005], [10004, 10003]])
+    assert -m == neg and hash(-m) == hash(neg)
+    assert m - Matrix(P, [[2, 2], [2, 2]]) == Matrix(P, [[-1, 0], [1, 2]])
+    assert Matrix(Q, [[1, 2], [3, 4]]) != m

@@ -184,3 +184,10 @@ def test_foreign_field_rejected():
         f7p * Q.scalar(3)
     with pytest.raises(FieldMismatch):
         f7p(Q.scalar(3))
+
+
+def test_equality_needs_the_same_field():
+    # Bare values 1 and Fraction(1) compare equal; the polynomials do not.
+    assert Poly(F7, [1, 2]) != qp(1, 2)
+    assert Poly(F7, [1, 2]) == Poly(make_field("fp", 7), [8, -5])
+    assert hash(Poly(F7, [1, 2])) == hash(Poly(F7, [8, 9]))
