@@ -22,7 +22,8 @@ polynomial arithmetic modulo u:
     kl_columns   x^k (x^g mod u) and x^k v mod u, one product by x at a time
     odd part     v3 = -(x^g r2 + r3) r1^(-1) mod u3, u3 = norm(R) / (u1 u2)
 
-`star` certifies R by (r1 v + x^g r2 + r3) mod u = 0 at both inverted
+R = r1 y + x^g r2 + r3 is held as its three polynomials, and every
+`star` certifies it by (r1 v + x^g r2 + r3) mod u = 0 at both inverted
 inputs.  The matrix routes (build_r_determinant, rank_witness,
 anchor_s) stay as the tests' independent oracles.
 
@@ -136,48 +137,48 @@ class PointListRep:
 
 
 class RFunction:
-    """The interpolating function R(x, y) = r1(x) y + x^g r2(x) + r3(x).
+    """The interpolating function R(x, y) = r1(x) y + x^g r2(x) + r3(x),
+    held as the three polynomials the addition law reads.
 
-    Coefficients are indexed by co-weight: h[k] multiplies the unique
-    monomial x^i y^j (j in {0,1}) of weight 3g - k.  h[0] is pinned to 1
-    and marks the leading monomial.  Slots are stored explicitly even
-    when zero; co-weights with no monomial (the gap values) are absent.
+    With rho = floor((g-1)/2), r1 has rho + 1 slots, r2 has g - rho and
+    r3 has g.  The lead, r1 for odd g and r2 for even g, carries the
+    monomial of weight 3g and is monic of degree floor(g/2).
     """
 
-    __slots__ = ("genus", "h")
+    __slots__ = ("genus", "r1", "r2", "r3")
 
-    def __init__(self, genus: int, h: dict):
-        self.genus = genus
-        self.h = dict(h)
-        if self.h.get(0) != self.field.one():
-            raise ValueError("leading coefficient h[0] must be 1")
+    def __init__(self, genus: int, r1: Poly, r2: Poly, r3: Poly):
+        rho = (genus - 1) // 2
+        if r1.degree > rho or r2.degree >= genus - rho or r3.degree >= genus:
+            raise ValueError("a coefficient lies past its co-weight slots")
+        lead = r1 if genus % 2 else r2
+        if lead.degree != genus // 2 or not lead.is_monic():
+            raise ValueError(f"leading polynomial must be monic of degree {genus // 2}")
+        self.genus, self.r1, self.r2, self.r3 = genus, r1, r2, r3
 
     @property
     def field(self) -> FieldSpec:
-        return self.h[0].field
+        return self.r1.field
+
+    @property
+    def h(self) -> dict:
+        """Coefficients by co-weight: h[k] multiplies the unique monomial
+        x^i y^j (j in {0,1}) of weight 3g - k, and h[0] = 1 marks the
+        leading one.  Slots are present even when zero; co-weights with
+        no monomial (the gap values) are absent."""
+        g, rho = self.genus, (self.genus - 1) // 2
+        h = {3 * g - 2 * i: self.r3[i] for i in range(g)}
+        h.update({g - 2 * i: self.r2[i] for i in range(g - rho)})
+        h.update({g - 1 - 2 * i: self.r1[i] for i in range(rho + 1)})
+        return h
 
     def h_at(self, coweight: int) -> Scalar:
-        got = self.h.get(coweight)
-        return got if got is not None else self.field.zero()
-
-    def r1(self) -> Poly:
-        g = self.genus
-        rho = (g - 1) // 2
-        return Poly(self.field, [self.h_at(g - 1 - 2 * i) for i in range(rho + 1)])
-
-    def r2(self) -> Poly:
-        g = self.genus
-        rho = (g - 1) // 2
-        return Poly(self.field, [self.h_at(g - 2 * i) for i in range(g - rho)])
-
-    def r3(self) -> Poly:
-        g = self.genus
-        return Poly(self.field, [self.h_at(3 * g - 2 * i) for i in range(g)])
+        return self.h.get(coweight, self.field.zero())
 
     def __eq__(self, other):
         if not isinstance(other, RFunction):
             return NotImplemented
-        return self.genus == other.genus and self.h == other.h
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def __repr__(self):
         inner = ", ".join(f"h{k}={v.to_string()}" for k, v in sorted(self.h.items()))
@@ -278,11 +279,7 @@ def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
         ) from exc
-    h1 = tuple([-(t + e) for t, e in zip(l1.vec(h2), ell1)])
-    h1_other = tuple([-(t + e) for t, e in zip(l2.vec(h2), ell2)])
-    if h1 != h1_other:
-        raise InvariantViolation("inconsistent overdetermined h-system")
-    return h1, h2
+    return tuple([-(t + e) for t, e in zip(l1.vec(h2), ell1)]), h2
 
 
 def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
@@ -290,8 +287,8 @@ def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
 
     Inputs are the already-inverted points.  The defining relations are
     H1 + L(b) H2 + ell(b) = 0 at b = a1bar and b = a2bar; H2 comes from
-    their difference, H1 from back-substitution at a1bar, re-checked at
-    a2bar.
+    their difference, H1 from back-substitution at a1bar (at a2bar it
+    agrees by construction; `star` certifies R at both inputs).
     """
     if anchor(a1bar) != anchor(a2bar):
         raise AnchorMismatch("inputs sit over different curve parameters")
@@ -299,27 +296,19 @@ def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
 
 
 def build_r_from_h(h1, h2, genus: int) -> RFunction:
-    """Assemble an RFunction from the two solved coefficient blocks.
+    """Assemble an RFunction from the two solved coefficient blocks, in
+    the column order of kl_columns.
 
-    h1 fills co-weights 3g, 3g-2, ..., g+2 (ascending powers of r3);
-    h2 fills co-weights g, g-1, ..., 1; h0 is pinned to 1.
+    h1 holds r3 (ascending powers).  h2, followed by the pinned leading
+    1, interleaves x^g, y, x^(g+1), y x, ...: the even entries are r2
+    and the odd ones r1.
     """
     h1, h2 = tuple(h1), tuple(h2)
     if len(h1) != genus or len(h2) != genus:
         raise ValueError("expected g coefficients in each block")
     field = h1[0].field
-    h = {0: field.one()}
-    for i, s in enumerate(h1):
-        h[3 * genus - 2 * i] = s
-    for k, s in enumerate(h2):
-        h[genus - k] = s
-    return RFunction(genus, h)
-
-
-def _monomial_coweight(g: int, j: int) -> int:
-    # Column j of the bordered matrix carries the monomial x^j for j < g,
-    # then x^g, y, x^(g+1), y x, ... with co-weight dropping by one per column.
-    return 3 * g - 2 * j if j < g else 2 * g - j
+    rest = h2 + (1,)
+    return RFunction(genus, Poly(field, rest[1::2]), Poly(field, rest[0::2]), Poly(field, h1))
 
 
 def _stacked_rows(points):
@@ -353,9 +342,7 @@ def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction
             "bordered determinant has zero leading slot; fall back to cantor_add",
             stage="det_lead",
         ) from exc
-    h = {_monomial_coweight(g, j): c for j, c in enumerate(x)}
-    h[_monomial_coweight(g, 2 * g)] = a1bar.field.one()
-    return RFunction(g, h)
+    return build_r_from_h(x[:g], x[g:], g)
 
 
 def phi_poly(r: RFunction, c: CurveParams) -> Poly:
@@ -366,8 +353,8 @@ def phi_poly(r: RFunction, c: CurveParams) -> Poly:
     """
     g = r.genus
     f = curve_poly(c)
-    even_half = x_power(r.field, g) * r.r2() + r.r3()
-    phi = even_half * even_half - r.r1() * r.r1() * f
+    even_half = x_power(r.field, g) * r.r2 + r.r3
+    phi = even_half * even_half - r.r1 * r.r1 * f
     if g % 2 == 1:
         phi = -phi
     if phi.degree != 3 * g or not phi.is_monic():
@@ -385,9 +372,9 @@ class StarResult:
         self.r = r
 
 
-def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True) -> StarResult:
+def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
     """The partial product, keeping the internal RFunction for callers
-    that inspect its coefficients.  dual_check certifies R on u and v
+    that inspect its coefficients.  Every call certifies R on u and v
     alone, sharing no code with the h-solve: r1 v + x^g r2 + r3 must
     vanish mod u at both inverted inputs, else InvariantViolation."""
     if a1.genus != a2.genus:
@@ -397,13 +384,11 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True
         raise AnchorMismatch("summands sit over different curve parameters")
     g = a1.genus
     b1, b2 = invert(a1), invert(a2)
-    h1, h2 = _solve_h_core(b1, b2)
-    r = build_r_from_h(h1, h2, g)
-    r1, even_half = r.r1(), x_power(a1.field, g) * r.r2() + r.r3()
-    if dual_check:
-        for b in (b1, b2):
-            if not ((r1 * v_poly(b) + even_half) % u_poly(b)).is_zero():
-                raise InvariantViolation("R does not vanish on an inverted summand")
+    r = build_r_from_h(*_solve_h_core(b1, b2), g)
+    even_half = x_power(a1.field, g) * r.r2 + r.r3
+    for b in (b1, b2):
+        if not ((r.r1 * v_poly(b) + even_half) % u_poly(b)).is_zero():
+            raise InvariantViolation("R does not vanish on an inverted summand")
     curve = CurveParams(g, z1, z2)
     phi = phi_poly(r, curve)
     u3, remainder = divmod(phi, u_poly(a1) * u_poly(a2))
@@ -412,7 +397,7 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True
     if u3.degree != g or not u3.is_monic():
         raise InvariantViolation(f"expected a monic degree-{g} quotient, got {u3!r}")
     # R vanishes on the product, so r1 v3 + x^g r2 + r3 = 0 (mod u3).
-    d, r1_inv, _ = xgcd(r1, u3)
+    d, r1_inv, _ = xgcd(r.r1, u3)
     if d.degree != 0:
         raise DegenerateConfiguration(
             "odd-part recovery is singular; fall back to cantor_add", stage="odd_recovery"
@@ -423,11 +408,11 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True
     return StarResult(GroupoidPoint(p3_even, p3_odd, a1.z), r)
 
 
-def star(a1: GroupoidPoint, a2: GroupoidPoint, *, dual_check: bool = True) -> GroupoidPoint:
+def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     """Add two points sharing an anchor; raises DegenerateConfiguration
     outside the generic chart (doubling, shared abscissa polynomial, ...)
     and InvariantViolation if the certificate of star_detail fails."""
-    return star_detail(a1, a2, dual_check=dual_check).point
+    return star_detail(a1, a2).point
 
 
 def viete_phi(t: PointListRep) -> GroupoidPoint:

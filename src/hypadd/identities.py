@@ -1,8 +1,8 @@
 """Coefficient identities satisfied by the addition law.
 
 The h-coefficients below always refer to the RFunction built inside
-`star` for the pair being tested, indexed by co-weight: extract_h(r, k)
-is the coefficient of the monomial of weight 3g - k, or zero when that
+`star` for the pair being tested, indexed by co-weight: r.h_at(k) is
+the coefficient of the monomial of weight 3g - k, or zero when that
 co-weight has no monomial.
 """
 
@@ -20,10 +20,6 @@ class HCoeffs(NamedTuple):
     h3: Scalar
 
 
-def extract_h(r: RFunction, coweight: int) -> Scalar:
-    return r.h_at(coweight)
-
-
 def hcoeffs(r: RFunction) -> HCoeffs:
     return HCoeffs(r.h_at(1), r.h_at(2), r.h_at(3))
 
@@ -39,8 +35,7 @@ def _p3(a: GroupoidPoint) -> Scalar:
 def check_pgg_sum(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
     """p2(a1) + p2(a2) + p2(a1*a2) == h1^2 - 2 h2, any genus."""
     res = star_detail(a1, a2)
-    h1 = extract_h(res.r, 1)
-    h2 = extract_h(res.r, 2)
+    h1, h2 = res.r.h_at(1), res.r.h_at(2)
     lhs = _p2(a1) + _p2(a2) + _p2(res.point)
     return lhs == h1 * h1 - 2 * h2
 

@@ -23,13 +23,13 @@ from hypadd.errors import (
     AnchorMismatch,
     DegenerateConfiguration,
     InvariantViolation,
-    NonzeroRemainder,
     NotMonicDegree3g,
     RepeatedAbscissa,
     ZeroScale,
 )
 from hypadd.groupoid import (
     PointListRep,
+    RFunction,
     anchor_s,
     build_r_determinant,
     build_r_from_h,
@@ -37,6 +37,8 @@ from hypadd.groupoid import (
     phi_poly,
     solve_h,
 )
+from hypadd.linalg import Matrix
+from hypadd.poly import Poly
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 Q = make_field("q")
@@ -226,8 +228,8 @@ def test_rfunction_worked_g1():
     assert r.h_at(3) == Q.one()
     # R vanishes at the inverted inputs and at the product point
     for x, y in ((2, -3), (0, -1), (-1, 0)):
-        val = Q.scalar(y) * r.r1()(Q.scalar(x)) + (
-            Q.scalar(x) * r.r2()(Q.scalar(x)) + r.r3()(Q.scalar(x))
+        val = Q.scalar(y) * r.r1(Q.scalar(x)) + (
+            Q.scalar(x) * r.r2(Q.scalar(x)) + r.r3(Q.scalar(x))
         )
         assert val == Q.zero()
 
@@ -249,8 +251,7 @@ def test_phi_wrong_genus_not_monic():
 
 def test_dual_check_disagreement_raises(monkeypatch):
     """An h-solve that returns a wrong R stops star with a typed error
-    from the certificate, so the dual check still holds under python -O;
-    without the check the wrong R reaches the norm division instead."""
+    from the certificate, so the dual check still holds under python -O."""
     real = groupoid._solve_h_core
 
     def off_by_one(b1, b2):
@@ -260,8 +261,6 @@ def test_dual_check_disagreement_raises(monkeypatch):
     monkeypatch.setattr(groupoid, "_solve_h_core", off_by_one)
     with pytest.raises(InvariantViolation):
         star(A1, A2)
-    with pytest.raises(NonzeroRemainder):
-        star(A1, A2, dual_check=False)
 
 
 def test_dual_check_catches_kl_columns_fault(monkeypatch):
@@ -284,21 +283,62 @@ def test_dual_check_catches_kl_columns_fault(monkeypatch):
 
 
 def test_star_makes_one_solve(monkeypatch):
-    """The default star solves one linear system: the h-solve."""
-    calls = []
-    real = groupoid.solve
+    """star solves one linear system, the h-solve, and
+    back-substitutes once."""
+    calls, vecs = [], []
+    real, real_vec = groupoid.solve, Matrix.vec
 
     def counted(m, rhs):
         calls.append(m.nrows)
         return real(m, rhs)
 
+    def counted_vec(m, v):
+        vecs.append(m.nrows)
+        return real_vec(m, v)
+
     monkeypatch.setattr(groupoid, "solve", counted)
+    monkeypatch.setattr(Matrix, "vec", counted_vec)
     rng = seeded("one-solve")
     for g in (1, 3, 8):
         c, a1, a2 = fp_pair(P, g, rng)
         calls.clear()
+        vecs.clear()
         star(a1, a2)
         assert calls == [g]
+        assert vecs == [g]
+
+
+def test_rfunction_rejects_bad_slots():
+    """r1 is the monic lead at odd g and r2 at even g; a coefficient
+    past the slots of its co-weight is refused."""
+    one, two = P.scalar(1), P.scalar(2)
+
+    def poly(*cs):
+        return Poly(P, cs)
+
+    # g = 1: r1 monic of degree 0, r2 of degree <= 0, r3 of degree <= 0
+    RFunction(1, poly(one), poly(two), poly(two))
+    for bad in (
+        (poly(two), poly(two), poly(two)),  # lead not monic
+        (poly(), poly(two), poly(two)),  # lead of the wrong degree
+        (poly(two, one), poly(two), poly(two)),  # r1 past its slots
+    ):
+        with pytest.raises(ValueError):
+            RFunction(1, *bad)
+    # g = 2: r1 of degree <= 0, r2 monic of degree 1, r3 of degree <= 1
+    RFunction(2, poly(two), poly(two, one), poly(two, two))
+    for bad in (
+        (poly(two), poly(two, two), poly(two)),  # lead not monic
+        (poly(two), poly(one), poly(two)),  # lead of the wrong degree
+        (poly(two, one), poly(two, one), poly(two)),  # r1 past its slots
+    ):
+        with pytest.raises(ValueError):
+            RFunction(2, *bad)
+    rng = seeded("h-keys")
+    for g in (1, 2, 3, 4):
+        c, a1, a2 = fp_pair(P, g, rng)
+        keys = {3 * g - 2 * i for i in range(g)} | set(range(g + 1))
+        assert set(star_detail(a1, a2).r.h) == keys
 
 
 def test_dual_r_routes_agree():
