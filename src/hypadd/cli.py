@@ -71,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hypadd", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, curve_required=True):
+    def common(p, curve_required=True, genus_help="must match the curve file's genus"):
         p.add_argument("--curve", required=curve_required, help="curve JSON file")
         p.add_argument("--field", help="override the curve file's field (q or fp:P)")
-        p.add_argument("--genus", type=int, help="genus when no curve file is given")
+        p.add_argument("--genus", type=int, help=genus_help)
 
     p_add = sub.add_parser("add", help="add two points over a shared curve")
     common(p_add)
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cadd.add_argument("--b", required=True, help="second divisor JSON file")
 
     p_verify = sub.add_parser("verify", help="run seeded property suites")
-    common(p_verify, curve_required=False)
+    common(p_verify, False, "genus when no curve file is given")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(

@@ -8,9 +8,11 @@ guessing a coercion.
 
 Scalars live at the API: every coefficient, entry and coordinate a
 caller sees or passes in is one.  `Poly` and `Matrix` store bare values
-instead (Fractions over Q, ints in [0, p) over F_p): FieldSpec._value
-converts what enters them, FieldSpec._canonical reduces computed values
-mod p, and FieldSpec._box builds Scalars only where a caller reads them.
+(ints in [0, p) over F_p; over Q, a Matrix holds Fractions and a Poly
+int numerators over one denominator, made Fractions only when read).
+FieldSpec._value converts what enters them and raises ValueError on a
+denominator that is 0 (or 0 mod p), _canonical reduces mod p, and _box
+builds Scalars on read.
 
 A prime modulus is checked by deterministic Miller-Rabin, which is
 exact below 3.3e24; a larger one that passes is refused, never assumed prime.
@@ -100,6 +102,8 @@ class FieldSpec:
             text = value.strip()
             if "/" in text:
                 num, den = text.split("/", 1)
+                if int(den) == 0:
+                    raise ValueError(f"{value!r} has a zero denominator")
                 return self._value(Fraction(int(num), int(den)))
             value = int(text)
         if self.modulus == 0:
@@ -108,6 +112,8 @@ class FieldSpec:
             return value % self.modulus
         num = value.numerator % self.modulus
         den = value.denominator % self.modulus
+        if not den:
+            raise ValueError(f"{value} has no value in {self}: its denominator is 0 mod p")
         return num * pow(den, -1, self.modulus) % self.modulus
 
     def _canonical(self, values) -> list:
@@ -158,9 +164,9 @@ def field_from_string(text: str) -> FieldSpec:
 
 
 def _inverse_value(value, modulus: int):
-    """Inverse of a nonzero bare value: a Fraction over Q (modulus 0),
-    a residue in [0, p) over F_p."""
-    return pow(value, -1, modulus) if modulus else 1 / value
+    """Inverse of a nonzero bare value: a residue in [0, p) over F_p, and
+    over Q (modulus 0) an exact Fraction, also for an int."""
+    return pow(value, -1, modulus) if modulus else Fraction(value.denominator, value.numerator)
 
 
 class Scalar:

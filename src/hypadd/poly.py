@@ -1,46 +1,62 @@
 """Dense univariate polynomials over an exact field.
 
-A Poly holds its field and its bare coefficients (ints in [0, p) over
-F_p, Fractions over Q) ascending, with trailing zeros stripped, so the
-zero polynomial is the empty tuple and reports degree -inf.
-
-The exact arithmetic computes on bare values (left unreduced mod p
-until `_from_raw` builds the result), and Scalars are built only where
-a caller reads one: `coeffs`, `p[i]`, `lc()` and evaluation results.
+A Poly holds ascending int coefficients `_values`, trailing zeros
+stripped (zero is the empty tuple, of degree -inf), over one `_den`:
+residues in [0, p) over 1 on F_p; over Q numerators with `_den` > 0 and
+gcd(`_den`, *`_values`) = 1, as FLINT's fmpq_poly (von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 6).  Arithmetic runs on ints, and
+`_from_ints` reduces each result mod p or divides out its content; the
+Scalars a caller reads (`coeffs`, `p[i]`, `lc()`, evaluation) hold
+Fractions over Q.
 """
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import BothZero, DivisionByZeroPoly, FieldMismatch
-from .field import FieldSpec, Scalar, _inverse_value
+from .field import FieldSpec, Scalar
 
 NEG_INF = float("-inf")
 
 
 class Poly:
-    __slots__ = ("field", "_values")
+    __slots__ = ("field", "_values", "_den")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        vs = [field._value(c) for c in coeffs]
+        vs, den = [field._value(c) for c in coeffs], 1
+        if not field.modulus:
+            # Over the lcm of reduced denominators the content is already 1.
+            den = lcm(*[v.denominator for v in vs])
+            vs = [v.numerator * (den // v.denominator) for v in vs]
         while vs and not vs[-1]:
             vs.pop()
-        self.field = field
-        self._values = tuple(vs)
+        self.field, self._values, self._den = field, tuple(vs), den
 
     @classmethod
     def _from_raw(cls, field: FieldSpec, values) -> "Poly":
-        """The polynomial with these ascending bare coefficients (reduced
-        mod p here; Fractions only over Q), trailing zeros stripped."""
-        values = field._canonical(values)
-        n = len(values)
-        while n and not values[n - 1]:
+        """Ascending bare coefficients: ints (reduced here) over F_p, Fractions over Q."""
+        return cls._from_ints(field, values, 1) if field.modulus else cls(field, values)
+
+    @classmethod
+    def _from_ints(cls, field: FieldSpec, nums, den: int) -> "Poly":
+        """nums / den reduced mod p over F_p (den 1); over Q, den > 0 and content 1."""
+        p = field.modulus
+        if p:
+            nums = [v % p for v in nums]
+        else:
+            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+            if g != 1:
+                den, nums = den // g, [v // g for v in nums]
+        n = len(nums)
+        while n and not nums[n - 1]:
             n -= 1
         out = cls.__new__(cls)
-        out.field = field
-        out._values = tuple(values[:n])
+        out.field, out._values, out._den = field, tuple(nums[:n]), den
         return out
 
     @property
     def coeffs(self) -> tuple:
-        return self.field._box(self._values)
+        return tuple([self[i] for i in range(len(self._values))])
 
     @property
     def degree(self):
@@ -50,7 +66,7 @@ class Poly:
         return not self._values
 
     def is_monic(self) -> bool:
-        return bool(self._values) and self._values[-1] == 1
+        return bool(self._values) and self._values[-1] == self._den
 
     def lc(self) -> Scalar:
         """Leading coefficient; zero for the zero polynomial."""
@@ -58,7 +74,9 @@ class Poly:
 
     def __getitem__(self, i: int) -> Scalar:
         if 0 <= i < len(self._values):
-            return Scalar(self.field, self._values[i])
+            if self.field.modulus:
+                return Scalar(self.field, self._values[i])
+            return Scalar(self.field, Fraction(self._values[i], self._den))
         return self.field.zero()
 
     def _check(self, other):
@@ -68,32 +86,39 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self._values == other._values
+        return (self.field, self._values, self._den) == (other.field, other._values, other._den)
 
     def __hash__(self):
-        return hash((self.field, self._values))
+        return hash((self.field, self._values, self._den))
 
     def __add__(self, other):
         self._check(other)
-        a, b = self._values, other._values
+        a, b, den = self._values, other._values, self._den
+        if den != other._den:
+            den = lcm(den, other._den)
+            a, b = [x * (den // self._den) for x in a], [y * (den // other._den) for y in b]
         if len(a) < len(b):
             a, b = b, a
-        return Poly._from_raw(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b) :]))
+        return Poly._from_ints(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b) :]), den)
 
     def __sub__(self, other):
         self._check(other)
-        a, b = self._values, other._values
+        a, b, den = self._values, other._values, self._den
+        if den != other._den:
+            den = lcm(den, other._den)
+            a, b = [x * (den // self._den) for x in a], [y * (den // other._den) for y in b]
         n = min(len(a), len(b))
         out = [x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]]
-        return Poly._from_raw(self.field, out)
+        return Poly._from_ints(self.field, out, den)
 
     def __neg__(self):
-        return Poly._from_raw(self.field, [-c for c in self._values])
+        return Poly._from_ints(self.field, [-c for c in self._values], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             s = self.field._value(other)
-            return Poly._from_raw(self.field, [c * s for c in self._values])
+            n, d = s.numerator, s.denominator
+            return Poly._from_ints(self.field, [c * n for c in self._values], self._den * d)
         self._check(other)
         a, b = self._values, other._values
         if not a or not b:
@@ -102,15 +127,15 @@ class Poly:
         out = [0] * (len(a) + m - 1)
         for i, x in enumerate(a):
             out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
-        return Poly._from_raw(self.field, out)
+        return Poly._from_ints(self.field, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         """Exact long division: self = q*other + r with deg r < deg other.
 
-        Remainder entries stay unreduced mod p; each quotient
-        coefficient is reduced as it is taken.
+        Over Q: pseudo-division lc^e A = Q B + R on the numerators, each step
+        exact; q = Q * other._den / (self._den * lc^e), r = R / (self._den * lc^e).
         """
         self._check(other)
         if other.is_zero():
@@ -120,17 +145,23 @@ class Poly:
         p = self.field.modulus
         rem, b = list(self._values), other._values
         m = len(b) - 1
-        inv_lc = _inverse_value(b[m], p)
+        lc = b[m]
+        if p:
+            inv_lc, scale = pow(lc, -1, p), 1
+        else:
+            scale = lc ** (len(rem) - m)
+            rem = [r * scale for r in rem]
         b = b[:m]
         quo = [0] * (len(rem) - m)
         for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + m] * inv_lc
-            if p:
-                c %= p
+            c = rem[k + m] * inv_lc % p if p else rem[k + m] // lc
             quo[k] = c
             if c:
                 rem[k : k + m] = [r - c * y for r, y in zip(rem[k : k + m], b)]
-        return Poly._from_raw(self.field, quo), Poly._from_raw(self.field, rem[:m])
+        if not p:
+            quo = [c * other._den for c in quo]
+        den = self._den * scale
+        return Poly._from_ints(self.field, quo, den), Poly._from_ints(self.field, rem[:m], den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -139,15 +170,18 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, at: Scalar) -> Scalar:
-        """Horner evaluation."""
+        """Horner evaluation; over Q on ints, homogenised in x = xn / xd."""
         x = self.field._value(at)
         p = self.field.modulus
-        acc = self.field._value(0)
+        if p:
+            acc = 0
+            for c in reversed(self._values):
+                acc = (acc * x + c) % p
+            return Scalar(self.field, acc)
+        xn, xd, acc, w = x.numerator, x.denominator, 0, 1
         for c in reversed(self._values):
-            acc = acc * x + c
-            if p:
-                acc %= p
-        return Scalar(self.field, acc)
+            acc, w = acc * xn + c * w, w * xd
+        return Scalar(self.field, Fraction(acc * xd, self._den * w))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -172,7 +206,7 @@ class Poly:
 
 def x_power(field: FieldSpec, k: int) -> Poly:
     """The monomial x^k."""
-    return Poly._from_raw(field, [field._value(0)] * k + [field._value(1)])
+    return Poly._from_ints(field, [0] * k + [1], 1)
 
 
 def from_roots(field: FieldSpec, roots) -> Poly:

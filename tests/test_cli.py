@@ -258,3 +258,23 @@ def test_genus_contradiction_exits_2(tmp_path, capsys):
     code = run(["anchor", "--curve", c, "--genus", "2", "--a", a])
     capsys.readouterr()
     assert code == 2
+
+
+def test_zero_denominator_exits_2(tmp_path, capsys):
+    c = write(tmp_path, "curve.json", CURVE_OBJ)
+    for field, text in (("q", "1/0"), ("fp:7", "1/0"), ("fp:7", "1/7")):
+        a = write(tmp_path, "a.json", {"p_even": [text], "p_odd": ["3"], "z": ["0"]})
+        code = run(["anchor", "--curve", c, "--field", field, "--a", a])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ValueError" and text in err["detail"]
+
+
+def test_genus_help_names_the_curve_file(capsys):
+    cases = (
+        ("add", "must match the curve file's genus"),
+        ("verify", "genus when no curve file is given"),
+    )
+    for command, wanted in cases:
+        assert run([command, "--help"]) == 0
+        assert wanted in " ".join(capsys.readouterr().out.split())

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from hypadd import make_field, field_from_string
 from hypadd.errors import EvenCharacteristic, FieldMismatch, NonPrimeModulus, UncertifiedModulus
-from hypadd.field import _is_prime
+from hypadd.field import _inverse_value, _is_prime
 
 Q = make_field("q")
 P = make_field("fp", 10007)
@@ -147,3 +147,28 @@ def test_scalar_to_string():
     assert Q.scalar(Fraction(-3, 4)).to_string() == "-3/4"
     assert Q.scalar(5).to_string() == "5"
     assert P.scalar(12).to_string() == "12"
+
+
+@given(st.one_of(st.integers(min_value=-(10**30), max_value=10**30), rationals))
+def test_inverse_value_over_q_is_an_exact_fraction(v):
+    if v == 0:
+        return
+    inv = _inverse_value(v, 0)
+    assert type(inv) is Fraction
+    assert inv * v == 1
+
+
+def test_inverse_value_of_an_int():
+    assert _inverse_value(3, 0) == Fraction(1, 3) and type(_inverse_value(3, 0)) is Fraction
+    assert _inverse_value(-4, 0) == Fraction(-1, 4)
+    assert _inverse_value(3, 7) == 5
+
+
+def test_zero_denominator_is_a_value_error():
+    f7 = make_field("fp", 7)
+    cases = ((Q, "1/0"), (f7, "1/0"), (f7, "1/7"), (f7, " 3/14 "), (f7, Fraction(2, 21)))
+    for field, value in cases:
+        with pytest.raises(ValueError, match=str(value).strip()):
+            field.scalar(value)
+    assert f7.scalar("7/7") == f7.one()
+    assert make_field("fp", 11).scalar("1/7") == make_field("fp", 11).scalar(8)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -191,3 +192,78 @@ def test_equality_needs_the_same_field():
     assert Poly(F7, [1, 2]) != qp(1, 2)
     assert Poly(F7, [1, 2]) == Poly(make_field("fp", 7), [8, -5])
     assert hash(Poly(F7, [1, 2])) == hash(Poly(F7, [8, 9]))
+
+
+def canonical_form(p):
+    """Over Q: int numerators over a positive denominator, content 1, no
+    trailing zero.  Over F_p: residues in [0, p) over 1."""
+    vals, den = p._values, p._den
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int for v in vals)
+    assert not vals or vals[-1] != 0
+    if p.field.modulus:
+        return den == 1 and all(0 <= v < p.field.modulus for v in vals)
+    return gcd(den, *vals) == 1
+
+
+@given(polys_over_one_field(2))
+def test_results_are_canonical(case):
+    field, (a, b), x0 = case
+    results = [a, b, a + b, a - b, -a, a * b, a * field.scalar(x0), a.monic()]
+    if not b.is_zero():
+        results += divmod(a, b)
+    assert all(canonical_form(p) for p in results)
+
+
+@given(polys_over_one_field(2))
+def test_equal_q_polys_from_two_routes_hash_alike(case):
+    field, (a, b), _ = case
+    if b.is_zero():
+        return
+    back = (a * b) // b
+    assert back == a and hash(back) == hash(a)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+def test_divmod_by_negative_non_unit_lead_with_large_denominators():
+    big = 2**40 + 15
+    a = qp(Fraction(3, big), Fraction(-7, big + 2), 5, Fraction(11, 2**41 + 1), -1, Fraction(1, 3))
+    b = qp(Fraction(-5, 2**43 + 7), Fraction(2, 9), Fraction(-6 * big, 2**45 + 3))
+    assert b.lc().value < 0 and b.lc().value.numerator != -1
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree and q.degree == a.degree - b.degree
+    assert canonical_form(q) and canonical_form(r)
+    assert holds_field_scalars(q, Q) and holds_field_scalars(r, Q)
+
+
+FRACTION_ARITHMETIC = (
+    "__mul__",
+    "__rmul__",
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__truediv__",
+    "__rtruediv__",
+    "__floordiv__",
+    "__mod__",
+)
+
+
+def test_q_kernels_make_no_fraction_arithmetic(monkeypatch):
+    fa = [Fraction(3, 4), Fraction(-5, 6), Fraction(0), Fraction(7, 9)]
+    fb = [Fraction(-2, 3), Fraction(1, 5), Fraction(-4, 7), Fraction(0)]
+    a, b = qp(*fa), qp(*fb)
+    want_sum = qp(*[x + y for x, y in zip(fa, fb)])
+    want_diff = qp(*[x - y for x, y in zip(fa, fb)])
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic in a Poly kernel")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    total, diff, prod, (q, r) = a + b, a - b, a * b, divmod(a, b)
+    monkeypatch.undo()
+    assert total == want_sum and diff == want_diff
+    assert q * b + r == a and prod // b == a
