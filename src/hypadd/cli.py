@@ -255,6 +255,7 @@ def _third_point(c, a, b, field, rng):
 
 def _run_prop(prop, field, genus, curve, trials, seed):
     passes = failures = skipped = 0
+    skipped_by_reason = {}
     examples = []
     if prop == "closedform" and genus not in (1, 2):
         return {"status": "skipped", "reason": "closed forms exist for genus 1 and 2 only"}, []
@@ -263,7 +264,9 @@ def _run_prop(prop, field, genus, curve, trials, seed):
         try:
             c, a, b = _sample_pair(field, genus, curve, rng)
             ok = _check_prop(prop, c, a, b, field, rng)
-        except (DegenerateConfiguration, NonGenericDivisor):
+        except (DegenerateConfiguration, NonGenericDivisor) as exc:
+            reason = getattr(exc, "stage", None) or type(exc).__name__
+            skipped_by_reason[reason] = skipped_by_reason.get(reason, 0) + 1
             skipped += 1
             continue
         if ok:
@@ -285,6 +288,7 @@ def _run_prop(prop, field, genus, curve, trials, seed):
         "passes": passes,
         "failures": failures,
         "skipped": skipped,
+        "skipped_by_reason": skipped_by_reason,
     }
     return report, examples
 

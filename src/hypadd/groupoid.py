@@ -24,8 +24,10 @@ polynomial arithmetic modulo u:
 
 R = r1 y + x^g r2 + r3 is held as its three polynomials, and every
 `star` certifies it by (r1 v + x^g r2 + r3) mod u = 0 at both inverted
-inputs.  The matrix routes (build_r_determinant, rank_witness,
-anchor_s) stay as the tests' independent oracles.
+inputs.  Each product by a power of x is a shift of the coefficient
+tuple, and r1^(-1) mod u3 comes from the inverse-only extended Euclid
+`poly.inverse_mod`.  The matrix routes (build_r_determinant,
+rank_witness, anchor_s) stay as the tests' independent oracles.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are stored highest weight first.
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar
 from .linalg import Matrix, rank, solve, vandermonde
-from .poly import Poly, from_roots, x_power, xgcd
+from .poly import Poly, from_roots, inverse_mod
 
 
 class CurveParams:
@@ -211,6 +213,11 @@ def invert(a: GroupoidPoint) -> GroupoidPoint:
     return GroupoidPoint(a.p_even, a.field._box([-p.value for p in a.p_odd]), a.z)
 
 
+def _f_high(a: GroupoidPoint) -> Poly:
+    """x^(2g+1) + x^g z, the terms of f from x^g up: x^(g+1) + z shifted by g."""
+    return Poly._from_raw(a.field, [c.value for c in a.z] + [0, 1])._shift(a.genus)
+
+
 def anchor(a: GroupoidPoint):
     """Project a point to its curve coefficients (Z1, Z2).
 
@@ -223,12 +230,9 @@ def anchor(a: GroupoidPoint):
     with z read as a polynomial ascending in x.  Both halves come back
     highest weight first.
     """
-    g = a.genus
-    field = a.field
     v = v_poly(a)
-    lower = x_power(field, g) * Poly(field, a.z)
-    rem = (v * v - x_power(field, 2 * g + 1) - lower) % u_poly(a)
-    return tuple([rem[i] for i in range(g)]), a.z
+    rem = (v * v - _f_high(a)) % u_poly(a)
+    return tuple([rem[i] for i in range(a.genus)]), a.z
 
 
 def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
@@ -279,7 +283,7 @@ def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
         ) from exc
-    return tuple([-(t + e) for t, e in zip(l1.vec(h2), ell1)]), h2
+    return b1.field._box([-(t.value + e.value) for t, e in zip(l1.vec(h2), ell1)]), h2
 
 
 def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
@@ -303,12 +307,12 @@ def build_r_from_h(h1, h2, genus: int) -> RFunction:
     1, interleaves x^g, y, x^(g+1), y x, ...: the even entries are r2
     and the odd ones r1.
     """
-    h1, h2 = tuple(h1), tuple(h2)
     if len(h1) != genus or len(h2) != genus:
         raise ValueError("expected g coefficients in each block")
     field = h1[0].field
-    rest = h2 + (1,)
-    return RFunction(genus, Poly(field, rest[1::2]), Poly(field, rest[0::2]), Poly(field, h1))
+    rest = [c.value for c in h2] + [1]
+    r1, r2 = Poly._from_raw(field, rest[1::2]), Poly._from_raw(field, rest[0::2])
+    return RFunction(genus, r1, r2, Poly._from_raw(field, [c.value for c in h1]))
 
 
 def _stacked_rows(points):
@@ -351,10 +355,12 @@ def phi_poly(r: RFunction, c: CurveParams) -> Poly:
     phi = (-1)^g [ (x^g r2 + r3)^2 - r1^2 f ]; always monic of degree 3g
     for a well-formed (r, c) pair, and that shape is checked.
     """
-    g = r.genus
-    f = curve_poly(c)
-    even_half = x_power(r.field, g) * r.r2 + r.r3
-    phi = even_half * even_half - r.r1 * r.r1 * f
+    return _norm(r.r2._shift(r.genus) + r.r3, r.r1, curve_poly(c), r.genus)
+
+
+def _norm(even_half: Poly, r1: Poly, f: Poly, g: int) -> Poly:
+    """phi from the even half x^g r2 + r3, r1 and f, with its shape check."""
+    phi = even_half * even_half - r1 * r1 * f
     if g % 2 == 1:
         phi = -phi
     if phi.degree != 3 * g or not phi.is_monic():
@@ -379,31 +385,34 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
     vanish mod u at both inverted inputs, else InvariantViolation."""
     if a1.genus != a2.genus:
         raise ValueError("genus mismatch")
-    z1, z2 = anchor(a1)
-    if (z1, z2) != anchor(a2):
-        raise AnchorMismatch("summands sit over different curve parameters")
     g = a1.genus
-    b1, b2 = invert(a1), invert(a2)
-    r = build_r_from_h(*_solve_h_core(b1, b2), g)
-    even_half = x_power(a1.field, g) * r.r2 + r.r3
-    for b in (b1, b2):
-        if not ((r.r1 * v_poly(b) + even_half) % u_poly(b)).is_zero():
+    u1, u2, v1, v2 = u_poly(a1), u_poly(a2), v_poly(a1), v_poly(a2)
+    # The anchors agree when z does and Z1 = (v^2 - f_high) mod u does.
+    f_high = _f_high(a1)
+    z1 = (v1 * v1 - f_high) % u1
+    if a1.z != a2.z or z1 != (v2 * v2 - f_high) % u2:
+        raise AnchorMismatch("summands sit over different curve parameters")
+    r = build_r_from_h(*_solve_h_core(invert(a1), invert(a2)), g)
+    even_half = r.r2._shift(g) + r.r3
+    # The inverted summands are (u, -v): r1 (-v) + x^g r2 + r3 = 0 mod u.
+    for u, v in ((u1, v1), (u2, v2)):
+        if not ((even_half - r.r1 * v) % u).is_zero():
             raise InvariantViolation("R does not vanish on an inverted summand")
-    curve = CurveParams(g, z1, z2)
-    phi = phi_poly(r, curve)
-    u3, remainder = divmod(phi, u_poly(a1) * u_poly(a2))
+    phi = _norm(even_half, r.r1, f_high + z1, g)  # f = f_high + Z1
+    u3, remainder = divmod(phi, u1 * u2)
     if not remainder.is_zero():
         raise NonzeroRemainder("norm polynomial not divisible by u1*u2")
     if u3.degree != g or not u3.is_monic():
         raise InvariantViolation(f"expected a monic degree-{g} quotient, got {u3!r}")
     # R vanishes on the product, so r1 v3 + x^g r2 + r3 = 0 (mod u3).
-    d, r1_inv, _ = xgcd(r.r1, u3)
-    if d.degree != 0:
+    r1_inv = inverse_mod(r.r1, u3)
+    if r1_inv is None:
         raise DegenerateConfiguration(
             "odd-part recovery is singular; fall back to cantor_add", stage="odd_recovery"
         )
     v3 = (-even_half * r1_inv) % u3
-    p3_even = (-u3).coeffs[:g]
+    minus_u3 = -u3
+    p3_even = tuple([minus_u3[i] for i in range(g)])
     p3_odd = tuple([v3[i] for i in range(g)])
     return StarResult(GroupoidPoint(p3_even, p3_odd, a1.z), r)
 

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the shared Scalar type.
 
-`solve` and `rank` share one Gauss-Jordan elimination over the field,
-with Fraction entries over Q and residues over F_p.  Pivoting is always
-"first nonzero", so runs are reproducible across platforms.
+`solve` and `rank` share one forward elimination to row echelon form
+over the field, with Fraction entries over Q and residues over F_p;
+`solve` then back-substitutes.  Pivoting is always "first nonzero", so
+runs are reproducible across platforms.
 
 A Matrix holds its field and a tuple of rows of bare values.  The
 elimination and the products compute on those, and Scalars are built
@@ -85,15 +86,16 @@ class Matrix:
 
 
 def _reduce(a, ncols: int, p: int) -> list:
-    """Gauss-Jordan elimination in place on the first ncols columns of the
-    row list a, whose entries are bare values; returns the pivot columns.
+    """Forward elimination in place on the first ncols columns of the row
+    list a, whose entries are bare values; returns the pivot columns.
 
     Each pivot is the first nonzero entry at or below the current row,
-    its row is scaled to a leading 1 and the column is cleared above
-    and below it.  Over F_p (p nonzero) the other rows stay unreduced
-    mod p, growing by less than p^2 per step: each column is reduced
-    before its pivot is sought and the pivot row after scaling, so the
-    zero tests and factors are exact.  Callers reduce what they read.
+    its row is scaled to a leading 1 and only the entries below it are
+    cleared, each row operation starting at the pivot column.  Over F_p
+    (p nonzero) the rows below stay unreduced mod p, growing by less
+    than p^2 per step: each column is reduced before its pivot is sought
+    and the pivot row after scaling, so the zero tests, factors and
+    pivot rows are exact.  Callers reduce what else they read.
     """
     pivots = []
     nr = len(a)
@@ -102,8 +104,8 @@ def _reduce(a, ncols: int, p: int) -> list:
         if r == nr:
             break
         if p:
-            for row in a:
-                row[col] %= p
+            for i in range(r, nr):
+                a[i][col] %= p
         pivot_row = None
         for i in range(r, nr):
             if a[i][col]:
@@ -113,14 +115,14 @@ def _reduce(a, ncols: int, p: int) -> list:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
         inv = _inverse_value(a[r][col], p)
-        pivot = [c * inv for c in a[r]]
+        pivot = [c * inv for c in a[r][col:]]
         if p:
             pivot = [c % p for c in pivot]
-        a[r] = pivot
-        for i in range(nr):
+        a[r][col:] = pivot
+        for i in range(r + 1, nr):
             factor = a[i][col]
-            if i != r and factor:
-                a[i] = [ci - factor * ck for ci, ck in zip(a[i], pivot)]
+            if factor:
+                a[i][col:] = [ci - factor * ck for ci, ck in zip(a[i][col:], pivot)]
         pivots.append(col)
     return pivots
 
@@ -134,10 +136,17 @@ def solve(m: Matrix, rhs) -> tuple:
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
     a = [list(row) + [b] for row, b in zip(m._values, rhs)]
-    pivots = _reduce(a, n, m.field.modulus)
+    p = m.field.modulus
+    pivots = _reduce(a, n, p)
     if len(pivots) != n:
         raise SingularMatrix(f"rank {len(pivots)} < {n}")
-    return m.field._box([row[n] for row in a])
+    # Row i has its leading 1 in column i; back-substitute from the bottom.
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = row[n] - sum([row[j] * x[j] for j in range(i + 1, n)])
+        x[i] = acc % p if p else acc
+    return m.field._box(x)
 
 
 def rank(m: Matrix) -> int:

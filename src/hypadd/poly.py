@@ -79,9 +79,14 @@ class Poly:
             return Scalar(self.field, Fraction(self._values[i], self._den))
         return self.field.zero()
 
-    def _check(self, other):
+    def _check(self, other) -> bool:
+        """False for an operand that is not a Poly; FieldMismatch for one
+        over another field."""
+        if not isinstance(other, Poly):
+            return False
         if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("polynomials over different fields")
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -92,7 +97,8 @@ class Poly:
         return hash((self.field, self._values, self._den))
 
     def __add__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         a, b, den = self._values, other._values, self._den
         if den != other._den:
             den = lcm(den, other._den)
@@ -102,7 +108,8 @@ class Poly:
         return Poly._from_ints(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b) :]), den)
 
     def __sub__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         a, b, den = self._values, other._values, self._den
         if den != other._den:
             den = lcm(den, other._den)
@@ -115,11 +122,12 @@ class Poly:
         return Poly._from_ints(self.field, [-c for c in self._values], self._den)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
+        if isinstance(other, (Scalar, int)):
             s = self.field._value(other)
             n, d = s.numerator, s.denominator
             return Poly._from_ints(self.field, [c * n for c in self._values], self._den * d)
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         a, b = self._values, other._values
         if not a or not b:
             return Poly(self.field)
@@ -131,13 +139,21 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def _shift(self, k: int) -> "Poly":
+        """x^k * self: k zeros in front, the same denominator and content."""
+        out = Poly.__new__(Poly)
+        out.field, out._den = self.field, self._den
+        out._values = (0,) * k + self._values if self._values else ()
+        return out
+
     def __divmod__(self, other):
         """Exact long division: self = q*other + r with deg r < deg other.
 
         Over Q: pseudo-division lc^e A = Q B + R on the numerators, each step
         exact; q = Q * other._den / (self._den * lc^e), r = R / (self._den * lc^e).
         """
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         if other.is_zero():
             raise DivisionByZeroPoly("division by the zero polynomial")
         if self.degree < other.degree:
@@ -232,3 +248,21 @@ def xgcd(a: Poly, b: Poly):
         t0, t1 = t1, t0 - q * t1
     scale = r0.lc().inverse()
     return r0 * scale, s0 * scale, t0 * scale
+
+
+def inverse_mod(a: Poly, m: Poly):
+    """s with (s * a) mod m = 1 and deg s < deg m, or None when
+    gcd(a, m) is not constant.
+
+    The extended Euclidean algorithm on (m, a) that carries only the
+    cofactor of a: each remainder r_i = s_i * a (mod m).
+    """
+    r0, r1 = m, a
+    s0, s1 = Poly(a.field), Poly(a.field, [1])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        return None
+    return s0 * r0.lc().inverse()

@@ -3,7 +3,7 @@ import json
 from hypadd import GroupoidPoint, cli, invert, make_field, star, to_mumford
 from hypadd.cantor import cantor_add
 from hypadd.cli import run
-from hypadd.errors import InvariantViolation
+from hypadd.errors import DegenerateConfiguration, InvariantViolation, NonGenericDivisor
 from hypadd.jsonio import (
     curve_from_json,
     curve_to_json,
@@ -198,6 +198,39 @@ def test_verify_deterministic_and_green(tmp_path, capsys):
     assert report["ok"] is True
     assert report["props"]["comm"]["pass"] is True
     assert report["props"]["closedform"]["pass"] is True
+
+
+def test_verify_counts_skips_by_reason(capsys):
+    """Over F_13 at genus 2 star refuses often; each property's skips are
+    counted by the refusing stage, and the counts sum to `skipped`."""
+    argv = ["verify", "--field", "fp:13", "--genus", "2", "--trials", "10", "--seed", "1"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    seen = set()
+    for prop in report["props"].values():
+        assert sum(prop["skipped_by_reason"].values()) == prop["skipped"]
+        seen |= set(prop["skipped_by_reason"])
+    assert {"h_solve", "odd_recovery", "slope_den"} <= seen
+
+
+def test_verify_skip_reason_without_a_stage(monkeypatch, capsys):
+    def non_generic(*_):
+        raise NonGenericDivisor("patched")
+
+    def no_stage(*_):
+        raise DegenerateConfiguration("patched")
+
+    monkeypatch.setattr(cli, "from_mumford", non_generic)
+    monkeypatch.setattr(cli.closedform, "g2_add", no_stage)
+    argv = [
+        "verify", "--field", "fp:10007", "--genus", "2", "--trials", "3",
+        "--seed", "4", "--props", "oracle,closedform",
+    ]
+    assert run(argv) == 0
+    props = json.loads(capsys.readouterr().out)["props"]
+    assert props["oracle"]["skipped_by_reason"] == {"NonGenericDivisor": 3}
+    assert props["closedform"]["skipped_by_reason"] == {"DegenerateConfiguration": 3}
 
 
 def test_verify_fp_without_curve(capsys):

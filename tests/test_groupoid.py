@@ -12,6 +12,7 @@ from hypadd import (
     groupoid,
     invert,
     make_field,
+    poly,
     rank_witness,
     star,
     star_detail,
@@ -216,6 +217,9 @@ def test_star_anchor_mismatch():
     other = g1_point(0, 2)  # lies on y^2 = x^3 + 4
     with pytest.raises(AnchorMismatch):
         star(A1, other)
+    # (0, 1) with z = 5: the same Z1 = 1 as A1, but on y^2 = x^3 + 5x + 1
+    with pytest.raises(AnchorMismatch):
+        star(A1, g1_point(0, 1, 5))
 
 
 def test_rfunction_worked_g1():
@@ -306,6 +310,30 @@ def test_star_makes_one_solve(monkeypatch):
         star(a1, a2)
         assert calls == [g]
         assert vecs == [g]
+
+
+def test_star_needs_no_xgcd_and_no_monomial_product(monkeypatch):
+    """The odd part comes from the inverse-only Euclid and every x^k
+    product is a shift, so star answers with xgcd and x_power gone."""
+    rng = seeded("no-xgcd")
+    for _ in range(5):
+        c, a1, a2 = fp_pair(P, 8, rng)
+        try:
+            want = star(a1, a2)
+            break
+        except DegenerateConfiguration:
+            continue
+
+    def refuse(*_):
+        raise AssertionError("xgcd or x_power on the star path")
+
+    for module in (poly, groupoid):
+        for name in ("xgcd", "x_power"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert star(A1, A2) == A3
+    assert star(A2, A1) == A3
+    assert star(star(A1, A2), invert(A2)) == A1
+    assert star(a1, a2) == want
 
 
 def test_rfunction_rejects_bad_slots():

@@ -10,6 +10,8 @@ from hypadd.linalg import Matrix, rank, solve, vandermonde
 
 Q = make_field("q")
 P = make_field("fp", 10007)
+F7 = make_field("fp", 7)
+M61 = make_field("fp", 2**61 - 1)
 
 
 def leibniz_det(m: Matrix):
@@ -157,3 +159,69 @@ def test_equality_on_canonical_entries():
     assert -m == neg and hash(-m) == hash(neg)
     assert m - Matrix(P, [[2, 2], [2, 2]]) == Matrix(P, [[-1, 0], [1, 2]])
     assert Matrix(Q, [[1, 2], [3, 4]]) != m
+
+
+def zero_biased_f7_mats(n):
+    """Matrices over F_7 with about half their entries 0, so that pivots
+    are often missing mid-elimination and many systems are singular."""
+    e = st.one_of(st.just(0), st.integers(0, 6))
+    return st.lists(st.lists(e, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: Matrix(F7, rows)
+    )
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(zero_biased_f7_mats(n), st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    )
+)
+def test_solve_round_trip_f7_zero_biased(case):
+    m, b = case
+    bvec = tuple(F7.scalar(x) for x in b)
+    if leibniz_det(m).is_zero():
+        with pytest.raises(SingularMatrix):
+            solve(m, bvec)
+        return
+    x = solve(m, bvec)
+    assert holds_field_scalars(x, F7)
+    assert m.vec(x) == bvec
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(zero_biased_f7_mats))
+def test_rank_full_iff_det_nonzero_f7_zero_biased(m):
+    assert (rank(m) == m.nrows) == (not leibniz_det(m).is_zero())
+
+
+def test_elimination_swaps_pivots_mid_way():
+    # Column 1 has no pivot in row 1 after clearing column 0, so row 2 moves up.
+    m = Matrix(F7, [[1, 2, 3], [2, 4, 1], [3, 0, 5]])
+    b = (F7.scalar(1), F7.scalar(2), F7.scalar(3))
+    assert m.vec(solve(m, b)) == b
+    assert rank(m) == 3
+    assert rank(Matrix(F7, [[1, 2, 3], [2, 4, 6], [3, 6, 4]])) == 2
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(3, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 2**61 - 2), min_size=n + 1, max_size=n + 1),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_solve_round_trip_mersenne_61(rows):
+    """Over p = 2^61 - 1 the rows below a pivot are left unreduced and
+    pass p^2 = 2^122 after two steps; the solution must still be exact."""
+    m = Matrix(M61, [row[:-1] for row in rows])
+    bvec = tuple(M61.scalar(row[-1]) for row in rows)
+    if leibniz_det(m).is_zero():
+        with pytest.raises(SingularMatrix):
+            solve(m, bvec)
+        return
+    x = solve(m, bvec)
+    assert holds_field_scalars(x, M61)
+    assert m.vec(x) == bvec

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import BothZero, DivisionByZeroPoly, FieldMismatch
-from hypadd.poly import NEG_INF, Poly, from_roots, x_power, xgcd
+from hypadd.poly import NEG_INF, Poly, from_roots, inverse_mod, x_power, xgcd
 
 Q = make_field("q")
 F7 = make_field("fp", 7)
@@ -267,3 +268,77 @@ def test_q_kernels_make_no_fraction_arithmetic(monkeypatch):
     monkeypatch.undo()
     assert total == want_sum and diff == want_diff
     assert q * b + r == a and prod // b == a
+
+
+@pytest.mark.parametrize("field", [Q, F7])
+def test_poly_times_int_is_the_field_scalar(field):
+    f = Poly(field, [3, -5, 1])
+    assert f * 2 == f * field.scalar(2)
+    assert f * 7 == f * field.scalar(7)
+    assert f * 0 == Poly(field)
+
+
+@pytest.mark.parametrize("field", [Q, F7])
+def test_int_times_poly_is_the_field_scalar(field):
+    f = Poly(field, [3, -5, 1])
+    assert 2 * f == f * field.scalar(2)
+    assert -3 * f == f * field.scalar(-3)
+
+
+NOT_POLYS = (2, Fraction(1, 2), 1.5, "x", None)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator.add, operator.sub, lambda f, o: o + f, lambda f, o: o - f],
+    ids=["poly+other", "poly-other", "other+poly", "other-poly"],
+)
+def test_add_and_sub_with_a_non_poly_raise_type_error(op):
+    for other in NOT_POLYS:
+        with pytest.raises(TypeError):
+            op(qp(1, 2), other)
+
+
+@pytest.mark.parametrize("op", [operator.mul, lambda f, o: o * f], ids=["poly*other", "other*poly"])
+def test_mul_by_a_non_scalar_raises_type_error(op):
+    for other in NOT_POLYS[1:]:
+        with pytest.raises(TypeError):
+            op(qp(1, 2), other)
+
+
+def test_divmod_by_a_non_poly_raises_type_error():
+    for other in NOT_POLYS:
+        with pytest.raises(TypeError):
+            divmod(qp(1, 2), other)
+
+
+def test_shift_is_the_monomial_product():
+    for f in (qp(Fraction(1, 3), 0, Fraction(-2, 5)), Poly(F7, [3, 0, 6]), qp(), Poly(F7)):
+        for k in (0, 1, 4):
+            shifted = f._shift(k)
+            assert shifted == x_power(f.field, k) * f
+            assert canonical_form(shifted)
+
+
+@given(polys_over_one_field(2))
+def test_inverse_mod_iff_gcd_is_constant(case):
+    """inverse_mod(a, m) is the inverse of a mod m exactly when xgcd
+    finds a constant gcd, and None otherwise."""
+    field, (a, m), _ = case
+    if m.degree < 1:
+        return
+    s = inverse_mod(a, m)
+    if xgcd(a, m)[0].degree == 0:
+        assert (s * a) % m == Poly(field, [1])
+        assert s.degree < m.degree and canonical_form(s)
+    else:
+        assert s is None
+
+
+def test_inverse_mod_worked_values():
+    # x * (x + 1) = x^2 + x = -1 mod x^2 + x + 1, so x^-1 = -(x + 1)
+    assert inverse_mod(qp(0, 1), qp(1, 1, 1)) == qp(-1, -1)
+    # a of higher degree than m: x^3 = 1 mod x^2 + x + 1
+    assert inverse_mod(qp(0, 0, 0, 1), qp(1, 1, 1)) == qp(1)
+    assert inverse_mod(qp(-1, 1), qp(-1, 0, 1)) is None
+    assert inverse_mod(Poly(F7), Poly(F7, [1, 0, 1])) is None
