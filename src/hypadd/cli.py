@@ -28,6 +28,7 @@ from .errors import (
     InvariantViolation,
     NonGenericDivisor,
     NotOnJacobian,
+    TooFewPoints,
 )
 from .field import field_from_string
 from .groupoid import (
@@ -264,7 +265,7 @@ def _run_prop(prop, field, genus, curve, trials, seed):
         try:
             c, a, b = _sample_pair(field, genus, curve, rng)
             ok = _check_prop(prop, c, a, b, field, rng)
-        except (DegenerateConfiguration, NonGenericDivisor) as exc:
+        except (DegenerateConfiguration, NonGenericDivisor, TooFewPoints) as exc:
             reason = getattr(exc, "stage", None) or type(exc).__name__
             skipped_by_reason[reason] = skipped_by_reason.get(reason, 0) + 1
             skipped += 1

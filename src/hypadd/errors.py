@@ -44,6 +44,10 @@ class SqrtOverRationals(HypaddError):
     curve fitting instead."""
 
 
+class TooFewPoints(HypaddError):
+    """A curve over F_p has fewer than g abscissas x with f(x) a square."""
+
+
 class SingularMatrix(HypaddError):
     """Exact solve hit a singular coefficient matrix."""
 

@@ -43,9 +43,9 @@ from .errors import (
     SingularMatrix,
     ZeroScale,
 )
-from .field import FieldSpec, Scalar
+from .field import FieldSpec, Scalar, _inverse_value
 from .linalg import Matrix, rank, solve, vandermonde
-from .poly import Poly, from_roots, inverse_mod
+from .poly import Poly, inverse_mod
 
 
 class CurveParams:
@@ -424,17 +424,44 @@ def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     return star_detail(a1, a2).point
 
 
+def _interpolate(field: FieldSpec, xs, ys):
+    """Ascending bare u = prod (x - x_i) and v = sum y_i q_i / q_i(x_i), the
+    interpolant of degree < n, with q_i = u / (x - x_i) by synthetic
+    division (Lagrange).  A repeated abscissa raises SingularMatrix."""
+    p = field.modulus
+    # integral Fractions as ints, so u, q_i and q_i(x_i) stay on ints over Q too
+    xs = [x.numerator if x.denominator == 1 else x for x in xs]
+    u = [1]
+    for xi in xs:
+        u = field._canonical([a - xi * b for a, b in zip([0] + u, u + [0])])
+    v = [0] * len(xs)
+    for xi, yi in zip(xs, ys):
+        q, acc, d = [], 0, 0
+        for c in reversed(u[1:]):
+            acc = acc * xi + c
+            q.append(acc)
+            d = d * xi + acc
+        if not (d % p if p else d):
+            raise SingularMatrix("repeated abscissa")
+        s = yi * _inverse_value(d, p)
+        v = [a + s * b for a, b in zip(v, reversed(q))]
+    return [field._value(c) for c in u], [field._value(c) for c in v]
+
+
+def _phi_values(field: FieldSpec, xs, ys, z) -> GroupoidPoint:
+    """viete_phi on bare abscissas, already distinct, and ordinates."""
+    u, v = _interpolate(field, xs, ys)
+    return GroupoidPoint(field._box([-c for c in u[:-1]]), field._box(v), z)
+
+
 def viete_phi(t: PointListRep) -> GroupoidPoint:
-    """Coordinate image of a list of curve points with distinct abscissas."""
+    """Coordinate image of a list of curve points with distinct abscissas:
+    p_even from u = prod (x - x_i), p_odd the interpolant v of the y_i."""
     field = t.field
-    xs = [x for x, _ in t.pairs]
-    if len({x.value for x in xs}) != len(xs):
+    xs = [field._value(x) for x, _ in t.pairs]
+    if len(set(xs)) != len(xs):
         raise RepeatedAbscissa("abscissas must be pairwise distinct")
-    u = from_roots(field, xs)
-    p_even = tuple(-u[i] for i in range(t.genus))
-    v = vandermonde(field, xs)
-    p_odd = solve(v, [y for _, y in t.pairs])
-    return GroupoidPoint(p_even, p_odd, t.z)
+    return _phi_values(field, xs, [field._value(y) for _, y in t.pairs], t.z)
 
 
 def anchor_s(t: PointListRep):

@@ -1,18 +1,19 @@
 """Deterministic generation of random curves and on-curve points.
 
 Everything takes an explicit random.Random so that runs are exactly
-reproducible.  Over F_p points come from rejection sampling on quadratic
-residues of a fixed curve; over the rationals squares are too sparse for
-that, so the curve is solved for instead: pick the abscissas and
-ordinates freely and fit the 2g curve coefficients through them.
+reproducible.  Over F_p g abscissas x with f(x) a square are drawn by
+rejection (TooFewPoints if the curve has fewer), and u and v are
+interpolated through the points.  Over the rationals squares are too
+sparse for that, so the curve is fitted instead: pick the abscissas and
+ordinates freely and interpolate the 2g curve coefficients through them.
 """
 
 import random
 
-from .errors import SqrtOverRationals
+from .errors import SqrtOverRationals, TooFewPoints
 from .field import FieldSpec, Scalar
-from .groupoid import CurveParams, GroupoidPoint, PointListRep, curve_poly, viete_phi
-from .linalg import solve, vandermonde
+from .groupoid import CurveParams, GroupoidPoint, PointListRep, viete_phi
+from .groupoid import _interpolate, _phi_values
 
 
 def sqrt_mod(a: int, p: int):
@@ -63,41 +64,44 @@ def random_curve_fp(field: FieldSpec, genus: int, rng: random.Random) -> CurvePa
 
 
 def sample_point_fp(c: CurveParams, rng: random.Random) -> GroupoidPoint:
-    """Rejection-sample g distinct abscissas whose f-values are squares."""
+    """Rejection-sample g distinct abscissas whose f-values are squares
+    (TooFewPoints when fewer than g of the p abscissas qualify)."""
     field = c.field
     p = field.modulus
-    f = curve_poly(c)
-    pairs = []
-    used = set()
-    while len(pairs) < c.genus:
+    f = [1, 0] + [s.value for s in reversed(c.lambda1 + c.lambda2)]
+    xs, ys, rejected = [], [], set()
+    while len(xs) < c.genus:
+        if len(xs) + len(rejected) == p:
+            raise TooFewPoints(f"only {len(xs)} of the {p} abscissas have a square f(x)")
         x = rng.randrange(p)
-        if x in used:
+        if x in rejected or x in xs:
             continue
-        y2 = f(field.scalar(x))
-        root = scalar_sqrt(y2)
+        y2 = 0
+        for a in f:
+            y2 = (y2 * x + a) % p
+        root = sqrt_mod(y2, p)
         if root is None:
+            rejected.add(x)
             continue
-        used.add(x)
-        y = -root if rng.getrandbits(1) else root
-        pairs.append((field.scalar(x), y))
-    return viete_phi(PointListRep(pairs, c.lambda2))
+        xs.append(x)
+        ys.append(-root if rng.getrandbits(1) else root)
+    return _phi_values(field, xs, ys, c.lambda2)
 
 
 def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
     """The unique curve of this genus passing through 2g given points.
 
-    The curve equation is linear in its 2g coefficients, and distinct
-    abscissas make the system a nonsingular Vandermonde.
+    Its 2g coefficients interpolate y^2 - x^(2g+1) at the abscissas,
+    which must be distinct (SingularMatrix otherwise).
     """
     g = genus
     if len(pairs) != 2 * g:
         raise ValueError(f"expected {2 * g} points, got {len(pairs)}")
-    rhs = [y * y - x ** (2 * g + 1) for x, y in pairs]
-    lam = solve(vandermonde(field, [x for x, _ in pairs]), rhs)
+    xs = [field._value(x) for x, _ in pairs]
+    rhs = [field._value(y) ** 2 - x ** (2 * g + 1) for x, (_, y) in zip(xs, pairs)]
+    lam = field._box(_interpolate(field, xs, rhs)[1])
     # unknown i is the x^i coefficient, i.e. weight 4g+2-2i
-    lambda1 = tuple(lam[:g])
-    lambda2 = tuple(lam[g : 2 * g])
-    return CurveParams(g, lambda1, lambda2)
+    return CurveParams(g, lam[:g], lam[g:])
 
 
 def _distinct_ints(rng: random.Random, count: int, lo: int, hi: int):
@@ -125,19 +129,13 @@ def sample_pair_q(genus: int, rng: random.Random, bound: int = 9):
 
 def sample_point_q_on_template(c: CurveParams, rng: random.Random, bound: int = 9):
     """A rational point plus the curve it lies on, keeping the template's
-    lower coefficient half and re-solving the upper half."""
+    lower coefficient half and re-fitting the upper half."""
     field = c.field
     g = c.genus
-    xs = _distinct_ints(rng, g, -bound, bound)
-    pairs = [(field.scalar(x), field.scalar(rng.randint(1, bound))) for x in xs]
-    # g linear conditions on the g upper coefficients
-    rhs = []
-    for x, y in pairs:
-        lower = field.zero()
-        for i, lam in enumerate(c.lambda2):
-            lower = lower + lam * x ** (g + i)
-        rhs.append(y * y - x ** (2 * g + 1) - lower)
-    lam1 = solve(vandermonde(field, [x for x, _ in pairs]), rhs)
-    fitted = CurveParams(g, tuple(lam1), c.lambda2)
-    point = viete_phi(PointListRep(pairs, fitted.lambda2))
-    return fitted, point
+    xs = [field._value(x) for x in _distinct_ints(rng, g, -bound, bound)]
+    ys = [field._value(rng.randint(1, bound)) for _ in xs]
+    # the upper half interpolates y^2 - x^(2g+1) - x^g (lower half)
+    lower = [sum([lam.value * x ** (g + i) for i, lam in enumerate(c.lambda2)]) for x in xs]
+    rhs = [y * y - x ** (2 * g + 1) - w for x, y, w in zip(xs, ys, lower)]
+    fitted = CurveParams(g, field._box(_interpolate(field, xs, rhs)[1]), c.lambda2)
+    return fitted, _phi_values(field, xs, ys, c.lambda2)

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from hypadd import GroupoidPoint, cli, invert, make_field, star, to_mumford
+from hypadd import CurveParams, GroupoidPoint, cli, invert, make_field, star, to_mumford
 from hypadd.cantor import cantor_add
 from hypadd.cli import run
 from hypadd.errors import DegenerateConfiguration, InvariantViolation, NonGenericDivisor
@@ -171,6 +175,38 @@ def test_random_point_fp_stays_on_curve(tmp_path, capsys):
     # ascending lambda list [3, 7] pins lambda_4 = 3, lambda_6 = 7
     assert [s.value for s in z1] == [7]
     assert [s.value for s in z2] == [3]
+
+
+def test_random_point_on_a_curve_with_too_few_points_exits_2(tmp_path, capsys):
+    F5 = make_field("fp", 5)
+    # f = x^5 + 2x^3 takes a square value on F_5 only at x = 0
+    curve = CurveParams(2, [F5.zero(), F5.zero()], [F5.zero(), F5.scalar(2)])
+    c = write(tmp_path, "few.json", curve_to_json(curve))
+    assert run(["random-point", "--curve", c, "--seed", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "TooFewPoints"
+
+
+def test_verify_small_prime_finishes(tmp_path):
+    """Some genus-2 curves over F_5 have fewer than 2 abscissas with a
+    square f(x); verify counts them as skips.  The run is a subprocess
+    with a timeout, so a sampler that loops fails here instead of
+    stalling the suite."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["verify", "--field", "fp:5", "--genus", "2", "--trials", "12", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypadd", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["ok"] is True
+    skips = [p["skipped_by_reason"].get("TooFewPoints", 0) for p in report["props"].values()]
+    assert sum(skips) > 0
 
 
 def test_field_override_reduces_curve_mod_p(tmp_path, capsys):
