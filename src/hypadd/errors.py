@@ -39,11 +39,6 @@ class NotSquare(HypaddError):
     """Matrix operation requires a square matrix."""
 
 
-class SqrtOverRationals(HypaddError):
-    """Square roots are taken only over F_p; rational points come from
-    curve fitting instead."""
-
-
 class TooFewPoints(HypaddError):
     """A curve over F_p has fewer than g abscissas x with f(x) a square."""
 

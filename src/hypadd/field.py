@@ -107,7 +107,7 @@ class FieldSpec:
                 return self._value(Fraction(int(num), int(den)))
             value = int(text)
         if self.modulus == 0:
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, int):
             return value % self.modulus
         num = value.numerator % self.modulus

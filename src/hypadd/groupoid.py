@@ -19,10 +19,16 @@ inverted inputs.  Inversion flips the sign of the odd part.
 polynomial arithmetic modulo u:
 
     anchor       Z1 = (v^2 - x^(2g+1) - x^g z) mod u
-    kl_columns   x^k (x^g mod u) and x^k v mod u, one product by x at a time
+    _columns     x^k (x^g mod u) and x^k v mod u, one product by x at a time,
+                 as int numerators over one denominator per column
+    h-solve      (L1 - L2) h2 = ell2 - ell1, h1 = -(L1 h2 + ell1)
     odd part     v3 = -(x^g r2 + r3) r1^(-1) mod u3, u3 = norm(R) / (u1 u2)
 
-R = r1 y + x^g r2 + r3 is held as its three polynomials, and every
+The h-solve runs on those ints: over F_p one `solve` on residues; over
+Q fraction-free Bareiss elimination, after each column of both sides is
+scaled by the lcm of its two denominators, so h1 and h2 come out over
+one denominator.  `kl_columns` boxes the same columns for the matrix
+routes.  R = r1 y + x^g r2 + r3 is held as its three polynomials, and every
 `star` certifies it by (r1 v + x^g r2 + r3) mod u = 0 at both inverted
 inputs.  Each product by a power of x is a shift of the coefficient
 tuple, and r1^(-1) mod u3 comes from the inverse-only extended Euclid
@@ -32,6 +38,9 @@ rank_witness, anchor_s) stay as the tests' independent oracles.
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are stored highest weight first.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AnchorMismatch,
@@ -44,7 +53,7 @@ from .errors import (
     ZeroScale,
 )
 from .field import FieldSpec, Scalar, _inverse_value
-from .linalg import Matrix, rank, solve, vandermonde
+from .linalg import Matrix, _bareiss, rank, solve, vandermonde
 from .poly import Poly, inverse_mod
 
 
@@ -239,51 +248,92 @@ def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
     return CurveParams(genus, z1, z2)
 
 
-def _times_x_mod_u(w, p_even, p):
+def _times_x_mod_u(w, p_even, p, dp=1):
     """x * w mod u on ascending lists of g bare coefficients.
 
     The x^g term that the shift pushes out folds back in through
     x^g = sum p_even[i] x^i (mod u).  Only that term is reduced mod p,
-    so entries grow by less than p^2 per step and stay exact.
+    so entries grow by less than p^2 per step and stay exact.  Over Q,
+    p_even holds the numerators of u's p_even over dp: the shifted
+    entries are scaled by dp, and the result lies over dp times w's
+    denominator.
     """
     top = w[-1]
     if p:
         top %= p
+    if dp != 1:
+        w = [c * dp for c in w]
     return [top * p_even[0]] + [w[i - 1] + top * p_even[i] for i in range(1, len(w))]
 
 
-def kl_columns(a: GroupoidPoint):
-    """First g+1 columns of (E, O, x E, x O, x^2 E, ...) mod u.
+def _columns(a: GroupoidPoint):
+    """The first g+1 columns of (E, O, x E, x O, x^2 E, ...) mod u as
+    ascending int numerators, with one denominator per column.
 
     E = x^g mod u (the vector p_even) and O = v (the vector p_odd), so
-    column 2k is x^(g+k) mod u and column 2k+1 is x^k v mod u, each as
-    an ascending coefficient vector.  Returns the g x g matrix L of the
-    first g columns and the (g+1)-st column ell as a vector.
+    column 2k is x^(g+k) mod u and column 2k+1 is x^k v mod u.  Over Q,
+    p_even = P/dp and p_odd = O/do over the lcm of their denominators,
+    and column k of E lies over dp^(k+1), column k of O over do dp^k.
+    Over F_p every denominator is 1.
     """
-    g = a.genus
-    field = a.field
-    p_even = [c.value for c in a.p_even]
-    cols = []
-    even, odd = p_even, [c.value for c in a.p_odd]
+    g, p = a.genus, a.field.modulus
+    pe, po = [c.value for c in a.p_even], [c.value for c in a.p_odd]
+    dp = do = 1
+    if not p:
+        dp, do = lcm(*[v.denominator for v in pe]), lcm(*[v.denominator for v in po])
+        pe = [v.numerator * (dp // v.denominator) for v in pe]
+        po = [v.numerator * (do // v.denominator) for v in po]
+    cols, dens = [pe, po], [dp, do]
     while len(cols) < g + 1:
-        cols.append(even)
-        cols.append(odd)
-        even = _times_x_mod_u(even, p_even, field.modulus)
-        odd = _times_x_mod_u(odd, p_even, field.modulus)
+        cols += [_times_x_mod_u(cols[-2], pe, p, dp), _times_x_mod_u(cols[-1], pe, p, dp)]
+        dens += [dens[-2] * dp, dens[-1] * dp]
+    return cols[: g + 1], dens[: g + 1]
+
+
+def kl_columns(a: GroupoidPoint):
+    """The g x g matrix L of the first g columns of _columns and the
+    (g+1)-st column ell as a vector, as bare values boxed for callers."""
+    g, field = a.genus, a.field
+    cols, dens = _columns(a)
+    if not field.modulus:
+        cols = [[Fraction(c, d) for c in col] for col, d in zip(cols, dens)]
     rows = [[col[i] for col in cols[:g]] for i in range(g)]
     return Matrix._from_raw(field, rows), field._box(cols[g])
 
 
 def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
-    l1, ell1 = kl_columns(b1)
-    l2, ell2 = kl_columns(b2)
+    """(h1, h2) from (L1 - L2) h2 = ell2 - ell1 and h1 = -(L1 h2 + ell1).
+
+    Over F_p, one `solve` and one `Matrix.vec` on residues.  Over Q, column
+    j of both sides is scaled by m_j = lcm(d1j, d2j) of the two points'
+    column denominators, so the system is on ints; `_bareiss` gives
+    h2_j = m_j y_j / (det m_g), and h1 follows over the same denominator.
+    """
+    g, field = b1.genus, b1.field
+    c1, d1 = _columns(b1)
+    c2, d2 = _columns(b2)
     try:
-        h2 = solve(l1 - l2, [y.value - x.value for x, y in zip(ell1, ell2)])
+        if field.modulus:
+            diff = [[c1[j][i] - c2[j][i] for j in range(g)] for i in range(g)]
+            h2 = solve(Matrix._from_raw(field, diff), [y - x for x, y in zip(c1[g], c2[g])])
+            l1 = Matrix._from_raw(field, [[col[i] for col in c1[:g]] for i in range(g)])
+            return field._box([-(t.value + e) for t, e in zip(l1.vec(h2), c1[g])]), h2
+        m = [lcm(x, y) for x, y in zip(d1, d2)]
+        s1 = [[v * (mj // dj) for v in col] for col, mj, dj in zip(c1, m, d1)]
+        s2 = [[v * (mj // dj) for v in col] for col, mj, dj in zip(c2, m, d2)]
+        a = [[x[i] - y[i] for x, y in zip(s1[:g], s2)] + [s2[g][i] - s1[g][i]] for i in range(g)]
+        y, det = _bareiss(a, g)
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
         ) from exc
-    return b1.field._box([-(t.value + e.value) for t, e in zip(l1.vec(h2), ell1)]), h2
+    den, h1 = det * m[g], [-det * v for v in s1[g]]
+    for col, z in zip(s1, y):
+        h1 = [w - z * v for w, v in zip(h1, col)]
+    return (
+        tuple([Scalar(field, Fraction(n, den)) for n in h1]),
+        tuple([Scalar(field, Fraction(mj * z, den)) for mj, z in zip(m, y)]),
+    )
 
 
 def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):

@@ -1,15 +1,21 @@
 """Exact dense linear algebra over the shared Scalar type.
 
-`solve` and `rank` share one forward elimination to row echelon form
-over the field, with Fraction entries over Q and residues over F_p;
-`solve` then back-substitutes.  Pivoting is always "first nonzero", so
-runs are reproducible across platforms.
+Over F_p, `solve` and `rank` share one forward elimination to row
+echelon form on residues, `_reduce`, and `solve` then back-substitutes.
+Over Q, `solve` clears each row's denominators and runs the
+fraction-free Bareiss kernel `_bareiss` on ints, which returns the
+solution as integer numerators over one determinant; `rank` over Q
+still eliminates on Fractions with `_reduce`.  Pivoting is always
+"first nonzero", so runs are reproducible across platforms.
 
 A Matrix holds its field and a tuple of rows of bare values.  The
 elimination and the products compute on those, and Scalars are built
 only where a caller reads one: `rows`, `vec`'s result and `solve`'s
 solution.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatch, NotSquare, SingularMatrix
 from .field import FieldSpec, _inverse_value
@@ -127,6 +133,37 @@ def _reduce(a, ncols: int, p: int) -> list:
     return pivots
 
 
+def _bareiss(a, n: int):
+    """Solve the int system whose n rows in a hold n coefficients and a
+    right-hand side, eliminating in place; returns (y, det), x = y / det.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with
+    first-nonzero pivots: step k divides exactly by the pivot of step
+    k - 1, so every entry is a minor of a.  det is the last pivot, the
+    determinant up to the sign of the row swaps.  By Cramer's rule
+    det * x is integral, so the back-substitution divides exactly too.
+    A column with no pivot raises SingularMatrix.
+    """
+    prev = 1
+    for k in range(n):
+        for i in range(k, n):
+            if a[i][k]:
+                break
+        else:
+            raise SingularMatrix(f"no pivot in column {k} of {n}")
+        a[k], a[i] = a[i], a[k]
+        row, piv = a[k], a[k][k]
+        for r in a[k + 1 :]:
+            f = r[k]
+            r[k + 1 :] = [(piv * x - f * y) // prev for x, y in zip(r[k + 1 :], row[k + 1 :])]
+        prev = piv
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        y[i] = (prev * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])) // row[i]
+    return y, prev
+
+
 def solve(m: Matrix, rhs) -> tuple:
     """Solve m @ x = rhs exactly for square m; raises SingularMatrix."""
     if m.nrows != m.ncols:
@@ -137,6 +174,11 @@ def solve(m: Matrix, rhs) -> tuple:
         raise ValueError("rhs length mismatch")
     a = [list(row) + [b] for row, b in zip(m._values, rhs)]
     p = m.field.modulus
+    if not p:
+        dens = [lcm(*[v.denominator for v in row]) for row in a]
+        a = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(a, dens)]
+        y, det = _bareiss(a, n)
+        return m.field._box([Fraction(v, det) for v in y])
     pivots = _reduce(a, n, p)
     if len(pivots) != n:
         raise SingularMatrix(f"rank {len(pivots)} < {n}")

@@ -10,8 +10,8 @@ ordinates freely and interpolate the 2g curve coefficients through them.
 
 import random
 
-from .errors import SqrtOverRationals, TooFewPoints
-from .field import FieldSpec, Scalar
+from .errors import TooFewPoints
+from .field import FieldSpec
 from .groupoid import CurveParams, GroupoidPoint, PointListRep, viete_phi
 from .groupoid import _interpolate, _phi_values
 
@@ -44,16 +44,6 @@ def sqrt_mod(a: int, p: int):
         t = t * c % p
         r = r * b % p
     return r
-
-
-def scalar_sqrt(s: Scalar):
-    """Square root in F_p, or None; raises SqrtOverRationals over Q."""
-    if s.field.modulus == 0:
-        raise SqrtOverRationals("use curve fitting over the rationals")
-    root = sqrt_mod(s.value, s.field.modulus)
-    if root is None:
-        return None
-    return s.field.scalar(root)
 
 
 def random_curve_fp(field: FieldSpec, genus: int, rng: random.Random) -> CurveParams:

@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from hypadd import (
     CurveParams,
     GroupoidPoint,
     anchor,
+    cantor_add,
     curve_from_anchor,
     curve_poly,
+    from_mumford,
     grade_scale,
     groupoid,
     invert,
@@ -16,6 +20,7 @@ from hypadd import (
     rank_witness,
     star,
     star_detail,
+    to_mumford,
     u_poly,
     v_poly,
     viete_phi,
@@ -41,6 +46,7 @@ from hypadd.groupoid import (
 from hypadd.linalg import Matrix
 from hypadd.poly import Poly
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
+from tests.test_poly import FRACTION_ARITHMETIC
 
 Q = make_field("q")
 P = make_field("fp", TEST_PRIME)
@@ -268,20 +274,22 @@ def test_dual_check_disagreement_raises(monkeypatch):
 
 
 def test_dual_check_catches_kl_columns_fault(monkeypatch):
-    """The certificate reads u and v directly, so a fault in the
-    kl_columns that feed the h-solve cannot pass it, whether it hits
-    both inputs or only one of them."""
-    real = groupoid.kl_columns
+    """The certificate reads u and v directly, so a fault in the int
+    columns (L | ell) that feed the h-solve over both fields cannot pass
+    it, whether it hits both inputs or only one of them."""
+    real = groupoid._columns
     rng = seeded("kl-fault")
     pairs = [A1, A2], list(q_pair(2, rng)[1:]), list(fp_pair(P, 3, rng)[1:])
     for a1, a2 in pairs:
         for faulty in ((invert(a1), invert(a2)), (invert(a1),), (invert(a2),)):
 
             def perturbed(b, faulty=faulty):
-                l, ell = real(b)
-                return (l, (ell[0] + 1,) + ell[1:]) if b in faulty else (l, ell)
+                cols, dens = real(b)
+                if b in faulty:  # ell is the last column; bump its first numerator
+                    cols[-1] = [cols[-1][0] + 1] + cols[-1][1:]
+                return cols, dens
 
-            monkeypatch.setattr(groupoid, "kl_columns", perturbed)
+            monkeypatch.setattr(groupoid, "_columns", perturbed)
             with pytest.raises(InvariantViolation):
                 star(a1, a2)
 
@@ -310,6 +318,62 @@ def test_star_makes_one_solve(monkeypatch):
         star(a1, a2)
         assert calls == [g]
         assert vecs == [g]
+
+
+def test_q_star_solves_h_on_ints(monkeypatch):
+    """Over Q the h-solve runs on int numerators: no Fraction arithmetic
+    inside _solve_h_core, and neither solve nor Matrix.vec, also when
+    p_even has denominators."""
+    real = groupoid._solve_h_core
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic, solve or Matrix.vec in the Q h-solve")
+
+    def on_ints(b1, b2):
+        with pytest.MonkeyPatch.context() as inner:
+            for name in FRACTION_ARITHMETIC:
+                inner.setattr(Fraction, name, refuse)
+            return real(b1, b2)
+
+    rng, t = seeded("q-int-solve"), Q.scalar(Fraction(2, 3))
+    cases = [(A1, A2)]
+    for g in (1, 2, 3, 4):
+        c, a1, a2 = q_pair(g, rng)
+        cases.append((a1, a2))
+        cases.append((grade_scale(a1, c, t)[0], grade_scale(a2, c, t)[0]))
+    want = [star(a1, a2) for a1, a2 in cases]
+    monkeypatch.setattr(groupoid, "_solve_h_core", on_ints)
+    monkeypatch.setattr(groupoid, "solve", refuse)
+    monkeypatch.setattr(Matrix, "vec", refuse)
+    assert [star(a1, a2) for a1, a2 in cases] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+    st.one_of(st.integers(-40, -1), st.integers(1, 40)),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+)
+def test_q_star_on_grade_scaled_pairs(g, seed, num, den):
+    """Scaling by a non-integer t puts denominators into p_even; star
+    must still match the determinant route to R and the Cantor round
+    trip, and still refuse doubling at the h-solve."""
+    t = Q.scalar(Fraction(num, den))
+    c, a1, a2 = q_pair(g, random.Random(seed))
+    a1, cs = grade_scale(a1, c, t)
+    a2, _ = grade_scale(a2, c, t)
+    if all(s.value.denominator == 1 for s in a1.p_even + a2.p_even):
+        reject()
+    try:
+        res = star_detail(a1, a2)
+    except DegenerateConfiguration:
+        reject()
+    assert res.r == build_r_determinant(invert(a1), invert(a2))
+    assert res.point == from_mumford(cantor_add(to_mumford(a1, cs), to_mumford(a2, cs), cs), cs)
+    with pytest.raises(DegenerateConfiguration) as exc:
+        star(a1, a1)
+    assert exc.value.stage == "h_solve"
 
 
 def test_star_needs_no_xgcd_and_no_monomial_product(monkeypatch):

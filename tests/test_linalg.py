@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import FieldMismatch, NotSquare, SingularMatrix
-from hypadd.linalg import Matrix, rank, solve, vandermonde
+from hypadd.linalg import Matrix, _bareiss, rank, solve, vandermonde
 
 Q = make_field("q")
 P = make_field("fp", 10007)
@@ -225,3 +225,61 @@ def test_solve_round_trip_mersenne_61(rows):
     x = solve(m, bvec)
     assert holds_field_scalars(x, M61)
     assert m.vec(x) == bvec
+
+
+def zero_biased_q_mats(n):
+    """Matrices over Q with about half their entries 0 and the others
+    over denominators above 2^40, so that clearing row denominators
+    yields wide ints and pivots are often missing mid-elimination."""
+    big = st.builds(
+        Fraction, st.integers(-(2**20), 2**20), st.integers(2**40 + 1, 2**41)
+    )
+    e = st.one_of(st.just(Fraction(0)), big)
+    return st.lists(st.lists(e, min_size=n, max_size=n), min_size=n, max_size=n).map(qmat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            zero_biased_q_mats(n),
+            st.lists(st.fractions(max_denominator=2**41), min_size=n, max_size=n),
+        )
+    )
+)
+def test_solve_round_trip_q_zero_biased_wide_denominators(case):
+    m, b = case
+    bvec = tuple(Q.scalar(x) for x in b)
+    if leibniz_det(m).is_zero():
+        with pytest.raises(SingularMatrix):
+            solve(m, bvec)
+        return
+    x = solve(m, bvec)
+    assert holds_field_scalars(x, Q)
+    assert m.vec(x) == bvec
+
+
+def test_q_solve_swaps_pivots_mid_way():
+    """Row i lies over d_i, so clearing row denominators leaves the int
+    rows [[2, 1, 3], [4, 2, 1], [6, 0, 5]].  After column 0 the (1, 1)
+    entry is 0, so row 2 moves up, and the last step divides exactly by
+    the first pivot 2 after that swap."""
+    d = [2**40 + 3, 2**41 - 1, 2**40 + 15]
+    rows = [[2, 1, 3], [4, 2, 1], [6, 0, 5]]
+    m = qmat([[Fraction(v, di) for v in row] for row, di in zip(rows, d)])
+    assert leibniz_det(m) == Q.scalar(Fraction(-30, d[0] * d[1] * d[2]))
+    b = tuple(Q.scalar(Fraction(k, di)) for k, di in zip((1, -2, 3), d))
+    x = solve(m, b)
+    assert holds_field_scalars(x, Q)
+    assert m.vec(x) == b
+    y, det = _bareiss([row + [k] for row, k in zip(rows, (7, -1, 4))], 3)
+    assert abs(det) == 30
+    assert qmat(rows).vec(tuple(Q.scalar(Fraction(v, det)) for v in y)) == (
+        Q.scalar(7),
+        Q.scalar(-1),
+        Q.scalar(4),
+    )
+    # rows 0 and 1 proportional: column 1 has no pivot after the swap search
+    singular = [[2, 1, 3], [4, 2, 6], [6, 0, 5]]
+    with pytest.raises(SingularMatrix):
+        solve(qmat([[Fraction(v, di) for v in row] for row, di in zip(singular, d)]), b)

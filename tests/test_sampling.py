@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hypadd import anchor, cli, divisor_valid, make_field, to_mumford
-from hypadd.errors import RepeatedAbscissa, SingularMatrix, SqrtOverRationals, TooFewPoints
+from hypadd.errors import RepeatedAbscissa, SingularMatrix, TooFewPoints
 from hypadd.groupoid import (
     CurveParams,
     GroupoidPoint,
@@ -26,7 +26,6 @@ from hypadd.sampling import (
     sample_pair_q,
     sample_point_fp,
     sample_point_q_on_template,
-    scalar_sqrt,
     sqrt_mod,
 )
 from tests.conftest import TEST_PRIME, seeded
@@ -46,17 +45,6 @@ def test_sqrt_mod():
                 assert r * r % p == a % p
                 found += 1
         assert found > 0
-
-
-def test_scalar_sqrt_fp():
-    nine = P.scalar(9)
-    r = scalar_sqrt(nine)
-    assert r is not None and r * r == nine
-
-
-def test_scalar_sqrt_q_raises():
-    with pytest.raises(SqrtOverRationals):
-        scalar_sqrt(Q.scalar(9))
 
 
 def test_sample_point_fp_is_on_curve():
