@@ -24,16 +24,17 @@ polynomial arithmetic modulo u:
     h-solve      (L1 - L2) h2 = ell2 - ell1, h1 = -(L1 h2 + ell1)
     odd part     v3 = -(x^g r2 + r3) r1^(-1) mod u3, u3 = norm(R) / (u1 u2)
 
-The h-solve runs on those ints: over F_p one `solve` on residues; over
-Q fraction-free Bareiss elimination, after each column of both sides is
-scaled by the lcm of its two denominators, so h1 and h2 come out over
-one denominator.  `kl_columns` boxes the same columns for the matrix
-routes.  R = r1 y + x^g r2 + r3 is held as its three polynomials, and every
-`star` certifies it by (r1 v + x^g r2 + r3) mod u = 0 at both inverted
-inputs.  Each product by a power of x is a shift of the coefficient
-tuple, and r1^(-1) mod u3 comes from the inverse-only extended Euclid
-`poly.inverse_mod`.  The matrix routes (build_r_determinant,
-rank_witness, anchor_s) stay as the tests' independent oracles.
+The h-solve runs on those ints with one body for both fields: each
+column of both sides is scaled by the lcm of its two denominators (1
+over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
+come out over one denominator.  `kl_columns` boxes the same columns for
+the matrix routes.  R = r1 y + x^g r2 + r3 is held as its three
+polynomials, and every `star` certifies it by
+(r1 v + x^g r2 + r3) mod u = 0 at both inverted inputs.  Each product
+by a power of x is a shift of the coefficient tuple, and r1^(-1) mod u3
+comes from the inverse-only extended Euclid `poly.inverse_mod`.  The
+matrix routes (build_r_determinant, rank_witness, anchor_s) stay as the
+tests' independent oracles.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are stored highest weight first.
@@ -53,7 +54,7 @@ from .errors import (
     ZeroScale,
 )
 from .field import FieldSpec, Scalar, _inverse_value
-from .linalg import Matrix, _bareiss, rank, solve, vandermonde
+from .linalg import Matrix, _solve_rows, rank, solve, vandermonde
 from .poly import Poly, inverse_mod
 
 
@@ -304,36 +305,32 @@ def kl_columns(a: GroupoidPoint):
 def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
     """(h1, h2) from (L1 - L2) h2 = ell2 - ell1 and h1 = -(L1 h2 + ell1).
 
-    Over F_p, one `solve` and one `Matrix.vec` on residues.  Over Q, column
-    j of both sides is scaled by m_j = lcm(d1j, d2j) of the two points'
-    column denominators, so the system is on ints; `_bareiss` gives
-    h2_j = m_j y_j / (det m_g), and h1 follows over the same denominator.
+    One body for both fields.  Column j of both sides is scaled by
+    m_j = lcm(d1j, d2j) of the two points' column denominators (1 over
+    F_p), so the system is on ints, and `_solve_rows` gives
+    h2_j = m_j y_j / (det m_g); h1 = -(det ell1 + sum y_j col_j) follows
+    over the same denominator, which is 1 over F_p.
     """
     g, field = b1.genus, b1.field
     c1, d1 = _columns(b1)
     c2, d2 = _columns(b2)
+    m = [lcm(x, y) for x, y in zip(d1, d2)]
+    s1 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(c1, m, d1)]
+    s2 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(c2, m, d2)]
+    a = [[x[i] - y[i] for x, y in zip(s1[:g], s2)] + [s2[g][i] - s1[g][i]] for i in range(g)]
     try:
-        if field.modulus:
-            diff = [[c1[j][i] - c2[j][i] for j in range(g)] for i in range(g)]
-            h2 = solve(Matrix._from_raw(field, diff), [y - x for x, y in zip(c1[g], c2[g])])
-            l1 = Matrix._from_raw(field, [[col[i] for col in c1[:g]] for i in range(g)])
-            return field._box([-(t.value + e) for t, e in zip(l1.vec(h2), c1[g])]), h2
-        m = [lcm(x, y) for x, y in zip(d1, d2)]
-        s1 = [[v * (mj // dj) for v in col] for col, mj, dj in zip(c1, m, d1)]
-        s2 = [[v * (mj // dj) for v in col] for col, mj, dj in zip(c2, m, d2)]
-        a = [[x[i] - y[i] for x, y in zip(s1[:g], s2)] + [s2[g][i] - s1[g][i]] for i in range(g)]
-        y, det = _bareiss(a, g)
+        y, det = _solve_rows(a, g, field.modulus)
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
         ) from exc
-    den, h1 = det * m[g], [-det * v for v in s1[g]]
+    h1, h2 = [-det * v for v in s1[g]], [mj * z for mj, z in zip(m, y)]
     for col, z in zip(s1, y):
         h1 = [w - z * v for w, v in zip(h1, col)]
-    return (
-        tuple([Scalar(field, Fraction(n, den)) for n in h1]),
-        tuple([Scalar(field, Fraction(mj * z, den)) for mj, z in zip(m, y)]),
-    )
+    if not field.modulus:
+        den = det * m[g]
+        h1, h2 = [Fraction(n, den) for n in h1], [Fraction(n, den) for n in h2]
+    return field._box(h1), field._box(h2)
 
 
 def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):

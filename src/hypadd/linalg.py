@@ -1,12 +1,13 @@
 """Exact dense linear algebra over the shared Scalar type.
 
-Over F_p, `solve` and `rank` share one forward elimination to row
-echelon form on residues, `_reduce`, and `solve` then back-substitutes.
-Over Q, `solve` clears each row's denominators and runs the
-fraction-free Bareiss kernel `_bareiss` on ints, which returns the
-solution as integer numerators over one determinant; `rank` over Q
-still eliminates on Fractions with `_reduce`.  Pivoting is always
-"first nonzero", so runs are reproducible across platforms.
+Every solve runs on int rows through one kernel, `_solve_rows`, the only
+place that picks an elimination by field: over F_p the forward
+elimination `_reduce` on residues, over Q the fraction-free Bareiss
+elimination, which returns the solution as integer numerators over one
+determinant; both share the back-substitution.  `solve` clears each
+row's denominators over Q before calling it.  `rank` runs `_reduce`
+alone, on Fractions over Q.  Pivoting is always "first nonzero", so
+runs are reproducible across platforms.
 
 A Matrix holds its field and a tuple of rows of bare values.  The
 elimination and the products compute on those, and Scalars are built
@@ -17,7 +18,7 @@ solution.
 from fractions import Fraction
 from math import lcm
 
-from .errors import FieldMismatch, NotSquare, SingularMatrix
+from .errors import NotSquare, SingularMatrix
 from .field import FieldSpec, _inverse_value
 
 
@@ -62,22 +63,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self._values))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Matrix._from_raw(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._values, other._values)],
-        )
-
-    def __neg__(self):
-        return Matrix._from_raw(self.field, [[-a for a in row] for row in self._values])
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
 
     def vec(self, v):
         """Matrix-vector product; v is a sequence of Scalars."""
@@ -133,35 +118,44 @@ def _reduce(a, ncols: int, p: int) -> list:
     return pivots
 
 
-def _bareiss(a, n: int):
-    """Solve the int system whose n rows in a hold n coefficients and a
+def _solve_rows(a, n: int, p: int):
+    """Solve the system whose n int rows in a hold n coefficients and a
     right-hand side, eliminating in place; returns (y, det), x = y / det.
 
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with
-    first-nonzero pivots: step k divides exactly by the pivot of step
-    k - 1, so every entry is a minor of a.  det is the last pivot, the
-    determinant up to the sign of the row swaps.  By Cramer's rule
-    det * x is integral, so the back-substitution divides exactly too.
-    A column with no pivot raises SingularMatrix.
+    This is the one place that picks an elimination by field.  Over F_p
+    it is `_reduce` on residues, whose pivot rows have a leading 1, and
+    det is 1.  Over Q (p = 0) it is fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968) with first-nonzero pivots: step k divides
+    exactly by the pivot of step k - 1, so every entry is a minor of a,
+    and det is the last pivot, the determinant up to the sign of the row
+    swaps.  Both then back-substitute from the bottom; over Q det * x is
+    integral by Cramer's rule, so each division there is exact.  A
+    column with no pivot raises SingularMatrix.
     """
-    prev = 1
-    for k in range(n):
-        for i in range(k, n):
-            if a[i][k]:
-                break
-        else:
-            raise SingularMatrix(f"no pivot in column {k} of {n}")
-        a[k], a[i] = a[i], a[k]
-        row, piv = a[k], a[k][k]
-        for r in a[k + 1 :]:
-            f = r[k]
-            r[k + 1 :] = [(piv * x - f * y) // prev for x, y in zip(r[k + 1 :], row[k + 1 :])]
-        prev = piv
+    det = 1
+    if p:
+        pivots = _reduce(a, n, p)
+        if len(pivots) != n:
+            raise SingularMatrix(f"rank {len(pivots)} < {n}")
+    else:
+        for k in range(n):
+            for i in range(k, n):
+                if a[i][k]:
+                    break
+            else:
+                raise SingularMatrix(f"no pivot in column {k} of {n}")
+            a[k], a[i] = a[i], a[k]
+            row, piv = a[k], a[k][k]
+            for r in a[k + 1 :]:
+                f = r[k]
+                r[k + 1 :] = [(piv * x - f * y) // det for x, y in zip(r[k + 1 :], row[k + 1 :])]
+            det = piv
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
-        y[i] = (prev * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])) // row[i]
-    return y, prev
+        acc = det * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])
+        y[i] = acc % p if p else acc // row[i]
+    return y, det
 
 
 def solve(m: Matrix, rhs) -> tuple:
@@ -177,18 +171,8 @@ def solve(m: Matrix, rhs) -> tuple:
     if not p:
         dens = [lcm(*[v.denominator for v in row]) for row in a]
         a = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(a, dens)]
-        y, det = _bareiss(a, n)
-        return m.field._box([Fraction(v, det) for v in y])
-    pivots = _reduce(a, n, p)
-    if len(pivots) != n:
-        raise SingularMatrix(f"rank {len(pivots)} < {n}")
-    # Row i has its leading 1 in column i; back-substitute from the bottom.
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = row[n] - sum([row[j] * x[j] for j in range(i + 1, n)])
-        x[i] = acc % p if p else acc
-    return m.field._box(x)
+    y, det = _solve_rows(a, n, p)
+    return m.field._box(y if p else [Fraction(v, det) for v in y])
 
 
 def rank(m: Matrix) -> int:

@@ -11,7 +11,7 @@ ordinates freely and interpolate the 2g curve coefficients through them.
 import random
 
 from .errors import TooFewPoints
-from .field import FieldSpec
+from .field import FieldSpec, make_field
 from .groupoid import CurveParams, GroupoidPoint, PointListRep, viete_phi
 from .groupoid import _interpolate, _phi_values
 
@@ -102,8 +102,6 @@ def _distinct_ints(rng: random.Random, count: int, lo: int, hi: int):
 def sample_pair_q(genus: int, rng: random.Random, bound: int = 9):
     """A rational curve plus two anchored points on it, all with small
     coordinates before the fit."""
-    from .field import make_field
-
     field = make_field("q")
     g = genus
     xs = _distinct_ints(rng, 2 * g, -bound, bound)

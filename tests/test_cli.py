@@ -263,9 +263,11 @@ def test_verify_skip_reason_without_a_stage(monkeypatch, capsys):
         "verify", "--field", "fp:10007", "--genus", "2", "--trials", "3",
         "--seed", "4", "--props", "oracle,closedform",
     ]
-    assert run(argv) == 0
+    assert run(argv) == 1
     props = json.loads(capsys.readouterr().out)["props"]
-    assert props["oracle"]["skipped_by_reason"] == {"NonGenericDivisor": 3}
+    # star answered, so a non-generic Cantor sum contradicts it: a failure
+    assert props["oracle"]["failures"] == 3
+    assert props["oracle"]["skipped_by_reason"] == {}
     assert props["closedform"]["skipped_by_reason"] == {"DegenerateConfiguration": 3}
 
 

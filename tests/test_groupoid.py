@@ -45,7 +45,9 @@ from hypadd.groupoid import (
 )
 from hypadd.linalg import Matrix
 from hypadd.poly import Poly
+from hypadd.sampling import fit_curve_through
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
+from tests.test_linalg import holds_field_scalars
 from tests.test_poly import FRACTION_ARITHMETIC
 
 Q = make_field("q")
@@ -295,29 +297,54 @@ def test_dual_check_catches_kl_columns_fault(monkeypatch):
 
 
 def test_star_makes_one_solve(monkeypatch):
-    """star solves one linear system, the h-solve, and
-    back-substitutes once."""
-    calls, vecs = [], []
-    real, real_vec = groupoid.solve, Matrix.vec
+    """star solves one linear system, the h-solve, with one call of the
+    linalg kernel, over F_p and over Q; neither solve nor Matrix.vec
+    runs."""
+    sizes = []
+    real = groupoid._solve_rows
 
-    def counted(m, rhs):
-        calls.append(m.nrows)
-        return real(m, rhs)
+    def counted(a, n, p):
+        sizes.append(n)
+        return real(a, n, p)
 
-    def counted_vec(m, v):
-        vecs.append(m.nrows)
-        return real_vec(m, v)
+    def refuse(*_):
+        raise AssertionError("solve or Matrix.vec in star")
 
-    monkeypatch.setattr(groupoid, "solve", counted)
-    monkeypatch.setattr(Matrix, "vec", counted_vec)
+    monkeypatch.setattr(groupoid, "_solve_rows", counted)
+    monkeypatch.setattr(groupoid, "solve", refuse)
+    monkeypatch.setattr(Matrix, "vec", refuse)
     rng = seeded("one-solve")
-    for g in (1, 3, 8):
-        c, a1, a2 = fp_pair(P, g, rng)
-        calls.clear()
-        vecs.clear()
+    pairs = [fp_pair(P, g, rng) for g in (1, 3, 8)] + [q_pair(2, rng)]
+    for _, a1, a2 in pairs:
+        sizes.clear()
         star(a1, a2)
-        assert calls == [g]
-        assert vecs == [g]
+        assert sizes == [a1.genus]
+
+
+def test_solve_h_holds_field_scalars(monkeypatch):
+    """solve_h boxes h1 and h2 as Scalars of the inputs' field: residues
+    over F_p, Fractions over Q, also when the solved denominator
+    det m_g is 1 or -1.  The genus-1 curve through (1, 1) and (0, 2), with
+    the pair taken in each order, gives those two denominators."""
+    dets = []
+    real = groupoid._solve_rows
+
+    def recorded(a, n, p):
+        y, det = real(a, n, p)
+        dets.append(det)
+        return y, det
+
+    monkeypatch.setattr(groupoid, "_solve_rows", recorded)
+    rng = seeded("solve-h-scalars")
+    _, a1, a2 = fp_pair(P, 3, rng)
+    assert all(holds_field_scalars(h, P) for h in solve_h(invert(a1), invert(a2)))
+    c = fit_curve_through(Q, 1, [qs(1, 1), qs(0, 2)])
+    b1, b2 = (viete_phi(PointListRep([qs(*xy)], c.lambda2)) for xy in ((1, 1), (0, 2)))
+    assert groupoid._columns(b1)[1] == groupoid._columns(b2)[1] == [1, 1]
+    dets.clear()
+    for x, y in ((b1, b2), (b2, b1), q_pair(2, rng)[1:]):
+        assert all(holds_field_scalars(h, Q) for h in solve_h(invert(x), invert(y)))
+    assert dets[:2] == [1, -1]
 
 
 def test_q_star_solves_h_on_ints(monkeypatch):

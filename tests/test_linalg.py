@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import FieldMismatch, NotSquare, SingularMatrix
-from hypadd.linalg import Matrix, _bareiss, rank, solve, vandermonde
+from hypadd.linalg import Matrix, _solve_rows, rank, solve, vandermonde
 
 Q = make_field("q")
 P = make_field("fp", 10007)
@@ -134,8 +134,6 @@ def test_results_hold_field_scalars():
         v = (m.field.scalar(1), m.field.scalar(-1))
         assert holds_field_scalars(m.vec(v), m.field)
         assert holds_field_scalars(solve(m, v), m.field)
-        for row in (m - m).rows + (-m).rows:
-            assert holds_field_scalars(row, m.field)
 
 
 def test_foreign_field_rejected():
@@ -147,17 +145,15 @@ def test_foreign_field_rejected():
         solve(m, (f7.one(), Q.one()))
     with pytest.raises(FieldMismatch):
         m.vec((f7.one(), P.one()))
-    with pytest.raises(FieldMismatch):
-        m - Matrix(P, [[1, 0], [0, 1]])
 
 
 def test_equality_on_canonical_entries():
     """Computed matrices compare and hash by their reduced entries, and
     matrices over different fields never compare equal."""
     m = Matrix(P, [[1, 2], [3, 4]])
+    raw = Matrix._from_raw(P, [[-1, -2], [-3, -4]])
     neg = Matrix(P, [[10006, 10005], [10004, 10003]])
-    assert -m == neg and hash(-m) == hash(neg)
-    assert m - Matrix(P, [[2, 2], [2, 2]]) == Matrix(P, [[-1, 0], [1, 2]])
+    assert raw == neg and hash(raw) == hash(neg)
     assert Matrix(Q, [[1, 2], [3, 4]]) != m
 
 
@@ -272,7 +268,7 @@ def test_q_solve_swaps_pivots_mid_way():
     x = solve(m, b)
     assert holds_field_scalars(x, Q)
     assert m.vec(x) == b
-    y, det = _bareiss([row + [k] for row, k in zip(rows, (7, -1, 4))], 3)
+    y, det = _solve_rows([row + [k] for row, k in zip(rows, (7, -1, 4))], 3, p=0)
     assert abs(det) == 30
     assert qmat(rows).vec(tuple(Q.scalar(Fraction(v, det)) for v in y)) == (
         Q.scalar(7),

@@ -18,3 +18,21 @@ def test_src_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_linalg_picks_an_elimination():
+    """The choice of elimination per field stays inside linalg: no other
+    module names its kernels `_reduce` or `_bareiss`; they call
+    `_solve_rows` or the public routines instead."""
+    kernels = {"_reduce", "_bareiss"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in kernels:
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
