@@ -21,34 +21,12 @@ import sys
 
 from . import closedform, identities
 from .cantor import cantor_add, divisor_valid, from_mumford, to_mumford
-from .errors import (
-    AnchorMismatch,
-    DegenerateConfiguration,
-    HypaddError,
-    InvariantViolation,
-    NonGenericDivisor,
-    NotOnJacobian,
-    TooFewPoints,
-)
+from .errors import AnchorMismatch, DegenerateConfiguration, HypaddError, InvariantViolation
+from .errors import NonGenericDivisor, NotOnJacobian, TooFewPoints
 from .field import field_from_string
-from .groupoid import (
-    CurveParams,
-    anchor,
-    grade_scale,
-    invert,
-    rank_witness,
-    star,
-)
-from .jsonio import (
-    curve_from_json,
-    curve_to_json,
-    divisor_from_json,
-    divisor_to_json,
-    dumps,
-    point_from_json,
-    point_to_json,
-    vector_to_json,
-)
+from .groupoid import CurveParams, anchor, grade_scale, invert, rank_witness, star
+from .jsonio import curve_from_json, curve_to_json, divisor_from_json, divisor_to_json, dumps
+from .jsonio import point_from_json, point_to_json, vector_to_json
 from .sampling import random_curve_fp, sample_pair_q, sample_point_fp, sample_point_q_on_template
 
 USAGE_ERROR = 2
@@ -56,15 +34,7 @@ FAILURE = 1
 DEGENERATE = 3
 
 KNOWN_PROPS = (
-    "assoc",
-    "comm",
-    "inverse",
-    "anchor",
-    "rank",
-    "grading",
-    "oracle",
-    "pgg",
-    "closedform",
+    "assoc", "comm", "inverse", "anchor", "rank", "grading", "oracle", "pgg", "closedform"
 )
 
 
@@ -81,11 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_add)
     p_add.add_argument("--a", required=True, help="first point JSON file")
     p_add.add_argument("--b", required=True, help="second point JSON file")
-    p_add.add_argument(
-        "--method",
-        choices=["groupoid", "cantor", "both"],
-        default="groupoid",
-    )
+    p_add.add_argument("--method", choices=["groupoid", "cantor", "both"], default="groupoid")
 
     p_inv = sub.add_parser("invert", help="flip the odd part of a point")
     common(p_inv)
@@ -342,6 +308,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("verify needs --curve, or both --field and --genus")
         field = field_from_string(args.field)
         genus = args.genus
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     for p in props:
         if p not in KNOWN_PROPS:

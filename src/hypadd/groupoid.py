@@ -15,26 +15,31 @@ produces a third triple on the same curve: the g residual intersection
 points of the curve with the lowest-order function vanishing at both
 inverted inputs.  Inversion flips the sign of the odd part.
 
-(u, v) is the Mumford pair of the point, and the steps of the law are
-polynomial arithmetic modulo u:
+(u, v) is the Mumford pair of the point, and `star` runs the law as
+polynomial arithmetic modulo u on bare (numerators, denominator) pairs
+through the `poly` kernels, boxing only its answer and R:
 
-    anchor       Z1 = (v^2 - x^(2g+1) - x^g z) mod u
+    anchor       v^2 - x^(2g+1) - x^g z = q_a u + Z1 at both inputs
     _columns     x^k (x^g mod u) and x^k v mod u, one product by x at a time,
                  as int numerators over one denominator per column
     h-solve      (L1 - L2) h2 = ell2 - ell1, h1 = -(L1 h2 + ell1)
-    odd part     v3 = -(x^g r2 + r3) r1^(-1) mod u3, u3 = norm(R) / (u1 u2)
+    certificate  e - r1 v = k u with zero remainder at both inverted
+                 inputs (u, -v), where e = x^g r2 + r3
+    norm         phi / u1 = (-1)^g [k1 (e + r1 v1) + r1^2 q_a] from the two
+                 quotients at a1, as f = f_high + Z1 (Cantor's reduction
+                 (f - v^2) / u, Math. Comp. 48, 1987), then one exact
+                 division u3 = (phi / u1) / u2
+    odd part     v3 = -(e mod u3) r1^(-1) mod u3
 
 The h-solve runs on those ints with one body for both fields: each
 column of both sides is scaled by the lcm of its two denominators (1
 over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
 come out over one denominator.  `kl_columns` boxes the same columns for
 the matrix routes.  R = r1 y + x^g r2 + r3 is held as its three
-polynomials, and every `star` certifies it by
-(r1 v + x^g r2 + r3) mod u = 0 at both inverted inputs.  Each product
-by a power of x is a shift of the coefficient tuple, and r1^(-1) mod u3
-comes from the inverse-only extended Euclid `poly.inverse_mod`.  The
-matrix routes (build_r_determinant, rank_witness, anchor_s) stay as the
-tests' independent oracles.
+polynomials.  Each product by a power of x is a shift, and r1^(-1) mod
+u3 comes from the inverse-only extended Euclid `poly._inverse`.  The
+matrix routes (build_r_determinant, rank_witness, anchor_s) and
+`phi_poly` stay as the tests' independent oracles.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are stored highest weight first.
@@ -55,7 +60,7 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar, _inverse_value
 from .linalg import Matrix, _solve_rows, rank, solve, vandermonde
-from .poly import Poly, inverse_mod
+from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _norm
 
 
 class CurveParams:
@@ -68,6 +73,8 @@ class CurveParams:
         self.genus = genus
         self.lambda1 = tuple(lambda1)
         self.lambda2 = tuple(lambda2)
+        if genus < 1:
+            raise ValueError(f"genus must be at least 1, got {genus}")
         if len(self.lambda1) != genus or len(self.lambda2) != genus:
             raise ValueError("expected g coefficients in each half")
 
@@ -203,9 +210,7 @@ def curve_poly(c: CurveParams) -> Poly:
     Highest-weight-first coefficient vectors are already ascending in
     x-power, so both halves splice in directly.
     """
-    coeffs = list(c.lambda1) + list(c.lambda2)
-    coeffs += [c.field.zero(), c.field.one()]
-    return Poly(c.field, coeffs)
+    return Poly(c.field, list(c.lambda1) + list(c.lambda2) + [c.field.zero(), c.field.one()])
 
 
 def u_poly(a: GroupoidPoint) -> Poly:
@@ -223,11 +228,6 @@ def invert(a: GroupoidPoint) -> GroupoidPoint:
     return GroupoidPoint(a.p_even, a.field._box([-p.value for p in a.p_odd]), a.z)
 
 
-def _f_high(a: GroupoidPoint) -> Poly:
-    """x^(2g+1) + x^g z, the terms of f from x^g up: x^(g+1) + z shifted by g."""
-    return Poly._from_raw(a.field, [c.value for c in a.z] + [0, 1])._shift(a.genus)
-
-
 def anchor(a: GroupoidPoint):
     """Project a point to its curve coefficients (Z1, Z2).
 
@@ -241,7 +241,8 @@ def anchor(a: GroupoidPoint):
     highest weight first.
     """
     v = v_poly(a)
-    rem = (v * v - _f_high(a)) % u_poly(a)
+    f_high = Poly._from_raw(a.field, [c.value for c in a.z] + [0, 1])._shift(a.genus)
+    rem = (v * v - f_high) % u_poly(a)
     return tuple([rem[i] for i in range(a.genus)]), a.z
 
 
@@ -250,14 +251,12 @@ def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
 
 
 def _times_x_mod_u(w, p_even, p, dp=1):
-    """x * w mod u on ascending lists of g bare coefficients.
+    """x * w mod u on ascending lists of g int numerators, p_even over dp.
 
     The x^g term that the shift pushes out folds back in through
     x^g = sum p_even[i] x^i (mod u).  Only that term is reduced mod p,
-    so entries grow by less than p^2 per step and stay exact.  Over Q,
-    p_even holds the numerators of u's p_even over dp: the shifted
-    entries are scaled by dp, and the result lies over dp times w's
-    denominator.
+    so entries grow by less than p^2 per step and stay exact.  The
+    result lies over dp times w's denominator.
     """
     top = w[-1]
     if p:
@@ -267,23 +266,24 @@ def _times_x_mod_u(w, p_even, p, dp=1):
     return [top * p_even[0]] + [w[i - 1] + top * p_even[i] for i in range(1, len(w))]
 
 
-def _columns(a: GroupoidPoint):
-    """The first g+1 columns of (E, O, x E, x O, x^2 E, ...) mod u as
-    ascending int numerators, with one denominator per column.
+def _bare(a: GroupoidPoint, sign: int = 1):
+    """(p, pe, dp, po, do): the modulus, then p_even and sign * p_odd as
+    int numerators over one denominator each (`poly._ints`)."""
+    p = a.field.modulus
+    pe, dp = _ints([c.value for c in a.p_even], p)
+    po, do = _ints([sign * c.value for c in a.p_odd], p)
+    return p, pe, dp, po, do
 
-    E = x^g mod u (the vector p_even) and O = v (the vector p_odd), so
-    column 2k is x^(g+k) mod u and column 2k+1 is x^k v mod u.  Over Q,
-    p_even = P/dp and p_odd = O/do over the lcm of their denominators,
-    and column k of E lies over dp^(k+1), column k of O over do dp^k.
-    Over F_p every denominator is 1.
+
+def _columns(b):
+    """The first g+1 columns of (E, O, x E, x O, x^2 E, ...) mod u for a
+    point in `_bare` form, as ascending int numerators, and their
+    denominators: E = x^g mod u = pe/dp and O = v = po/do, so column 2k
+    is x^(g+k) mod u over dp^(k+1) and column 2k+1 is x^k v mod u over
+    do dp^k, all 1 over F_p.
     """
-    g, p = a.genus, a.field.modulus
-    pe, po = [c.value for c in a.p_even], [c.value for c in a.p_odd]
-    dp = do = 1
-    if not p:
-        dp, do = lcm(*[v.denominator for v in pe]), lcm(*[v.denominator for v in po])
-        pe = [v.numerator * (dp // v.denominator) for v in pe]
-        po = [v.numerator * (do // v.denominator) for v in po]
+    p, pe, dp, po, do = b
+    g = len(pe)
     cols, dens = [pe, po], [dp, do]
     while len(cols) < g + 1:
         cols += [_times_x_mod_u(cols[-2], pe, p, dp), _times_x_mod_u(cols[-1], pe, p, dp)]
@@ -295,23 +295,23 @@ def kl_columns(a: GroupoidPoint):
     """The g x g matrix L of the first g columns of _columns and the
     (g+1)-st column ell as a vector, as bare values boxed for callers."""
     g, field = a.genus, a.field
-    cols, dens = _columns(a)
+    cols, dens = _columns(_bare(a))
     if not field.modulus:
         cols = [[Fraction(c, d) for c in col] for col, d in zip(cols, dens)]
     rows = [[col[i] for col in cols[:g]] for i in range(g)]
     return Matrix._from_raw(field, rows), field._box(cols[g])
 
 
-def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
-    """(h1, h2) from (L1 - L2) h2 = ell2 - ell1 and h1 = -(L1 h2 + ell1).
-
-    One body for both fields.  Column j of both sides is scaled by
-    m_j = lcm(d1j, d2j) of the two points' column denominators (1 over
-    F_p), so the system is on ints, and `_solve_rows` gives
-    h2_j = m_j y_j / (det m_g); h1 = -(det ell1 + sum y_j col_j) follows
-    over the same denominator, which is 1 over F_p.
+def _solve_h_core(b1, b2):
+    """(h1, h2, den): h1 and h2 as int numerators over one denominator
+    from (L1 - L2) h2 = ell2 - ell1 and h1 = -(L1 h2 + ell1), for two
+    points in `_bare` form.  One body for both fields: column j of both
+    sides is scaled by m_j = lcm(d1j, d2j) of the two points' column
+    denominators (1 over F_p), so the system is on ints, and `_solve_rows`
+    gives h2_j = m_j y_j / (det m_g); h1 = -(det ell1 + sum y_j col_j)
+    follows over the same denominator den = det m_g, which is 1 over F_p.
     """
-    g, field = b1.genus, b1.field
+    p, g = b1[0], len(b1[1])
     c1, d1 = _columns(b1)
     c2, d2 = _columns(b2)
     m = [lcm(x, y) for x, y in zip(d1, d2)]
@@ -319,7 +319,7 @@ def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
     s2 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(c2, m, d2)]
     a = [[x[i] - y[i] for x, y in zip(s1[:g], s2)] + [s2[g][i] - s1[g][i]] for i in range(g)]
     try:
-        y, det = _solve_rows(a, g, field.modulus)
+        y, det = _solve_rows(a, g, p)
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
@@ -327,23 +327,20 @@ def _solve_h_core(b1: GroupoidPoint, b2: GroupoidPoint):
     h1, h2 = [-det * v for v in s1[g]], [mj * z for mj, z in zip(m, y)]
     for col, z in zip(s1, y):
         h1 = [w - z * v for w, v in zip(h1, col)]
-    if not field.modulus:
-        den = det * m[g]
-        h1, h2 = [Fraction(n, den) for n in h1], [Fraction(n, den) for n in h2]
-    return field._box(h1), field._box(h2)
+    return h1, h2, 1 if p else det * m[g]
 
 
 def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
-    """Coefficients (H1, H2) of the function vanishing on both inputs.
-
-    Inputs are the already-inverted points.  The defining relations are
-    H1 + L(b) H2 + ell(b) = 0 at b = a1bar and b = a2bar; H2 comes from
-    their difference, H1 from back-substitution at a1bar (at a2bar it
-    agrees by construction; `star` certifies R at both inputs).
+    """Coefficients (H1, H2) of the function vanishing on both inputs,
+    the already-inverted points: H1 + L(b) H2 + ell(b) = 0 at b = a1bar
+    and b = a2bar.  H2 comes from their difference, H1 from
+    back-substitution at a1bar; `star` certifies R at both inputs.
     """
     if anchor(a1bar) != anchor(a2bar):
         raise AnchorMismatch("inputs sit over different curve parameters")
-    return _solve_h_core(a1bar, a2bar)
+    *hs, den = _solve_h_core(_bare(a1bar), _bare(a2bar))
+    field = a1bar.field
+    return tuple(field._box(h if field.modulus else [Fraction(n, den) for n in h]) for h in hs)
 
 
 def build_r_from_h(h1, h2, genus: int) -> RFunction:
@@ -402,12 +399,8 @@ def phi_poly(r: RFunction, c: CurveParams) -> Poly:
     phi = (-1)^g [ (x^g r2 + r3)^2 - r1^2 f ]; always monic of degree 3g
     for a well-formed (r, c) pair, and that shape is checked.
     """
-    return _norm(r.r2._shift(r.genus) + r.r3, r.r1, curve_poly(c), r.genus)
-
-
-def _norm(even_half: Poly, r1: Poly, f: Poly, g: int) -> Poly:
-    """phi from the even half x^g r2 + r3, r1 and f, with its shape check."""
-    phi = even_half * even_half - r1 * r1 * f
+    g, even_half = r.genus, r.r2._shift(r.genus) + r.r3
+    phi = even_half * even_half - r.r1 * r.r1 * curve_poly(c)
     if g % 2 == 1:
         phi = -phi
     if phi.degree != 3 * g or not phi.is_monic():
@@ -429,39 +422,55 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
     """The partial product, keeping the internal RFunction for callers
     that inspect its coefficients.  Every call certifies R on u and v
     alone, sharing no code with the h-solve: r1 v + x^g r2 + r3 must
-    vanish mod u at both inverted inputs, else InvariantViolation."""
+    vanish mod u at both inverted inputs, else InvariantViolation.
+
+    Runs the stages of the module docstring on the `poly` kernels, with
+    w = -v the odd part of an inverted input.
+    """
     if a1.genus != a2.genus:
         raise ValueError("genus mismatch")
-    g = a1.genus
-    u1, u2, v1, v2 = u_poly(a1), u_poly(a2), v_poly(a1), v_poly(a2)
+    g, field = a1.genus, a1.field
+    b1, b2 = _bare(a1, -1), _bare(a2, -1)
+    p = b1[0]
+    u1, u2 = (_norm([-c for c in b[1]] + [b[2]], b[2], p) for b in (b1, b2))
+    w1, w2 = (_norm(b[3], b[4], p) for b in (b1, b2))
+    zs, dz = _ints([c.value for c in a1.z], p)
+    f_high = [0] * g + zs + [0, dz], dz  # x^(2g+1) + x^g z
     # The anchors agree when z does and Z1 = (v^2 - f_high) mod u does.
-    f_high = _f_high(a1)
-    z1 = (v1 * v1 - f_high) % u1
-    if a1.z != a2.z or z1 != (v2 * v2 - f_high) % u2:
+    (q_a, z1), (_, z2) = (_divmod(*_add(*_mul(*w, *w, p), *f_high, p, -1), *u, p)
+                          for u, w in ((u1, w1), (u2, w2)))
+    if a1.z != a2.z or z1 != z2:
         raise AnchorMismatch("summands sit over different curve parameters")
-    r = build_r_from_h(*_solve_h_core(invert(a1), invert(a2)), g)
-    even_half = r.r2._shift(g) + r.r3
-    # The inverted summands are (u, -v): r1 (-v) + x^g r2 + r3 = 0 mod u.
-    for u, v in ((u1, v1), (u2, v2)):
-        if not ((even_half - r.r1 * v) % u).is_zero():
-            raise InvariantViolation("R does not vanish on an inverted summand")
-    phi = _norm(even_half, r.r1, f_high + z1, g)  # f = f_high + Z1
-    u3, remainder = divmod(phi, u1 * u2)
-    if not remainder.is_zero():
+    h1, h2, den = _solve_h_core(b1, b2)
+    rest = h2 + [den]  # x^g, y, x^(g+1), y x, ... with the pinned leading 1
+    e, r1 = _norm(h1 + rest[0::2], den, p), _norm(rest[1::2], den, p)  # e = x^g r2 + r3
+    r1w1, r1w2 = _mul(*r1, *w1, p), _mul(*r1, *w2, p)
+    (k1, c1), (_, c2) = (_divmod(*_add(*e, *rw, p), *u, p) for rw, u in ((r1w1, u1), (r1w2, u2)))
+    if c1[0] or c2[0]:
+        raise InvariantViolation("R does not vanish on an inverted summand")
+    norm = _add(*_mul(*k1, *_add(*e, *r1w1, p, -1), p), *_mul(*_mul(*r1, *r1, p), *q_a, p), p)
+    if g % 2:
+        norm = _norm([-c for c in norm[0]], norm[1], p)
+    if len(norm[0]) != 2 * g + 1 or norm[0][-1] != norm[1]:
+        raise NotMonicDegree3g(f"expected phi / u1 monic of degree {2 * g}, got {norm}")
+    u3, remainder = _divmod(*norm, *u2, p)
+    if remainder[0]:
         raise NonzeroRemainder("norm polynomial not divisible by u1*u2")
-    if u3.degree != g or not u3.is_monic():
-        raise InvariantViolation(f"expected a monic degree-{g} quotient, got {u3!r}")
-    # R vanishes on the product, so r1 v3 + x^g r2 + r3 = 0 (mod u3).
-    r1_inv = inverse_mod(r.r1, u3)
+    if len(u3[0]) != g + 1 or u3[0][-1] != u3[1]:
+        raise InvariantViolation(f"expected a monic degree-{g} quotient, got {u3}")
+    # R vanishes on the product, so r1 v3 + e = 0 (mod u3).
+    r1_inv = _inverse(*r1, *u3, p)
     if r1_inv is None:
         raise DegenerateConfiguration(
             "odd-part recovery is singular; fall back to cantor_add", stage="odd_recovery"
         )
-    v3 = (-even_half * r1_inv) % u3
-    minus_u3 = -u3
-    p3_even = tuple([minus_u3[i] for i in range(g)])
-    p3_odd = tuple([v3[i] for i in range(g)])
-    return StarResult(GroupoidPoint(p3_even, p3_odd, a1.z), r)
+    minus_v3 = _divmod(*_mul(*_divmod(*e, *u3, p)[1], *r1_inv, p), *u3, p)[1]
+    out = [[-c for c in n[:g]] + [0] * (g - len(n[:g])) for n, _ in (u3, minus_v3)]
+    if not p:
+        out = [[Fraction(c, d) for c in n] for n, d in zip(out, (u3[1], minus_v3[1]))]
+    r2, r3 = Poly._from_ints(field, rest[0::2], den), Poly._from_ints(field, h1, den)
+    r = RFunction(g, Poly._wrap(field, *r1), r2, r3)
+    return StarResult(GroupoidPoint(field._box(out[0]), field._box(out[1]), a1.z), r)
 
 
 def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:

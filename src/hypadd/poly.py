@@ -1,13 +1,14 @@
 """Dense univariate polynomials over an exact field.
 
-A Poly holds ascending int coefficients `_values`, trailing zeros
-stripped (zero is the empty tuple, of degree -inf), over one `_den`:
-residues in [0, p) over 1 on F_p; over Q numerators with `_den` > 0 and
-gcd(`_den`, *`_values`) = 1, as FLINT's fmpq_poly (von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 6).  Arithmetic runs on ints, and
-`_from_ints` reduces each result mod p or divides out its content; the
-Scalars a caller reads (`coeffs`, `p[i]`, `lc()`, evaluation) hold
-Fractions over Q.
+A polynomial is ascending int numerators, trailing zeros stripped (zero
+is empty, of degree -inf), over one denominator: residues in [0, p)
+over 1 on F_p; over Q a denominator > 0 with gcd(den, *nums) = 1, as
+FLINT's fmpq_poly (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 6).  The kernels `_add`, `_mul`, `_divmod` and the inverse-only
+Euclid `_inverse` compute on such (nums, den) pairs with the modulus p
+(0 for Q) and return `_norm`'s canonical form.  `Poly` is the API shell
+over them, whose Scalars (`coeffs`, `p[i]`, `lc()`, evaluation) hold
+Fractions over Q; `groupoid.star_detail` calls the kernels directly.
 """
 
 from fractions import Fraction
@@ -19,15 +20,100 @@ from .field import FieldSpec, Scalar
 NEG_INF = float("-inf")
 
 
+def _ints(values, p: int):
+    """Bare field values as (int numerators, one denominator): residues
+    over 1 on F_p; on Q over the lcm of the denominators, content 1."""
+    if p:
+        return [v % p for v in values], 1
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _norm(nums, den: int, p: int):
+    """nums / den as a tuple reduced mod p over F_p (den 1); over Q,
+    den > 0 and content 1.  Trailing zeros are stripped."""
+    if p:
+        nums = [v % p for v in nums]
+    else:
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, [v // g for v in nums]
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    return tuple(nums[:n]), den
+
+
+def _add(a, da: int, b, db: int, p: int, sign: int = 1):
+    """a/da + sign * b/db, for sign 1 or -1."""
+    if da != db:
+        den = lcm(da, db)
+        a, b, da = [x * (den // da) for x in a], [y * (den // db) for y in b], den
+    n = min(len(a), len(b))
+    if sign > 0:
+        out = [x + y for x, y in zip(a, b)] + list(a[n:]) + list(b[n:])
+    else:
+        out = [x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]]
+    return _norm(out, da, p)
+
+
+def _mul(a, da: int, b, db: int, p: int):
+    """(a/da) * (b/db) by schoolbook convolution."""
+    if not a or not b:
+        return (), 1
+    m = len(b)
+    out = [0] * (len(a) + m - 1)
+    for i, x in enumerate(a):
+        out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
+    return _norm(out, da * db, p)
+
+
+def _divmod(a, da: int, b, db: int, p: int):
+    """Exact long division of canonical a/da by b/db: (quotient, remainder).
+    Over Q pseudo-division lc^e A = Q B + R on the numerators, each step
+    exact: q = Q db / (da lc^e), r = R / (da lc^e)."""
+    if not b:
+        raise DivisionByZeroPoly("division by the zero polynomial")
+    if len(a) < len(b):
+        return ((), 1), (tuple(a), da)
+    rem, m = list(a), len(b) - 1
+    lc = b[m]
+    if p:
+        inv_lc, scale = pow(lc, -1, p), 1
+    else:
+        scale = lc ** (len(rem) - m)
+        rem = [r * scale for r in rem]
+    quo = [0] * (len(rem) - m)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + m] * inv_lc % p if p else rem[k + m] // lc
+        quo[k] = c
+        if c:
+            rem[k : k + m] = [r - c * y for r, y in zip(rem[k : k + m], b)]
+    if not p:
+        quo = [c * db for c in quo]
+    return _norm(quo, da * scale, p), _norm(rem[:m], da * scale, p)
+
+
+def _inverse(a, da: int, m, dm: int, p: int):
+    """s with s * a = 1 mod m, deg s < deg m, or None when gcd(a, m) is not
+    constant: Euclid on (m, a) carrying only r_i = s_i * a (mod m)."""
+    r0, r1, s0, s1 = (m, dm), (a, da), ((), 1), ((1,), 1)
+    while r1[0]:
+        q, r = _divmod(*r0, *r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _add(*s0, *_mul(*q, *s1, p), p, -1)
+    if len(r0[0]) != 1:
+        return None
+    (c,), d = r0  # s = s0 / (c / d), with d = 1 over F_p
+    n, d = (pow(c, -1, p), 1) if p else (d, c)
+    return _norm([v * n for v in s0[0]], s0[1] * d, p)
+
+
 class Poly:
     __slots__ = ("field", "_values", "_den")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        vs, den = [field._value(c) for c in coeffs], 1
-        if not field.modulus:
-            # Over the lcm of reduced denominators the content is already 1.
-            den = lcm(*[v.denominator for v in vs])
-            vs = [v.numerator * (den // v.denominator) for v in vs]
+        vs, den = _ints([field._value(c) for c in coeffs], field.modulus)
         while vs and not vs[-1]:
             vs.pop()
         self.field, self._values, self._den = field, tuple(vs), den
@@ -39,19 +125,14 @@ class Poly:
 
     @classmethod
     def _from_ints(cls, field: FieldSpec, nums, den: int) -> "Poly":
-        """nums / den reduced mod p over F_p (den 1); over Q, den > 0 and content 1."""
-        p = field.modulus
-        if p:
-            nums = [v % p for v in nums]
-        else:
-            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-            if g != 1:
-                den, nums = den // g, [v // g for v in nums]
-        n = len(nums)
-        while n and not nums[n - 1]:
-            n -= 1
+        """nums / den in `_norm`'s canonical form."""
+        return cls._wrap(field, *_norm(nums, den, field.modulus))
+
+    @classmethod
+    def _wrap(cls, field: FieldSpec, nums, den: int) -> "Poly":
+        """The Poly of a kernel result: a canonical tuple over den."""
         out = cls.__new__(cls)
-        out.field, out._values, out._den = field, tuple(nums[:n]), den
+        out.field, out._values, out._den = field, nums, den
         return out
 
     @property
@@ -96,27 +177,14 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self._values, self._den))
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         if not self._check(other):
             return NotImplemented
-        a, b, den = self._values, other._values, self._den
-        if den != other._den:
-            den = lcm(den, other._den)
-            a, b = [x * (den // self._den) for x in a], [y * (den // other._den) for y in b]
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly._from_ints(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b) :]), den)
+        out = _add(self._values, self._den, other._values, other._den, self.field.modulus, sign)
+        return Poly._wrap(self.field, *out)
 
     def __sub__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        a, b, den = self._values, other._values, self._den
-        if den != other._den:
-            den = lcm(den, other._den)
-            a, b = [x * (den // self._den) for x in a], [y * (den // other._den) for y in b]
-        n = min(len(a), len(b))
-        out = [x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]]
-        return Poly._from_ints(self.field, out, den)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return Poly._from_ints(self.field, [-c for c in self._values], self._den)
@@ -128,56 +196,21 @@ class Poly:
             return Poly._from_ints(self.field, [c * n for c in self._values], self._den * d)
         if not self._check(other):
             return NotImplemented
-        a, b = self._values, other._values
-        if not a or not b:
-            return Poly(self.field)
-        m = len(b)
-        out = [0] * (len(a) + m - 1)
-        for i, x in enumerate(a):
-            out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
-        return Poly._from_ints(self.field, out, self._den * other._den)
+        out = _mul(self._values, self._den, other._values, other._den, self.field.modulus)
+        return Poly._wrap(self.field, *out)
 
     __rmul__ = __mul__
 
     def _shift(self, k: int) -> "Poly":
         """x^k * self: k zeros in front, the same denominator and content."""
-        out = Poly.__new__(Poly)
-        out.field, out._den = self.field, self._den
-        out._values = (0,) * k + self._values if self._values else ()
-        return out
+        return Poly._wrap(self.field, (0,) * k + self._values if self._values else (), self._den)
 
     def __divmod__(self, other):
-        """Exact long division: self = q*other + r with deg r < deg other.
-
-        Over Q: pseudo-division lc^e A = Q B + R on the numerators, each step
-        exact; q = Q * other._den / (self._den * lc^e), r = R / (self._den * lc^e).
-        """
+        """Exact long division: self = q*other + r with deg r < deg other."""
         if not self._check(other):
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZeroPoly("division by the zero polynomial")
-        if self.degree < other.degree:
-            return Poly(self.field), self
-        p = self.field.modulus
-        rem, b = list(self._values), other._values
-        m = len(b) - 1
-        lc = b[m]
-        if p:
-            inv_lc, scale = pow(lc, -1, p), 1
-        else:
-            scale = lc ** (len(rem) - m)
-            rem = [r * scale for r in rem]
-        b = b[:m]
-        quo = [0] * (len(rem) - m)
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + m] * inv_lc % p if p else rem[k + m] // lc
-            quo[k] = c
-            if c:
-                rem[k : k + m] = [r - c * y for r, y in zip(rem[k : k + m], b)]
-        if not p:
-            quo = [c * other._den for c in quo]
-        den = self._den * scale
-        return Poly._from_ints(self.field, quo, den), Poly._from_ints(self.field, rem[:m], den)
+        q, r = _divmod(self._values, self._den, other._values, other._den, self.field.modulus)
+        return Poly._wrap(self.field, *q), Poly._wrap(self.field, *r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -252,17 +285,6 @@ def xgcd(a: Poly, b: Poly):
 
 def inverse_mod(a: Poly, m: Poly):
     """s with (s * a) mod m = 1 and deg s < deg m, or None when
-    gcd(a, m) is not constant.
-
-    The extended Euclidean algorithm on (m, a) that carries only the
-    cofactor of a: each remainder r_i = s_i * a (mod m).
-    """
-    r0, r1 = m, a
-    s0, s1 = Poly(a.field), Poly(a.field, [1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        return None
-    return s0 * r0.lc().inverse()
+    gcd(a, m) is not constant (the kernel `_inverse`)."""
+    s = _inverse(a._values, a._den, m._values, m._den, a.field.modulus)
+    return None if s is None else Poly._wrap(a.field, *s)

@@ -19,12 +19,13 @@ from .groupoid import _interpolate, _phi_values
 def sqrt_mod(a: int, p: int):
     """A square root of a modulo an odd prime p, or None for non-residues."""
     a %= p
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks
     q, s = p - 1, 0
     while q % 2 == 0:

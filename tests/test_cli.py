@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hypadd import CurveParams, GroupoidPoint, cli, invert, make_field, star, to_mumford
 from hypadd.cantor import cantor_add
 from hypadd.cli import run
@@ -349,3 +351,17 @@ def test_genus_help_names_the_curve_file(capsys):
     for command, wanted in cases:
         assert run([command, "--help"]) == 0
         assert wanted in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize(
+    "field, genus, trials",
+    [("fp:10007", "0", "1"), ("q", "0", "1"), ("fp:10007", "1", "0"), ("q", "1", "-1")],
+)
+def test_verify_rejects_genus_or_trials_below_one(field, genus, trials, capsys):
+    """verify needs a genus and a trial count of at least 1: below that
+    it exits 2 with a JSON error, not a traceback or an empty green report."""
+    code = run(["verify", "--field", field, "--genus", genus, "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"

@@ -29,6 +29,7 @@ from hypadd.errors import (
     AnchorMismatch,
     DegenerateConfiguration,
     InvariantViolation,
+    NonzeroRemainder,
     NotMonicDegree3g,
     RepeatedAbscissa,
     ZeroScale,
@@ -43,6 +44,7 @@ from hypadd.groupoid import (
     phi_poly,
     solve_h,
 )
+from hypadd.field import Scalar
 from hypadd.linalg import Matrix
 from hypadd.poly import Poly
 from hypadd.sampling import fit_curve_through
@@ -267,8 +269,8 @@ def test_dual_check_disagreement_raises(monkeypatch):
     real = groupoid._solve_h_core
 
     def off_by_one(b1, b2):
-        h1, h2 = real(b1, b2)
-        return h1, (h2[0] + 1,) + h2[1:]
+        h1, h2, den = real(b1, b2)
+        return h1, [h2[0] + den] + h2[1:], den
 
     monkeypatch.setattr(groupoid, "_solve_h_core", off_by_one)
     with pytest.raises(InvariantViolation):
@@ -283,7 +285,8 @@ def test_dual_check_catches_kl_columns_fault(monkeypatch):
     rng = seeded("kl-fault")
     pairs = [A1, A2], list(q_pair(2, rng)[1:]), list(fp_pair(P, 3, rng)[1:])
     for a1, a2 in pairs:
-        for faulty in ((invert(a1), invert(a2)), (invert(a1),), (invert(a2),)):
+        inverted = groupoid._bare(invert(a1)), groupoid._bare(invert(a2))
+        for faulty in (inverted, inverted[:1], inverted[1:]):
 
             def perturbed(b, faulty=faulty):
                 cols, dens = real(b)
@@ -340,7 +343,8 @@ def test_solve_h_holds_field_scalars(monkeypatch):
     assert all(holds_field_scalars(h, P) for h in solve_h(invert(a1), invert(a2)))
     c = fit_curve_through(Q, 1, [qs(1, 1), qs(0, 2)])
     b1, b2 = (viete_phi(PointListRep([qs(*xy)], c.lambda2)) for xy in ((1, 1), (0, 2)))
-    assert groupoid._columns(b1)[1] == groupoid._columns(b2)[1] == [1, 1]
+    assert groupoid._columns(groupoid._bare(b1))[1] == [1, 1]
+    assert groupoid._columns(groupoid._bare(b2))[1] == [1, 1]
     dets.clear()
     for x, y in ((b1, b2), (b2, b1), q_pair(2, rng)[1:]):
         assert all(holds_field_scalars(h, Q) for h in solve_h(invert(x), invert(y)))
@@ -542,6 +546,90 @@ def test_division_remainder_is_checked_every_call():
         assert r.is_zero()
         assert q.is_monic() and q.degree == g
         assert u_poly(res.point) == q
+
+
+def _answered_pairs(rng):
+    """One pair star answers at each of F_p genus 1, 3, 8 and Q genus 1-3."""
+    pairs = []
+    for field, g in [(P, 1), (P, 3), (P, 8), (Q, 1), (Q, 2), (Q, 3)]:
+        for _ in range(10):
+            _, a1, a2 = fp_pair(P, g, rng) if field is P else q_pair(g, rng)
+            try:
+                star(a1, a2)
+            except DegenerateConfiguration:
+                continue
+            pairs.append((a1, a2))
+            break
+    assert len(pairs) == 6
+    return pairs
+
+
+def test_star_boxes_only_its_answer(monkeypatch):
+    """star_detail works on bare values from input to output: it builds
+    exactly the 2g Scalars of the answer's p_even and p_odd, and runs no
+    Poly arithmetic operator."""
+    pairs = _answered_pairs(seeded("boxing"))
+    want = [star_detail(a1, a2) for a1, a2 in pairs]
+    built, real_init = [], Scalar.__init__
+
+    def counted(self, field, value):
+        built.append(value)
+        real_init(self, field, value)
+
+    def refuse(*_):
+        raise AssertionError("Poly arithmetic in star_detail")
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__divmod__", "__neg__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    for (a1, a2), res in zip(pairs, want):
+        built.clear()
+        got = star_detail(a1, a2)
+        assert len(built) == 2 * a1.genus
+        assert (got.point, got.r) == (res.point, res.r)
+
+
+def _bump_anchor_quotient(monkeypatch):
+    """Double the leading coefficient of q_a, the anchor check's quotient
+    of w^2 - f_high (degree 2g + 1) by u: the only quotient of degree
+    deg u + 1 that star computes before its norm."""
+    real = groupoid._divmod
+
+    def bumped(a, da, b, db, p):
+        (q, dq), r = real(a, da, b, db, p)
+        if len(q) == len(b) + 1:
+            q = q[:-1] + (2 * q[-1],)
+        return (q, dq), r
+
+    monkeypatch.setattr(groupoid, "_divmod", bumped)
+
+
+def test_star_checks_the_norm_quotient_shape(monkeypatch):
+    """At odd g, r1 leads R, so a wrong q_a moves the x^(2g) coefficient
+    of phi / u1: star raises NotMonicDegree3g, as phi is then not monic
+    of degree 3g."""
+    rng = seeded("norm-shape")
+    pairs = [fp_pair(P, g, rng)[1:] for g in (1, 3)] + [q_pair(g, rng)[1:] for g in (1, 3)]
+    _bump_anchor_quotient(monkeypatch)
+    for a1, a2 in pairs:
+        with pytest.raises(NotMonicDegree3g):
+            star(a1, a2)
+
+
+def test_star_checks_the_division_by_u2(monkeypatch):
+    """At even g, a wrong q_a leaves phi / u1 monic of degree 2g but no
+    longer divisible by u2: star raises NonzeroRemainder."""
+    rng = seeded("norm-remainder")
+    pairs = [fp_pair(P, g, rng)[1:] for g in (2, 4)] + [q_pair(g, rng)[1:] for g in (2, 4)]
+    _bump_anchor_quotient(monkeypatch)
+    for a1, a2 in pairs:
+        with pytest.raises(NonzeroRemainder):
+            star(a1, a2)
+
+
+def test_curve_params_need_genus_at_least_one():
+    with pytest.raises(ValueError):
+        CurveParams(0, (), ())
 
 
 def test_shared_u_configuration_degenerate_g2():

@@ -37,14 +37,17 @@ F7 = make_field("fp", 7)
 
 
 def test_sqrt_mod():
-    for p in (10007, 7, 2**31 - 1):
-        found = 0
-        for a in range(1, 40):
-            r = sqrt_mod(a % p, p)
-            if r is not None:
-                assert r * r % p == a % p
-                found += 1
-        assert found > 0
+    """A root for every square and None for every non-residue, against
+    the brute-force squares.  7 and 11 take the p = 3 (mod 4) branch;
+    13, 17 and 41 run Tonelli-Shanks, with s >= 3 at 17 and 41."""
+    for p in (7, 11, 13, 17, 41):
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, 2 * p):
+            r = sqrt_mod(a, p)
+            if a % p in squares:
+                assert r is not None and r * r % p == a % p
+            else:
+                assert r is None
 
 
 def test_sample_point_fp_is_on_curve():
