@@ -37,8 +37,9 @@ over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
 come out over one denominator.  `kl_columns` boxes the same columns for
 the matrix routes.  R = r1 y + x^g r2 + r3 is held as its three
 polynomials.  Each product by a power of x is a shift, and r1^(-1) mod
-u3 comes from the inverse-only extended Euclid `poly._inverse`.  The
-matrix routes (build_r_determinant, rank_witness, anchor_s) and
+u3 comes from `poly._inverse` on the one extended Euclid `poly._euclid`.
+`star` and `anchor` share one anchor division, `_anchor_division`.
+The matrix routes (build_r_determinant, rank_witness, anchor_s) and
 `phi_poly` stay as the tests' independent oracles.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
@@ -240,9 +241,7 @@ def anchor(a: GroupoidPoint):
     with z read as a polynomial ascending in x.  Both halves come back
     highest weight first.
     """
-    v = v_poly(a)
-    f_high = Poly._from_raw(a.field, [c.value for c in a.z] + [0, 1])._shift(a.genus)
-    rem = (v * v - f_high) % u_poly(a)
+    rem = Poly._wrap(a.field, *_anchor_division(_bare(a), a.z)[3])
     return tuple([rem[i] for i in range(a.genus)]), a.z
 
 
@@ -273,6 +272,18 @@ def _bare(a: GroupoidPoint, sign: int = 1):
     pe, dp = _ints([c.value for c in a.p_even], p)
     po, do = _ints([sign * c.value for c in a.p_odd], p)
     return p, pe, dp, po, do
+
+
+def _anchor_division(b, z):
+    """(u, v, q_a, Z1) for a point in `_bare` form and its z vector: the
+    Mumford pair (u, v) and v^2 - f_high = q_a u + Z1, where f_high =
+    x^(2g+1) + x^g z, so that f = f_high + Z1 on the point's curve."""
+    p, pe, dp, po, do = b
+    g = len(pe)
+    u, v = _norm([-c for c in pe] + [dp], dp, p), _norm(po, do, p)
+    zs, dz = _ints([c.value for c in z], p)
+    f_high = [0] * g + zs + [0, dz], dz
+    return (u, v, *_divmod(*_add(*_mul(*v, *v, p), *f_high, p, -1), *u, p))
 
 
 def _columns(b):
@@ -432,13 +443,8 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
     g, field = a1.genus, a1.field
     b1, b2 = _bare(a1, -1), _bare(a2, -1)
     p = b1[0]
-    u1, u2 = (_norm([-c for c in b[1]] + [b[2]], b[2], p) for b in (b1, b2))
-    w1, w2 = (_norm(b[3], b[4], p) for b in (b1, b2))
-    zs, dz = _ints([c.value for c in a1.z], p)
-    f_high = [0] * g + zs + [0, dz], dz  # x^(2g+1) + x^g z
-    # The anchors agree when z does and Z1 = (v^2 - f_high) mod u does.
-    (q_a, z1), (_, z2) = (_divmod(*_add(*_mul(*w, *w, p), *f_high, p, -1), *u, p)
-                          for u, w in ((u1, w1), (u2, w2)))
+    # The anchors agree when z does and Z1 = (w^2 - f_high) mod u does.
+    (u1, w1, q_a, z1), (u2, w2, _, z2) = _anchor_division(b1, a1.z), _anchor_division(b2, a2.z)
     if a1.z != a2.z or z1 != z2:
         raise AnchorMismatch("summands sit over different curve parameters")
     h1, h2, den = _solve_h_core(b1, b2)

@@ -1,13 +1,12 @@
 """Exact dense linear algebra over the shared Scalar type.
 
-Every solve runs on int rows through one kernel, `_solve_rows`, the only
-place that picks an elimination by field: over F_p the forward
-elimination `_reduce` on residues, over Q the fraction-free Bareiss
-elimination, which returns the solution as integer numerators over one
-determinant; both share the back-substitution.  `solve` clears each
-row's denominators over Q before calling it.  `rank` runs `_reduce`
-alone, on Fractions over Q.  Pivoting is always "first nonzero", so
-runs are reproducible across platforms.
+Every solve and every rank runs one elimination, the fraction-free
+`_eliminate`, on int rows for both fields: over F_p on residues mod p,
+over Q on each row cleared of its denominators (`poly._ints`).  Solves
+go through `_solve_rows`, which adds one back-substitution and returns
+the solution as integer numerators over one determinant (1 over F_p).
+Pivoting is always "first nonzero", so runs are reproducible across
+platforms.
 
 A Matrix holds its field and a tuple of rows of bare values.  The
 elimination and the products compute on those, and Scalars are built
@@ -16,10 +15,10 @@ solution.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import NotSquare, SingularMatrix
-from .field import FieldSpec, _inverse_value
+from .field import FieldSpec
+from .poly import _ints
 
 
 class Matrix:
@@ -76,85 +75,63 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _reduce(a, ncols: int, p: int) -> list:
-    """Forward elimination in place on the first ncols columns of the row
-    list a, whose entries are bare values; returns the pivot columns.
+def _eliminate(a, ncols: int, p: int):
+    """Fraction-free forward elimination in place on the first ncols
+    columns of the int rows a; returns (pivot_cols, det).
 
-    Each pivot is the first nonzero entry at or below the current row,
-    its row is scaled to a leading 1 and only the entries below it are
-    cleared, each row operation starting at the pivot column.  Over F_p
-    (p nonzero) the rows below stay unreduced mod p, growing by less
-    than p^2 per step: each column is reduced before its pivot is sought
-    and the pivot row after scaling, so the zero tests, factors and
-    pivot rows are exact.  Callers reduce what else they read.
+    Each pivot is the first nonzero entry at or below the current row, and
+    a column with none is skipped, so the pivot count is the rank.  With
+    the pivot piv, each entry x of a row below, whose pivot-column entry
+    is f, becomes (piv x - f y) // det over Q, where y is the pivot row's
+    entry and det the previous pivot (Bareiss, Math. Comp. 22, 1968): the
+    division is exact, every entry a minor of a, and det ends as the last
+    pivot, the determinant of the pivot minor up to the sign of the row
+    swaps.  Over F_p (p nonzero) the entry becomes (piv x - f y) % p and
+    det stays 1; each column is reduced before its pivot is sought.
     """
-    pivots = []
-    nr = len(a)
+    pivots, det, nr = [], 1, len(a)
     for col in range(ncols):
-        r = len(pivots)
-        if r == nr:
-            break
+        k = len(pivots)
         if p:
-            for i in range(r, nr):
-                a[i][col] %= p
-        pivot_row = None
-        for i in range(r, nr):
+            for r in a[k:]:
+                r[col] %= p
+        for i in range(k, nr):
             if a[i][col]:
-                pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = _inverse_value(a[r][col], p)
-        pivot = [c * inv for c in a[r][col:]]
-        if p:
-            pivot = [c % p for c in pivot]
-        a[r][col:] = pivot
-        for i in range(r + 1, nr):
-            factor = a[i][col]
-            if factor:
-                a[i][col:] = [ci - factor * ck for ci, ck in zip(a[i][col:], pivot)]
+        a[k], a[i] = a[i], a[k]
+        row, piv = a[k], a[k][col]
+        for r in a[k + 1 :]:
+            f = r[col]
+            pairs = zip(r[col + 1 :], row[col + 1 :])
+            if p:
+                r[col + 1 :] = [(piv * x - f * y) % p for x, y in pairs]
+            else:
+                r[col + 1 :] = [(piv * x - f * y) // det for x, y in pairs]
+        if not p:
+            det = piv
         pivots.append(col)
-    return pivots
+    return pivots, det
 
 
 def _solve_rows(a, n: int, p: int):
     """Solve the system whose n int rows in a hold n coefficients and a
     right-hand side, eliminating in place; returns (y, det), x = y / det.
 
-    This is the one place that picks an elimination by field.  Over F_p
-    it is `_reduce` on residues, whose pivot rows have a leading 1, and
-    det is 1.  Over Q (p = 0) it is fraction-free elimination (Bareiss,
-    Math. Comp. 22, 1968) with first-nonzero pivots: step k divides
-    exactly by the pivot of step k - 1, so every entry is a minor of a,
-    and det is the last pivot, the determinant up to the sign of the row
-    swaps.  Both then back-substitute from the bottom; over Q det * x is
-    integral by Cramer's rule, so each division there is exact.  A
-    column with no pivot raises SingularMatrix.
+    `_eliminate` runs, then one back-substitution from the bottom: over Q
+    det * x is integral by Cramer's rule, so each division by a pivot is
+    exact; over F_p det is 1 and each pivot is inverted mod p.  A column
+    with no pivot raises SingularMatrix.
     """
-    det = 1
-    if p:
-        pivots = _reduce(a, n, p)
-        if len(pivots) != n:
-            raise SingularMatrix(f"rank {len(pivots)} < {n}")
-    else:
-        for k in range(n):
-            for i in range(k, n):
-                if a[i][k]:
-                    break
-            else:
-                raise SingularMatrix(f"no pivot in column {k} of {n}")
-            a[k], a[i] = a[i], a[k]
-            row, piv = a[k], a[k][k]
-            for r in a[k + 1 :]:
-                f = r[k]
-                r[k + 1 :] = [(piv * x - f * y) // det for x, y in zip(r[k + 1 :], row[k + 1 :])]
-            det = piv
+    pivots, det = _eliminate(a, n, p)
+    if len(pivots) != n:
+        raise SingularMatrix(f"rank {len(pivots)} < {n}")
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
         acc = det * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])
-        y[i] = acc % p if p else acc // row[i]
+        y[i] = acc * pow(row[i], -1, p) % p if p else acc // row[i]
     return y, det
 
 
@@ -166,17 +143,14 @@ def solve(m: Matrix, rhs) -> tuple:
     rhs = [m.field._value(v) for v in rhs]
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
-    a = [list(row) + [b] for row, b in zip(m._values, rhs)]
     p = m.field.modulus
-    if not p:
-        dens = [lcm(*[v.denominator for v in row]) for row in a]
-        a = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(a, dens)]
-    y, det = _solve_rows(a, n, p)
+    y, det = _solve_rows([_ints(row + (b,), p)[0] for row, b in zip(m._values, rhs)], n, p)
     return m.field._box(y if p else [Fraction(v, det) for v in y])
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce([list(row) for row in m._values], m.ncols, m.field.modulus))
+    p = m.field.modulus
+    return len(_eliminate([_ints(row, p)[0] for row in m._values], m.ncols, p)[0])
 
 
 def vandermonde(field: FieldSpec, xs) -> Matrix:

@@ -4,11 +4,13 @@ A polynomial is ascending int numerators, trailing zeros stripped (zero
 is empty, of degree -inf), over one denominator: residues in [0, p)
 over 1 on F_p; over Q a denominator > 0 with gcd(den, *nums) = 1, as
 FLINT's fmpq_poly (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 6).  The kernels `_add`, `_mul`, `_divmod` and the inverse-only
-Euclid `_inverse` compute on such (nums, den) pairs with the modulus p
-(0 for Q) and return `_norm`'s canonical form.  `Poly` is the API shell
-over them, whose Scalars (`coeffs`, `p[i]`, `lc()`, evaluation) hold
-Fractions over Q; `groupoid.star_detail` calls the kernels directly.
+ch. 6).  The kernels `_add`, `_mul`, `_divmod` and the one extended
+Euclid `_euclid`, which carries only the cofactor of its first operand,
+compute on such (nums, den) pairs with the modulus p (0 for Q) and
+return `_norm`'s canonical form.  `_inverse` (for `star`) and `xgcd`
+(for Cantor) are thin callers of `_euclid`.  `Poly` is the API shell
+over the kernels, whose Scalars (`coeffs`, `p[i]`, `lc()`, evaluation)
+hold Fractions over Q; `groupoid.star_detail` calls the kernels directly.
 """
 
 from fractions import Fraction
@@ -94,19 +96,27 @@ def _divmod(a, da: int, b, db: int, p: int):
     return _norm(quo, da * scale, p), _norm(rem[:m], da * scale, p)
 
 
-def _inverse(a, da: int, m, dm: int, p: int):
-    """s with s * a = 1 mod m, deg s < deg m, or None when gcd(a, m) is not
-    constant: Euclid on (m, a) carrying only r_i = s_i * a (mod m)."""
-    r0, r1, s0, s1 = (m, dm), (a, da), ((), 1), ((1,), 1)
+def _euclid(a, da: int, m, dm: int, p: int):
+    """(g, s): g = gcd(a, m) monic and s with s * a = g (mod m), by
+    Euclid on (a, m) carrying only the cofactor of a.  a and m are not
+    both zero."""
+    r0, r1, s0, s1 = (a, da), (m, dm), ((1,), 1), ((), 1)
+    if len(a) < len(m):  # the first step would only swap the pairs
+        r0, r1, s0, s1 = r1, r0, s1, s0
     while r1[0]:
         q, r = _divmod(*r0, *r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _add(*s0, *_mul(*q, *s1, p), p, -1)
-    if len(r0[0]) != 1:
-        return None
-    (c,), d = r0  # s = s0 / (c / d), with d = 1 over F_p
-    n, d = (pow(c, -1, p), 1) if p else (d, c)
-    return _norm([v * n for v in s0[0]], s0[1] * d, p)
+    (g, dg), c = r0, r0[0][-1]  # divide both by the leading coefficient c / dg
+    n, d = (pow(c, -1, p), 1) if p else (dg, c)
+    return _norm([v * n for v in g], dg * d, p), _norm([v * n for v in s0[0]], s0[1] * d, p)
+
+
+def _inverse(a, da: int, m, dm: int, p: int):
+    """s with s * a = 1 mod m, deg s < deg m, or None when gcd(a, m) is not
+    constant."""
+    (g, _), s = _euclid(a, da, m, dm, p)
+    return s if len(g) == 1 else None
 
 
 class Poly:
@@ -267,24 +277,14 @@ def from_roots(field: FieldSpec, roots) -> Poly:
 
 
 def xgcd(a: Poly, b: Poly):
-    """Extended gcd: returns (d, s, t) with s*a + t*b = d and d monic."""
+    """Extended gcd: returns (d, s, t) with s*a + t*b = d and d monic;
+    t = (d - s*a) / b exactly, and 0 when b is 0."""
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly(field, [1]), Poly(field)
-    t0, t1 = Poly(field), Poly(field, [1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    scale = r0.lc().inverse()
-    return r0 * scale, s0 * scale, t0 * scale
-
-
-def inverse_mod(a: Poly, m: Poly):
-    """s with (s * a) mod m = 1 and deg s < deg m, or None when
-    gcd(a, m) is not constant (the kernel `_inverse`)."""
-    s = _inverse(a._values, a._den, m._values, m._den, a.field.modulus)
-    return None if s is None else Poly._wrap(a.field, *s)
+    a._check(b)
+    field, p = a.field, a.field.modulus
+    d, s = _euclid(a._values, a._den, b._values, b._den, p)
+    t = ((), 1)
+    if b._values:
+        t = _divmod(*_add(*d, *_mul(*s, a._values, a._den, p), p, -1), b._values, b._den, p)[0]
+    return Poly._wrap(field, *d), Poly._wrap(field, *s), Poly._wrap(field, *t)

@@ -1,17 +1,19 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import FieldMismatch, NotSquare, SingularMatrix
-from hypadd.linalg import Matrix, _solve_rows, rank, solve, vandermonde
+from hypadd.linalg import Matrix, _eliminate, _solve_rows, rank, solve, vandermonde
+from tests.conftest import seeded
 
 Q = make_field("q")
 P = make_field("fp", 10007)
 F7 = make_field("fp", 7)
 M61 = make_field("fp", 2**61 - 1)
+F3 = make_field("fp", 3)
 
 
 def leibniz_det(m: Matrix):
@@ -210,8 +212,9 @@ def test_elimination_swaps_pivots_mid_way():
     )
 )
 def test_solve_round_trip_mersenne_61(rows):
-    """Over p = 2^61 - 1 the rows below a pivot are left unreduced and
-    pass p^2 = 2^122 after two steps; the solution must still be exact."""
+    """Over p = 2^61 - 1 each elimination step forms piv x - f y, past
+    p^2 = 2^122, before reducing it mod p, and back-substitution inverts
+    each pivot mod p; the solution must still be exact."""
     m = Matrix(M61, [row[:-1] for row in rows])
     bvec = tuple(M61.scalar(row[-1]) for row in rows)
     if leibniz_det(m).is_zero():
@@ -279,3 +282,67 @@ def test_q_solve_swaps_pivots_mid_way():
     singular = [[2, 1, 3], [4, 2, 6], [6, 0, 5]]
     with pytest.raises(SingularMatrix):
         solve(qmat([[Fraction(v, di) for v in row] for row, di in zip(singular, d)]), b)
+
+
+def minor(m: Matrix, ri, ci):
+    return leibniz_det(Matrix(m.field, [[m.rows[i][j] for j in ci] for i in ri]))
+
+
+def reference_rank(m: Matrix) -> int:
+    """The order of the largest nonzero minor, by leibniz_det."""
+    for r in range(min(m.nrows, m.ncols), 0, -1):
+        for ri in combinations(range(m.nrows), r):
+            if any(not minor(m, ri, ci).is_zero() for ci in combinations(range(m.ncols), r)):
+                return r
+    return 0
+
+
+def reference_pivots(m: Matrix) -> list:
+    """Column j has a pivot exactly when it raises the rank of the
+    columns before it."""
+    ranks = [reference_rank(Matrix(m.field, [r[:j] for r in m.rows])) for j in range(1, m.ncols + 1)]
+    return [j for j, (r0, r1) in enumerate(zip([0] + ranks, ranks)) if r1 > r0]
+
+
+def deficient_rows(rng, nr, nc, r, lo, hi):
+    """An nr x nc int product B C with r inner columns, so rank at most r,
+    whose column 2 is 2 (column 0) - 3 (column 1) and so has no pivot."""
+    b = [[rng.randint(lo, hi) for _ in range(r)] for _ in range(nr)]
+    c = [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(r)]
+    for row in c:
+        row[2] = 2 * row[0] - 3 * row[1]
+    return [[sum([x * row[j] for x, row in zip(brow, c)]) for j in range(nc)] for brow in b]
+
+
+@pytest.mark.parametrize("field", [Q, F3, F7], ids=["q", "f3", "f7"])
+def test_rank_and_solve_skip_a_pivotless_middle_column(field):
+    """Rank-deficient rectangular matrices whose column 2 has no pivot,
+    so elimination skips it and goes on past it.  Over Q each row lies
+    over a denominator above 2^40, and the fraction-free elimination of
+    the cleared int rows must end with det equal to the minor on the
+    pivot rows and columns: keeping a wrong det after the skip, or not
+    dividing by it, breaks the exact divisions that follow."""
+    rng = seeded(f"pivotless-{field.modulus}")
+    for nr, nc, r in [(4, 5, 3), (5, 6, 4), (4, 6, 3), (5, 5, 3)]:
+        lo, hi = (1, 9) if field is Q else (0, field.modulus - 1)
+        rows = deficient_rows(rng, nr, nc, r, lo, hi)
+        if field is Q:
+            d = [2**40 + rng.randrange(1, 2**40) for _ in rows]
+            m = qmat([[Fraction(v, di) for v in row] for row, di in zip(rows, d)])
+        else:
+            m = Matrix(field, rows)
+        pivots = reference_pivots(m)
+        assert 2 not in pivots
+        assert rank(m) == len(pivots) == reference_rank(m)
+        got, det = _eliminate([list(row) for row in rows], nc, field.modulus)
+        assert got == pivots
+        if field is Q:
+            # generic positive rows: no swap, so the pivot rows are the first ones
+            assert len(pivots) == r and det == minor(qmat(rows), range(r), pivots) != 0
+            square = qmat([[rows[i][j] for j in pivots] for i in range(r)])
+            b = tuple(Q.scalar(Fraction(rng.randint(-9, 9), 2**41 + 1)) for _ in range(r))
+            assert square.vec(solve(square, b)) == b
+        else:
+            assert det == 1
+        with pytest.raises(SingularMatrix):
+            solve(Matrix(field, [row[:nr] for row in m.rows]), [field.one()] * nr)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hypadd import make_field
 from hypadd.errors import BothZero, DivisionByZeroPoly, FieldMismatch
-from hypadd.poly import NEG_INF, Poly, from_roots, inverse_mod, x_power, xgcd
+from hypadd.poly import NEG_INF, Poly, _inverse, from_roots, x_power, xgcd
 
 Q = make_field("q")
 F7 = make_field("fp", 7)
@@ -70,6 +70,18 @@ def test_xgcd_hand_value():
     d, s, t = xgcd(qp(2, -3, 1), qp(0, -2, 1))
     assert d == qp(-2, 1)
     assert s * qp(2, -3, 1) + t * qp(0, -2, 1) == d
+
+
+def test_xgcd_runs_euclid_on_a_then_b():
+    """The cofactors are Euclid's on (a, b) in that order: with deg a =
+    deg b they differ from the run on (b, a), and a zero operand gets
+    the zero cofactor."""
+    assert xgcd(qp(1, 1), qp(2, 2)) == (qp(1, 1), qp(), qp("1/2"))
+    assert xgcd(qp(2, 2), qp(1, 1)) == (qp(1, 1), qp(), qp(1))
+    assert xgcd(qp(1, 0, 1), qp(0, 1, 1)) == (qp(1), qp(1, "1/2"), qp("-1/2", "-1/2"))
+    assert xgcd(qp(2, 4), qp()) == (qp("1/2", 1), qp("1/4"), qp())
+    assert xgcd(qp(), qp(2, 4)) == (qp("1/2", 1), qp(), qp("1/4"))
+    assert xgcd(Poly(F7, [1, 1]), Poly(F7, [3, 3])) == (Poly(F7, [1, 1]), Poly(F7), Poly(F7, [5]))
 
 
 def test_eval_mod7():
@@ -320,14 +332,20 @@ def test_shift_is_the_monomial_product():
             assert canonical_form(shifted)
 
 
+def boxed_inverse(a, m):
+    """The kernel `_inverse` on two Polys, boxed."""
+    s = _inverse(a._values, a._den, m._values, m._den, a.field.modulus)
+    return None if s is None else Poly._wrap(a.field, *s)
+
+
 @given(polys_over_one_field(2))
 def test_inverse_mod_iff_gcd_is_constant(case):
-    """inverse_mod(a, m) is the inverse of a mod m exactly when xgcd
-    finds a constant gcd, and None otherwise."""
+    """The kernel `_inverse` gives the inverse of a mod m exactly when
+    xgcd finds a constant gcd, and None otherwise."""
     field, (a, m), _ = case
     if m.degree < 1:
         return
-    s = inverse_mod(a, m)
+    s = boxed_inverse(a, m)
     if xgcd(a, m)[0].degree == 0:
         assert (s * a) % m == Poly(field, [1])
         assert s.degree < m.degree and canonical_form(s)
@@ -337,8 +355,8 @@ def test_inverse_mod_iff_gcd_is_constant(case):
 
 def test_inverse_mod_worked_values():
     # x * (x + 1) = x^2 + x = -1 mod x^2 + x + 1, so x^-1 = -(x + 1)
-    assert inverse_mod(qp(0, 1), qp(1, 1, 1)) == qp(-1, -1)
+    assert boxed_inverse(qp(0, 1), qp(1, 1, 1)) == qp(-1, -1)
     # a of higher degree than m: x^3 = 1 mod x^2 + x + 1
-    assert inverse_mod(qp(0, 0, 0, 1), qp(1, 1, 1)) == qp(1)
-    assert inverse_mod(qp(-1, 1), qp(-1, 0, 1)) is None
-    assert inverse_mod(Poly(F7), Poly(F7, [1, 0, 1])) is None
+    assert boxed_inverse(qp(0, 0, 0, 1), qp(1, 1, 1)) == qp(1)
+    assert boxed_inverse(qp(-1, 1), qp(-1, 0, 1)) is None
+    assert boxed_inverse(Poly(F7), Poly(F7, [1, 0, 1])) is None

@@ -20,19 +20,30 @@ def test_src_has_no_assert():
     assert found == []
 
 
-def test_only_linalg_picks_an_elimination():
-    """The choice of elimination per field stays inside linalg: no other
-    module names its kernels `_reduce` or `_bareiss`; they call
-    `_solve_rows` or the public routines instead."""
-    kernels = {"_reduce", "_bareiss"}
+def names_outside(home: str, kernel: str) -> list:
+    """Each place in a module other than `home` that names `kernel`."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "linalg.py":
+        if path.name == home:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, ast.alias):
                 name = node.name
-            if name in kernels:
+            if name == kernel:
                 found.append(f"{path.name}:{node.lineno}:{name}")
-    assert found == []
+    return found
+
+
+def test_only_linalg_picks_an_elimination():
+    """The one elimination stays inside linalg: no other module names
+    `_eliminate`; they call `_solve_rows` or the public routines instead."""
+    assert (SRC / "linalg.py").read_text().count("def _eliminate(") == 1
+    assert names_outside("linalg.py", "_eliminate") == []
+
+
+def test_only_poly_runs_euclid():
+    """The one extended Euclid stays inside poly: no other module names
+    `_euclid`; they call `_inverse` or `xgcd` instead."""
+    assert (SRC / "poly.py").read_text().count("def _euclid(") == 1
+    assert names_outside("poly.py", "_euclid") == []
