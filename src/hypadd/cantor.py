@@ -5,12 +5,27 @@ This is the classical composition-and-reduction algorithm on pairs
 the coordinate addition law is chartbound, so it doubles as the
 reference oracle: transporting two coordinate points here, adding, and
 transporting back must reproduce `star` whenever the latter is defined.
+
+The entry points check fields (FieldMismatch), unwrap each Poly once to
+a `poly` kernel pair, take f from `groupoid._curve_ints` and box only
+the answer.  Composition (Cantor, Math. Comp. 48, 1987) is one formula:
+
+    (d, e1) = xgcd(u1, u2), e1 u1 = d (mod u2); when d = 1, dd = 1,
+    s1 = e1 and s3 = 0, else (dd, s3) = xgcd(v1 + v2, d) and
+    s1 = e1 (dd - s3 (v1 + v2)) / d
+    u = (u1 / dd) (u2 / dd),  X = s1 (v2 - v1) + s3 (f - v1^2) / u1
+    v = v1 + (u1 / dd) (X mod u2 / dd), reduced mod u unless dd = 1
+
+This is the textbook v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / dd
+with s2 u2 eliminated through s1 u1 + s2 u2 + s3 (v1 + v2) = dd, so it
+needs no second cofactor of either gcd and no degree-3g numerator.
 """
 
-from .errors import InvariantViolation, NonGenericDivisor, NonzeroRemainder, NotOnJacobian
+from .errors import FieldMismatch, InvariantViolation, NonGenericDivisor, NonzeroRemainder
+from .errors import NotOnJacobian
 from .field import FieldSpec
-from .groupoid import CurveParams, GroupoidPoint, curve_poly, u_poly, v_poly
-from .poly import Poly, xgcd
+from .groupoid import CurveParams, GroupoidPoint, _box_point, _curve_ints, u_poly, v_poly
+from .poly import Poly, _add, _divmod, _monic, _mul, _norm, xgcd
 
 
 class MumfordDivisor:
@@ -23,12 +38,18 @@ class MumfordDivisor:
             raise ValueError("u must be monic")
         if not v.degree < u.degree:
             raise ValueError("v must have degree below deg u")
+        if v.field is not u.field and v.field != u.field:
+            raise FieldMismatch("u and v over different fields")
         self.u = u
         self.v = v
 
     @property
     def field(self) -> FieldSpec:
         return self.u.field
+
+    def _ints(self):
+        """(u, v) as kernel pairs."""
+        return (self.u._values, self.u._den), (self.v._values, self.v._den)
 
     def __eq__(self, other):
         if not isinstance(other, MumfordDivisor):
@@ -46,13 +67,40 @@ def identity_divisor(field: FieldSpec) -> MumfordDivisor:
     return MumfordDivisor(Poly(field, [1]), Poly(field))
 
 
+def _modulus(c: CurveParams, *args) -> int:
+    """The curve's modulus, once each divisor or point lies over its field."""
+    for x in args:
+        if x.field is not c.field and x.field != c.field:
+            raise FieldMismatch(f"input over {x.field}, curve over {c.field}")
+    return c.field.modulus
+
+
+def _exact(quotient_remainder, what: str):
+    """The quotient of a `_divmod` whose remainder must be zero."""
+    quotient, remainder = quotient_remainder
+    if remainder[0]:
+        raise NonzeroRemainder(what)
+    return quotient
+
+
+def _norm_quotient(u, v, f, p: int):
+    """divmod(f - v^2, u): the remainder is zero exactly when u | v^2 - f."""
+    return _divmod(*_add(*f, *_mul(*v, *v, p), p, -1), *u, p)
+
+
+def _neg(a, p: int):
+    return _norm([-t for t in a[0]], a[1], p)
+
+
 def divisor_valid(d: MumfordDivisor, c: CurveParams) -> bool:
     """The membership invariant: u divides v^2 - f."""
-    return ((d.v * d.v - curve_poly(c)) % d.u).is_zero()
+    p = _modulus(c, d)
+    return not _norm_quotient(*d._ints(), _curve_ints(c), p)[1][0]
 
 
 def to_mumford(a: GroupoidPoint, c: CurveParams) -> MumfordDivisor:
     """Transport a coordinate point to Mumford form, checking membership."""
+    _modulus(c, a)
     if a.z != c.lambda2:
         raise NotOnJacobian("z vector differs from the curve's lower half")
     d = MumfordDivisor(u_poly(a), v_poly(a))
@@ -63,53 +111,55 @@ def to_mumford(a: GroupoidPoint, c: CurveParams) -> MumfordDivisor:
 
 def from_mumford(d: MumfordDivisor, c: CurveParams) -> GroupoidPoint:
     """Transport back; only degree-g divisors have coordinate images."""
-    g = c.genus
+    p, g = _modulus(c, d), c.genus
     if d.u.degree != g:
         raise NonGenericDivisor(f"deg u = {d.u.degree}, need exactly {g}")
     if not divisor_valid(d, c):
         raise NotOnJacobian("u does not divide v^2 - f")
-    p_even = tuple(-d.u[i] for i in range(g))
-    p_odd = tuple(d.v[i] for i in range(g))
-    return GroupoidPoint(p_even, p_odd, c.lambda2)
+    u, v = d._ints()
+    return _box_point(c.field, u, _neg(v, p), c.lambda2)
 
 
 def cantor_neg(d: MumfordDivisor, c: CurveParams) -> MumfordDivisor:
-    return MumfordDivisor(d.u, (-d.v) % d.u)
+    return MumfordDivisor(d.u, Poly._wrap(d.field, *_neg(d._ints()[1], _modulus(c, d))))
 
 
 def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> MumfordDivisor:
     """Total group law on divisor classes.
 
-    Composition via two extended gcds gives a semi-reduced sum of degree
-    at most deg u1 + deg u2; reduction replaces u by (f - v^2)/u until
-    the degree drops to at most g.  All divisions are exact and checked.
+    Composition by the module docstring's formula gives a semi-reduced
+    sum of degree at most deg u1 + deg u2; reduction replaces u by
+    (f - v^2)/u until the degree drops to at most g.  All divisions are
+    exact and checked.
     """
-    f = curve_poly(c)
-    u1, v1 = d1.u, d1.v
-    u2, v2 = d2.u, d2.v
+    p, f = _modulus(c, d1, d2), _curve_ints(c)
+    (u1, v1), (u2, v2) = d1._ints(), d2._ints()
 
-    d, e1, e2 = xgcd(u1, u2)
-    dd, c1, c2 = xgcd(d, v1 + v2)
-    s1, s2, s3 = c1 * e1, c1 * e2, c2
-
-    u, rem = divmod(u1 * u2, dd * dd)
-    if not rem.is_zero():
-        raise NonzeroRemainder("composition gcd must divide u1*u2")
-    v_num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    v_half, rem = divmod(v_num, dd)
-    if not rem.is_zero():
-        raise NonzeroRemainder("composition gcd must divide the v numerator")
-    v = v_half % u
+    d, s1 = xgcd(*u1, *u2, p)
+    dd, s3, w1, w2 = ((1,), 1), ((), 1), u1, u2  # w1, w2 = u1 / dd, u2 / dd
+    if len(d[0]) > 1:
+        vs = _add(*v1, *v2, p)
+        dd, s3 = xgcd(*vs, *d, p)
+        if len(dd[0]) > 1:
+            what = "composition gcd must divide u1 and u2"
+            w1, w2 = (_exact(_divmod(*w, *dd, p), what) for w in (u1, u2))
+        c1 = _divmod(*_add(*dd, *_mul(*s3, *vs, p), p, -1), *d, p)
+        s1 = _mul(*_exact(c1, "gcd(u1, u2) must divide dd - s3 (v1 + v2)"), *s1, p)
+    x = _mul(*s1, *_add(*v2, *v1, p, -1), p)
+    if s3[0]:
+        k1 = _exact(_norm_quotient(u1, v1, f, p), "u1 must divide f - v1^2")
+        x = _add(*x, *_mul(*s3, *k1, p), p)
+    u = _mul(*w1, *w2, p)
+    v = _add(*v1, *_mul(*w1, *_divmod(*x, *w2, p)[1], p), p)
+    if len(dd[0]) > 1:
+        v = _divmod(*v, *u, p)[1]
 
     rounds = 0
-    while u.degree > c.genus:
-        u_next, rem = divmod(f - v * v, u)
-        if not rem.is_zero():
-            raise NonzeroRemainder("membership invariant broken during reduction")
-        u_next = u_next.monic()
-        v = (-v) % u_next
-        u = u_next
+    while len(u[0]) > c.genus + 1:
+        k = _exact(_norm_quotient(u, v, f, p), "membership invariant broken during reduction")
+        u = _monic(k[0], p)
+        v = _divmod(*_neg(v, p), *u, p)[1]
         rounds += 1
         if rounds > 2 * c.genus + 2:
             raise InvariantViolation("reduction failed to terminate")
-    return MumfordDivisor(u.monic(), v % u)
+    return MumfordDivisor(Poly._wrap(c.field, *u), Poly._wrap(c.field, *v))

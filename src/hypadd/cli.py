@@ -91,9 +91,8 @@ def _load_curve(args) -> CurveParams:
     if args.curve is None:
         raise ValueError("this command needs --curve")
     obj = _read_json(args.curve)
-    if args.field:
-        obj = dict(obj)
-        obj["field"] = args.field
+    if args.field and isinstance(obj, dict):
+        obj = {**obj, "field": args.field}
     c = curve_from_json(obj)
     if args.genus is not None and args.genus != c.genus:
         raise ValueError(f"--genus {args.genus} contradicts curve genus {c.genus}")

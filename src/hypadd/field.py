@@ -158,7 +158,7 @@ def field_from_string(text: str) -> FieldSpec:
     """Parse "q" or "fp:<p>"."""
     if text == "q":
         return make_field(RATIONALS)
-    if text.startswith("fp:"):
+    if isinstance(text, str) and text.startswith("fp:"):
         return make_field(PRIME, int(text[3:]))
     raise ValueError(f"bad field string {text!r}")
 

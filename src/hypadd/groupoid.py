@@ -205,13 +205,16 @@ class RFunction:
         return f"RFunction(g={self.genus}, {inner})"
 
 
-def curve_poly(c: CurveParams) -> Poly:
-    """f(x) = x^(2g+1) + x^g * (lower half) + (upper half), ascending.
+def _curve_ints(c: CurveParams):
+    """f = x^(2g+1) + x^g * (lower half) + (upper half) as a kernel pair:
+    highest weight first, both halves are already ascending in x-power."""
+    nums, den = _ints([s.value for s in c.lambda1 + c.lambda2] + [0, 1], c.field.modulus)
+    return tuple(nums), den
 
-    Highest-weight-first coefficient vectors are already ascending in
-    x-power, so both halves splice in directly.
-    """
-    return Poly(c.field, list(c.lambda1) + list(c.lambda2) + [c.field.zero(), c.field.one()])
+
+def curve_poly(c: CurveParams) -> Poly:
+    """f as a Poly."""
+    return Poly._wrap(c.field, *_curve_ints(c))
 
 
 def u_poly(a: GroupoidPoint) -> Poly:
@@ -471,12 +474,19 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
             "odd-part recovery is singular; fall back to cantor_add", stage="odd_recovery"
         )
     minus_v3 = _divmod(*_mul(*_divmod(*e, *u3, p)[1], *r1_inv, p), *u3, p)[1]
-    out = [[-c for c in n[:g]] + [0] * (g - len(n[:g])) for n, _ in (u3, minus_v3)]
-    if not p:
-        out = [[Fraction(c, d) for c in n] for n, d in zip(out, (u3[1], minus_v3[1]))]
     r2, r3 = Poly._from_ints(field, rest[0::2], den), Poly._from_ints(field, h1, den)
     r = RFunction(g, Poly._wrap(field, *r1), r2, r3)
-    return StarResult(GroupoidPoint(field._box(out[0]), field._box(out[1]), a1.z), r)
+    return StarResult(_box_point(field, u3, minus_v3, a1.z), r)
+
+
+def _box_point(field: FieldSpec, u, minus_v, z) -> GroupoidPoint:
+    """The point of a Mumford pair given as kernel pairs u, monic of
+    degree g = len(z), and -v: p_even = -u and p_odd = v below x^g."""
+    g = len(z)
+    out = [[-c for c in n[:g]] + [0] * (g - len(n[:g])) for n, _ in (u, minus_v)]
+    if not field.modulus:
+        out = [[Fraction(c, d) for c in n] for n, d in zip(out, (u[1], minus_v[1]))]
+    return GroupoidPoint(field._box(out[0]), field._box(out[1]), z)
 
 
 def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:

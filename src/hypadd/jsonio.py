@@ -5,7 +5,8 @@ F_p as plain decimal integers in [0, p).  Curve files list the 2g lambda
 coefficients ascending by weight (lam_4 first); in memory both halves
 are kept highest weight first, so the file order is reversed per half on
 the way in and out.  Point files mirror the in-memory order (highest
-weight first).  Divisor files hold ascending coefficient arrays.
+weight first).  Divisor files hold ascending coefficient arrays.  A
+file of the wrong shape raises ValueError naming the bad field.
 """
 
 import json
@@ -32,8 +33,17 @@ def vector_to_json(vec):
     return [scalar_to_json(s) for s in vec]
 
 
-def vector_from_json(field, items):
+def vector_from_json(field, items, name: str = "vector"):
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array, got {items!r}")
     return tuple(scalar_from_json(field, v) for v in items)
+
+
+def _object(obj, name: str) -> dict:
+    """obj itself, which must be a JSON object: a ValueError names `name`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, got {obj!r}")
+    return obj
 
 
 def curve_to_json(c: CurveParams) -> dict:
@@ -46,11 +56,11 @@ def curve_to_json(c: CurveParams) -> dict:
 
 
 def curve_from_json(obj: dict) -> CurveParams:
-    genus = obj["genus"]
+    genus = _object(obj, "curve")["genus"]
     if not isinstance(genus, int) or genus < 1:
         raise ValueError("genus must be a positive integer")
     field = field_from_string(obj["field"])
-    lam = vector_from_json(field, obj["lambda"])
+    lam = vector_from_json(field, obj["lambda"], "lambda")
     if len(lam) != 2 * genus:
         raise ValueError(f"expected {2 * genus} lambda values, got {len(lam)}")
     lambda2 = tuple(reversed(lam[:genus]))
@@ -67,11 +77,8 @@ def point_to_json(a: GroupoidPoint) -> dict:
 
 
 def point_from_json(field: FieldSpec, obj: dict) -> GroupoidPoint:
-    return GroupoidPoint(
-        vector_from_json(field, obj["p_even"]),
-        vector_from_json(field, obj["p_odd"]),
-        vector_from_json(field, obj["z"]),
-    )
+    obj = _object(obj, "point")
+    return GroupoidPoint(*[vector_from_json(field, obj[k], k) for k in ("p_even", "p_odd", "z")])
 
 
 def divisor_to_json(d: MumfordDivisor) -> dict:
@@ -82,8 +89,8 @@ def divisor_to_json(d: MumfordDivisor) -> dict:
 
 
 def divisor_from_json(field: FieldSpec, obj: dict) -> MumfordDivisor:
-    u = Poly(field, vector_from_json(field, obj["u"]))
-    v = Poly(field, vector_from_json(field, obj["v"]))
+    obj = _object(obj, "divisor")
+    u, v = (Poly(field, vector_from_json(field, obj[k], k)) for k in ("u", "v"))
     return MumfordDivisor(u, v)
 
 

@@ -4,14 +4,16 @@ A polynomial is ascending int numerators, trailing zeros stripped (zero
 is empty, of degree -inf), over one denominator: residues in [0, p)
 over 1 on F_p; over Q a denominator > 0 with gcd(den, *nums) = 1, as
 FLINT's fmpq_poly (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 6).  The kernels `_add`, `_mul`, `_divmod` and the one extended
-Euclid `_euclid`, which carries only the cofactor of its first operand,
-compute on such (nums, den) pairs with the modulus p (0 for Q) and
-return `_norm`'s canonical form.  `_inverse` (for `star`) and `xgcd`
-(for Cantor) are thin callers of `_euclid`.  `Poly` is the API shell
-over the kernels, whose Scalars (`coeffs`, `p[i]`, `lc()`, evaluation)
-hold Fractions over Q; `groupoid.star_detail` calls the kernels directly.
-"""
+ch. 6).  The kernels `_add`, `_mul`, `_divmod`, `_monic` and the one
+extended Euclid `_euclid`, which carries only the cofactor of its first
+operand, compute on such (nums, den) pairs with the modulus p (0 for Q)
+and return `_norm`'s canonical form.  `_inverse` (for `star`) and `xgcd`
+(for Cantor) are thin callers of `_euclid`: `xgcd` takes two kernel
+pairs and p and returns (d, s), d = gcd(a, b) monic and s a = d (mod b),
+raising BothZero on two zeros; nothing computes the cofactor of b.
+`Poly` is the API shell over the kernels, whose Scalars (`coeffs`,
+`p[i]`, `lc()`, evaluation) hold Fractions over Q; `groupoid.star_detail`
+and `cantor` call the kernels directly."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -94,6 +96,14 @@ def _divmod(a, da: int, b, db: int, p: int):
     if not p:
         quo = [c * db for c in quo]
     return _norm(quo, da * scale, p), _norm(rem[:m], da * scale, p)
+
+
+def _monic(a, p: int):
+    """a / lc(a) for nonzero numerators a: their denominator cancels."""
+    if p:
+        inv = pow(a[-1], -1, p)
+        return _norm([v * inv for v in a], 1, p)
+    return _norm(a, a[-1], p)
 
 
 def _euclid(a, da: int, m, dm: int, p: int):
@@ -245,7 +255,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * self.lc().inverse()
+        return Poly._wrap(self.field, *_monic(self._values, self.field.modulus))
 
     def __repr__(self):
         if self.is_zero():
@@ -276,15 +286,9 @@ def from_roots(field: FieldSpec, roots) -> Poly:
     return acc
 
 
-def xgcd(a: Poly, b: Poly):
-    """Extended gcd: returns (d, s, t) with s*a + t*b = d and d monic;
-    t = (d - s*a) / b exactly, and 0 when b is 0."""
-    if a.is_zero() and b.is_zero():
+def xgcd(a, da: int, b, db: int, p: int):
+    """(d, s) on kernel pairs: d = gcd(a, b) monic and s * a = d (mod b),
+    by `_euclid` on (a, b) in that order."""
+    if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
-    a._check(b)
-    field, p = a.field, a.field.modulus
-    d, s = _euclid(a._values, a._den, b._values, b._den, p)
-    t = ((), 1)
-    if b._values:
-        t = _divmod(*_add(*d, *_mul(*s, a._values, a._den, p), p, -1), b._values, b._den, p)[0]
-    return Poly._wrap(field, *d), Poly._wrap(field, *s), Poly._wrap(field, *t)
+    return _euclid(a, da, b, db, p)

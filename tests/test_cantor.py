@@ -6,6 +6,7 @@ import pytest
 from hypadd import (
     CurveParams,
     GroupoidPoint,
+    cantor,
     cantor_add,
     cantor_neg,
     curve_poly,
@@ -20,11 +21,15 @@ from hypadd import (
 from hypadd.cantor import MumfordDivisor
 from hypadd.errors import (
     DegenerateConfiguration,
+    FieldMismatch,
+    InvariantViolation,
     NonGenericDivisor,
+    NonzeroRemainder,
     NotOnJacobian,
 )
 from hypadd.groupoid import build_r_determinant, build_r_from_h, solve_h
-from hypadd.poly import Poly
+from hypadd.poly import Poly, _add
+from hypadd.sampling import sqrt_mod
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 Q = make_field("q")
@@ -271,3 +276,209 @@ def test_opposite_points_sum_to_identity():
     d1 = to_mumford(A1, CURVE_G1)
     d2 = to_mumford(invert(A1), CURVE_G1)
     assert cantor_add(d1, d2, CURVE_G1) == identity_divisor(Q)
+
+
+def textbook_xgcd(a, b):
+    """(d, s, t) with s a + t b = d monic: Euclid carrying both cofactors."""
+    one, zero = Poly(a.field, [1]), Poly(a.field)
+    r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1, s0, s1, t0, t1 = r1, r, s1, s0 - q * s1, t1, t0 - q * t1
+    k = r0.lc().inverse()
+    return r0 * k, s0 * k, t0 * k
+
+
+def textbook_cantor(d1, d2, c):
+    """Cantor's algorithm as printed, on Poly operators: two full extended
+    gcds, the degree-3g composition numerator, then the reduction."""
+    f = curve_poly(c)
+    d, e1, e2 = textbook_xgcd(d1.u, d2.u)
+    dd, c1, c2 = textbook_xgcd(d, d1.v + d2.v)
+    s1, s2, s3 = c1 * e1, c1 * e2, c2
+    u = d1.u * d2.u // (dd * dd)
+    v = (s1 * d1.u * d2.v + s2 * d2.u * d1.v + s3 * (d1.v * d2.v + f)) // dd % u
+    while u.degree > c.genus:
+        u = ((f - v * v) // u).monic()
+        v = -v % u
+    return MumfordDivisor(u, v)
+
+
+def divisor_pool(c, p1, p2, torsion=None, p3=None):
+    """The identity, p1, -p1, p2, the doubling 2 p1 and the sum p1 + p2
+    (which shares abscissas with p1, -p1 and p2), plus, when given, a
+    2-torsion point with its sum with p1, and p1 + p2 + p3; the sums by
+    the textbook algorithm."""
+    def add(a, b):
+        return textbook_cantor(a, b, c)
+
+    s12 = add(p1, p2)
+    pool = [identity_divisor(c.field), p1, MumfordDivisor(p1.u, -p1.v % p1.u), p2]
+    pool += [add(p1, p1), s12]
+    if torsion is not None:
+        pool += [torsion, add(p1, torsion)]
+    if p3 is not None:
+        pool.append(add(s12, p3))
+    return pool
+
+
+def reference_pools():
+    """(curve, divisor pool) on small-prime curves at genus 1-3 whose f
+    has the root 0, so (x, 0) is 2-torsion, and on Q curves."""
+    rng = seeded("textbook")
+    for p, g in product((7, 11, 13), (1, 2, 3)):
+        field = make_field("fp", p)
+        points = []
+        while len(points) < 3:
+            lam1 = (field.zero(),) + tuple(field.scalar(rng.randrange(p)) for _ in range(g - 1))
+            c = CurveParams(g, lam1, tuple(field.scalar(rng.randrange(p)) for _ in range(g)))
+            ys = [(x, sqrt_mod(curve_poly(c)(field.scalar(x)).value, p)) for x in range(1, p)]
+            points = [MumfordDivisor(Poly(field, [-x, 1]), Poly(field, [y])) for x, y in ys if y]
+        torsion = MumfordDivisor(Poly(field, [0, 1]), Poly(field))
+        yield c, divisor_pool(c, *points[:2], torsion, points[2] if g == 3 else None)
+    points = ((2, 3), (0, 1), (-1, 0))  # on y^2 = x^3 + 1; (-1, 0) is 2-torsion
+    a, b, t = (to_mumford(GroupoidPoint(qs(x), qs(y), qs(0)), CURVE_G1) for x, y in points)
+    yield CURVE_G1, divisor_pool(CURVE_G1, a, b, t)
+    for g in (2, 3):
+        c, a, b = q_pair(g, rng)
+        yield c, divisor_pool(c, to_mumford(a, c), to_mumford(b, c))
+
+
+def test_cantor_add_matches_the_textbook_algorithm():
+    """All ordered pairs from each pool: identities, negatives, doublings,
+    2-torsion points and sums sharing abscissas."""
+    for c, pool in reference_pools():
+        for d1, d2 in product(pool, repeat=2):
+            assert cantor_add(d1, d2, c) == textbook_cantor(d1, d2, c)
+
+
+def test_cantor_boxes_only_its_answer(monkeypatch):
+    """cantor_add works on kernel pairs from input to output: it runs no
+    Poly arithmetic operator and builds exactly the two Polys of its answer."""
+    cases = [(c, d1, d2) for c, pool in reference_pools() for d1, d2 in product(pool, repeat=2)]
+    want = [cantor_add(d1, d2, c) for c, d1, d2 in cases]
+    built, real_wrap, real_init = [], Poly._wrap.__func__, Poly.__init__
+
+    def wrap(cls, *args):
+        built.append(args)
+        return real_wrap(cls, *args)
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def refuse(*_):
+        raise AssertionError("Poly arithmetic in cantor_add")
+
+    monkeypatch.setattr(Poly, "_wrap", classmethod(wrap))
+    monkeypatch.setattr(Poly, "__init__", init)
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__divmod__", "__neg__", "monic"):
+        monkeypatch.setattr(Poly, name, refuse)
+    for (c, d1, d2), res in zip(cases, want):
+        built.clear()
+        assert cantor_add(d1, d2, c) == res
+        assert len(built) == 2
+
+
+@pytest.mark.parametrize("curve_field", [Q, make_field("fp", 11)], ids=["q", "f11"])
+def test_entry_points_refuse_a_divisor_over_another_field(curve_field):
+    """(0, 1) lies on y^2 = x^3 + x + 1 over F_7, F_11 and Q alike, so on
+    kernel pairs alone an F_7 divisor would pass for one of the curve's;
+    each entry point compares fields first."""
+    f7 = make_field("fp", 7)
+    c = CurveParams(1, (curve_field.one(),), (curve_field.one(),))
+    d = MumfordDivisor(Poly(f7, [0, 1]), Poly(f7, [1]))
+    a = GroupoidPoint((f7.zero(),), (f7.one(),), (f7.one(),))
+    calls = [
+        lambda: cantor_add(d, d, c),
+        lambda: cantor_add(identity_divisor(curve_field), d, c),
+        lambda: cantor_neg(d, c),
+        lambda: divisor_valid(d, c),
+        lambda: from_mumford(d, c),
+        lambda: to_mumford(a, c),
+        lambda: MumfordDivisor(Poly(curve_field, [0, 1]), Poly(f7, [1])),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatch):
+            call()
+    assert divisor_valid(MumfordDivisor(Poly(curve_field, [0, 1]), Poly(curve_field, [1])), c)
+
+
+def corrupt(monkeypatch, name, fix, call=None):
+    """Pass the results of `name` in cantor's namespace through
+    fix(args, result): every result, or only that of the given call."""
+    real, calls = getattr(cantor, name), []
+
+    def corrupted(*args):
+        calls.append(args)
+        out = real(*args)
+        return fix(args, out) if call in (None, len(calls)) else out
+
+    monkeypatch.setattr(cantor, name, corrupted)
+
+
+def check_cases():
+    """(c, d, -d, a generic divisor e) at genus 1-3 over F_10007 and Q."""
+    rng = seeded("cantor-checks")
+    for g in (1, 2, 3):
+        for c, a, b in (fp_pair(P, g, rng), q_pair(g, rng)):
+            d = to_mumford(a, c)
+            yield c, d, cantor_neg(d, c), to_mumford(b, c)
+
+
+def f_plus_one(args, f):
+    return ((f[0][0] + f[1],) + f[0][1:], f[1])
+
+
+def test_cantor_checks_that_dd_divides_u1_and_u2(monkeypatch):
+    """d + (-d) has dd = u; a gcd of the wrong degree fails the division."""
+    for c, d, neg, _ in check_cases():
+        with monkeypatch.context() as m:
+            corrupt(m, "xgcd", lambda args, out: (((0,) + out[0][0], out[0][1]), out[1]), 2)
+            with pytest.raises(NonzeroRemainder, match="divide u1 and u2"):
+                cantor_add(d, neg, c)
+
+
+def test_cantor_checks_the_composition_cofactor(monkeypatch):
+    """Doubling has d = u; s3 + 1 leaves dd - s3 (v1 + v2) prime to d."""
+    for c, d, _, _ in check_cases():
+        with monkeypatch.context() as m:
+            corrupt(m, "xgcd", lambda args, out: (out[0], _add(*out[1], (1,), 1, args[-1])), 2)
+            with pytest.raises(NonzeroRemainder, match="dd - s3"):
+                cantor_add(d, d, c)
+
+
+def test_cantor_checks_u1_divides_f_minus_v1_squared(monkeypatch):
+    """Doubling reads (f - v1^2) / u1; with f + 1 it is not exact."""
+    for c, d, _, _ in check_cases():
+        with monkeypatch.context() as m:
+            corrupt(m, "_curve_ints", f_plus_one)
+            with pytest.raises(NonzeroRemainder, match="f - v1"):
+                cantor_add(d, d, c)
+
+
+def test_cantor_checks_membership_during_reduction(monkeypatch):
+    """A generic sum skips (f - v1^2) / u1; with f + 1 the reduction's
+    first division is not exact."""
+    for c, d, _, e in check_cases():
+        with monkeypatch.context() as m:
+            corrupt(m, "_curve_ints", f_plus_one)
+            with pytest.raises(NonzeroRemainder, match="membership"):
+                cantor_add(d, e, c)
+
+
+def test_cantor_checks_that_reduction_terminates(monkeypatch):
+    """A reduction whose quotient (f - v^2) / u comes back as u itself
+    never lowers the degree: InvariantViolation after 2g + 2 rounds."""
+    for c, d, _, e in check_cases():
+        g = c.genus
+
+        def stuck(args, out):
+            if len(args[2]) > g + 1 and len(args[0]) >= len(args[2]):
+                return (args[2], args[3]), ((), 1)
+            return out
+
+        with monkeypatch.context() as m:
+            corrupt(m, "_divmod", stuck)
+            with pytest.raises(InvariantViolation, match="terminate"):
+                cantor_add(d, e, c)

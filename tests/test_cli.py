@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,46 @@ def test_cantor_add_rejects_invalid_divisor(tmp_path, capsys):
     assert code == 2
     assert json.loads(captured.err)["error"] == "NotOnJacobian"
 
+
+
+@pytest.mark.parametrize(
+    "command, bad, name",
+    [
+        ("cantor-add", [1, 2], "divisor"),
+        ("cantor-add", {"u": 5, "v": ["2"]}, "u"),
+        ("cantor-add", {"u": ["1"], "v": "2"}, "v"),
+        ("add", {"p_even": 5}, "p_even"),
+        ("add", [1], "point"),
+    ],
+)
+def test_json_of_the_wrong_shape_exits_2(tmp_path, capsys, command, bad, name):
+    """A divisor or point file of the wrong shape is a usage error whose
+    detail names the bad field, not a TypeError traceback."""
+    c, good, _ = setup_worked(tmp_path)
+    if command == "cantor-add":
+        good = write(tmp_path, "d.json", {"u": ["-2", "1"], "v": ["3"]})
+    code = run([command, "--curve", c, "--a", write(tmp_path, "bad.json", bad), "--b", good])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ValueError" and re.search(rf"\b{name}\b", err["detail"])
+
+
+@pytest.mark.parametrize(
+    "curve, extra, name",
+    [
+        ([1], [], "curve"),
+        ([1], ["--field", "q"], "curve"),
+        ({"genus": 1, "field": 5, "lambda": ["0", "1"]}, [], "field"),
+        ({"genus": 1, "field": "q", "lambda": 3}, [], "lambda"),
+    ],
+)
+def test_curve_json_of_the_wrong_shape_exits_2(tmp_path, capsys, curve, extra, name):
+    _, a, b = setup_worked(tmp_path)
+    c = write(tmp_path, "bad.json", curve)
+    code = run(["add", "--curve", c, *extra, "--a", a, "--b", b])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ValueError" and re.search(rf"\b{name}\b", err["detail"])
 
 def test_random_point_deterministic_q(tmp_path, capsys):
     rng = seeded("cli-rand")
