@@ -6,9 +6,10 @@ the coordinate addition law is chartbound, so it doubles as the
 reference oracle: transporting two coordinate points here, adding, and
 transporting back must reproduce `star` whenever the latter is defined.
 
-The entry points check fields (FieldMismatch), unwrap each Poly once to
-a `poly` kernel pair, take f from `groupoid._curve_ints` and box only
-the answer.  Composition (Cantor, Math. Comp. 48, 1987) is one formula:
+The entry points check fields (FieldMismatch) and compute on `poly`
+kernel pairs read off each Poly, the curve (f) and a point (u, v), so
+the round trip builds no Scalar; `cantor_add` also refuses an input with
+u not dividing v^2 - f.  Composition (Cantor, Math. Comp. 48, 1987) is:
 
     (d, e1) = xgcd(u1, u2), e1 u1 = d (mod u2); when d = 1, dd = 1,
     s1 = e1 and s3 = 0, else (dd, s3) = xgcd(v1 + v2, d) and
@@ -24,8 +25,8 @@ needs no second cofactor of either gcd and no degree-3g numerator.
 from .errors import FieldMismatch, InvariantViolation, NonGenericDivisor, NonzeroRemainder
 from .errors import NotOnJacobian
 from .field import FieldSpec
-from .groupoid import CurveParams, GroupoidPoint, _box_point, _curve_ints, u_poly, v_poly
-from .poly import Poly, _add, _divmod, _monic, _mul, _norm, xgcd
+from .groupoid import CurveParams, GroupoidPoint, _on_curve
+from .poly import Poly, _add, _divmod, _monic, _mul, _neg, xgcd
 
 
 class MumfordDivisor:
@@ -46,10 +47,6 @@ class MumfordDivisor:
     @property
     def field(self) -> FieldSpec:
         return self.u.field
-
-    def _ints(self):
-        """(u, v) as kernel pairs."""
-        return (self.u._values, self.u._den), (self.v._values, self.v._den)
 
     def __eq__(self, other):
         if not isinstance(other, MumfordDivisor):
@@ -88,40 +85,33 @@ def _norm_quotient(u, v, f, p: int):
     return _divmod(*_add(*f, *_mul(*v, *v, p), p, -1), *u, p)
 
 
-def _neg(a, p: int):
-    return _norm([-t for t in a[0]], a[1], p)
-
-
 def divisor_valid(d: MumfordDivisor, c: CurveParams) -> bool:
     """The membership invariant: u divides v^2 - f."""
-    p = _modulus(c, d)
-    return not _norm_quotient(*d._ints(), _curve_ints(c), p)[1][0]
+    p, u, v = _modulus(c, d), d.u, d.v
+    return not _norm_quotient((u._values, u._den), (v._values, v._den), c._f, p)[1][0]
 
 
 def to_mumford(a: GroupoidPoint, c: CurveParams) -> MumfordDivisor:
     """Transport a coordinate point to Mumford form, checking membership."""
     _modulus(c, a)
-    if a.z != c.lambda2:
-        raise NotOnJacobian("z vector differs from the curve's lower half")
-    d = MumfordDivisor(u_poly(a), v_poly(a))
-    if not divisor_valid(d, c):
-        raise NotOnJacobian("u does not divide v^2 - f")
-    return d
+    if not _on_curve(a, c):
+        raise NotOnJacobian("z differs from the curve's lower half, or u does not divide v^2 - f")
+    return MumfordDivisor(Poly._wrap(c.field, *a._u), Poly._wrap(c.field, *a._v))
 
 
 def from_mumford(d: MumfordDivisor, c: CurveParams) -> GroupoidPoint:
     """Transport back; only degree-g divisors have coordinate images."""
-    p, g = _modulus(c, d), c.genus
-    if d.u.degree != g:
-        raise NonGenericDivisor(f"deg u = {d.u.degree}, need exactly {g}")
+    _modulus(c, d)
+    if d.u.degree != c.genus:
+        raise NonGenericDivisor(f"deg u = {d.u.degree}, need exactly {c.genus}")
     if not divisor_valid(d, c):
         raise NotOnJacobian("u does not divide v^2 - f")
-    u, v = d._ints()
-    return _box_point(c.field, u, _neg(v, p), c.lambda2)
+    return GroupoidPoint._make(c.field, (d.u._values, d.u._den), (d.v._values, d.v._den), c._z)
 
 
 def cantor_neg(d: MumfordDivisor, c: CurveParams) -> MumfordDivisor:
-    return MumfordDivisor(d.u, Poly._wrap(d.field, *_neg(d._ints()[1], _modulus(c, d))))
+    _modulus(c, d)
+    return MumfordDivisor(d.u, -d.v)
 
 
 def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> MumfordDivisor:
@@ -130,14 +120,20 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> Mumfor
     Composition by the module docstring's formula gives a semi-reduced
     sum of degree at most deg u1 + deg u2; reduction replaces u by
     (f - v^2)/u until the degree drops to at most g.  All divisions are
-    exact and checked.
+    exact and checked.  An invalid input raises NotOnJacobian: when
+    gcd(u1, u2) = 1, u1 u2 | v^2 - f holds exactly when both inputs are
+    valid (CRT), so the first reduction division is the input check.
     """
-    p, f = _modulus(c, d1, d2), _curve_ints(c)
-    (u1, v1), (u2, v2) = d1._ints(), d2._ints()
+    p, f, g = _modulus(c, d1, d2), c._f, c.genus
+    (u1, v1), (u2, v2) = (((d.u._values, d.u._den), (d.v._values, d.v._den)) for d in (d1, d2))
 
     d, s1 = xgcd(*u1, *u2, p)
     dd, s3, w1, w2 = ((1,), 1), ((), 1), u1, u2  # w1, w2 = u1 / dd, u2 / dd
-    if len(d[0]) > 1:
+    coprime = len(d[0]) == 1
+    if not coprime:
+        (k1, r1), (_, r2) = _norm_quotient(u1, v1, f, p), _norm_quotient(u2, v2, f, p)
+        if r1[0] or r2[0]:
+            raise NotOnJacobian("an input fails u | v^2 - f")
         vs = _add(*v1, *v2, p)
         dd, s3 = xgcd(*vs, *d, p)
         if len(dd[0]) > 1:
@@ -147,19 +143,24 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> Mumfor
         s1 = _mul(*_exact(c1, "gcd(u1, u2) must divide dd - s3 (v1 + v2)"), *s1, p)
     x = _mul(*s1, *_add(*v2, *v1, p, -1), p)
     if s3[0]:
-        k1 = _exact(_norm_quotient(u1, v1, f, p), "u1 must divide f - v1^2")
         x = _add(*x, *_mul(*s3, *k1, p), p)
     u = _mul(*w1, *w2, p)
     v = _add(*v1, *_mul(*w1, *_divmod(*x, *w2, p)[1], p), p)
     if len(dd[0]) > 1:
         v = _divmod(*v, *u, p)[1]
+    if coprime and len(u[0]) <= g + 1 and _norm_quotient(u, v, f, p)[1][0]:
+        raise NotOnJacobian("an input fails u | v^2 - f")
 
     rounds = 0
-    while len(u[0]) > c.genus + 1:
-        k = _exact(_norm_quotient(u, v, f, p), "membership invariant broken during reduction")
+    while len(u[0]) > g + 1:
+        k, r = _norm_quotient(u, v, f, p)
+        if r[0]:
+            if coprime and not rounds:
+                raise NotOnJacobian("an input fails u | v^2 - f")
+            raise NonzeroRemainder("membership invariant broken during reduction")
         u = _monic(k[0], p)
         v = _divmod(*_neg(v, p), *u, p)[1]
         rounds += 1
-        if rounds > 2 * c.genus + 2:
+        if rounds > 2 * g + 2:
             raise InvariantViolation("reduction failed to terminate")
     return MumfordDivisor(Poly._wrap(c.field, *u), Poly._wrap(c.field, *v))

@@ -7,9 +7,10 @@ from, and mixed-field arithmetic raises FieldMismatch instead of
 guessing a coercion.
 
 Scalars live at the API: every coefficient, entry and coordinate a
-caller sees or passes in is one.  `Poly` and `Matrix` store bare values
-(ints in [0, p) over F_p; over Q, a Matrix holds Fractions and a Poly
-int numerators over one denominator, made Fractions only when read).
+caller sees or passes in is one.  `Matrix`, `Poly` and the points and
+curves of `groupoid` store bare values (ints in [0, p) over F_p; over Q,
+a Matrix holds Fractions and the others int numerators over one
+denominator, made Fractions only when read).
 FieldSpec._value converts what enters them and raises ValueError on a
 denominator that is 0 (or 0 mod p), _canonical reduces mod p, and _box
 builds Scalars on read.

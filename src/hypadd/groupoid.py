@@ -15,9 +15,11 @@ produces a third triple on the same curve: the g residual intersection
 points of the curve with the lowest-order function vanishing at both
 inverted inputs.  Inversion flips the sign of the odd part.
 
-(u, v) is the Mumford pair of the point, and `star` runs the law as
-polynomial arithmetic modulo u on bare (numerators, denominator) pairs
-through the `poly` kernels, boxing only its answer and R:
+(u, v) is the Mumford pair of the point.  A GroupoidPoint holds u, v
+and z, and a CurveParams f, as `poly` kernel pairs (int numerators, one
+denominator) built once by the constructor, and boxes Scalars only when
+a coordinate is read.  `star` runs the law modulo u on those pairs, and
+its answer holds pairs too:
 
     anchor       v^2 - x^(2g+1) - x^g z = q_a u + Z1 at both inputs
     _columns     x^k (x^g mod u) and x^k v mod u, one product by x at a time,
@@ -35,15 +37,16 @@ The h-solve runs on those ints with one body for both fields: each
 column of both sides is scaled by the lcm of its two denominators (1
 over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
 come out over one denominator.  `kl_columns` boxes the same columns for
-the matrix routes.  R = r1 y + x^g r2 + r3 is held as its three
-polynomials.  Each product by a power of x is a shift, and r1^(-1) mod
-u3 comes from `poly._inverse` on the one extended Euclid `poly._euclid`.
-`star` and `anchor` share one anchor division, `_anchor_division`.
-The matrix routes (build_r_determinant, rank_witness, anchor_s) and
-`phi_poly` stay as the tests' independent oracles.
+the matrix routes.  Only `star_detail` builds R = r1 y + x^g r2 + r3,
+as its three polynomials.  Each product by a power of x is a shift, and
+r1^(-1) mod u3 comes from `poly._inverse` on the one extended Euclid
+`poly._euclid`.  `star`, `anchor` and `_on_curve` share one anchor
+division, `_anchor_division`.  The matrix routes (build_r_determinant,
+rank_witness, anchor_s) and `phi_poly` stay as the tests' independent
+oracles.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
-weight k.  All vectors here are stored highest weight first.
+weight k.  All vectors here are listed highest weight first.
 """
 
 from fractions import Fraction
@@ -61,76 +64,106 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar, _inverse_value
 from .linalg import Matrix, _solve_rows, rank, solve, vandermonde
-from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _norm
+from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm
+
+
+def _scalars(*vectors):
+    """The field of Scalar vectors and their bare values: ValueError for a
+    coordinate that is not a Scalar, FieldMismatch for mixed fields."""
+    if not all(isinstance(s, Scalar) for vec in vectors for s in vec):
+        raise ValueError("every coordinate must be a Scalar")
+    field = vectors[0][0].field
+    return (field, *[[field._value(s) for s in vec] for vec in vectors])
+
+
+def _read(field: FieldSpec, pair, n: int, sign: int = 1) -> tuple:
+    """The first n coefficients of a kernel pair, times sign and zero-padded, as Scalars."""
+    nums, den = pair
+    vals = [sign * c for c in nums[:n]] + [0] * (n - len(nums[:n]))
+    return field._box(vals if field.modulus else [Fraction(c, den) for c in vals])
 
 
 class CurveParams:
     """Coefficients of y^2 = f(x), split into upper (lambda1) and lower
-    (lambda2) weight halves, each highest weight first."""
+    (lambda2) weight halves, each highest weight first.  Held as the field,
+    f = x^(2g+1) + x^g lambda2 + lambda1 as a kernel pair and lambda2 in
+    a point's z form; both halves are boxed on read."""
 
-    __slots__ = ("genus", "lambda1", "lambda2")
+    __slots__ = ("genus", "field", "_f", "_z")
 
     def __init__(self, genus: int, lambda1, lambda2):
-        self.genus = genus
-        self.lambda1 = tuple(lambda1)
-        self.lambda2 = tuple(lambda2)
-        if genus < 1:
-            raise ValueError(f"genus must be at least 1, got {genus}")
-        if len(self.lambda1) != genus or len(self.lambda2) != genus:
-            raise ValueError("expected g coefficients in each half")
+        lambda1, lambda2 = tuple(lambda1), tuple(lambda2)
+        if not len(lambda1) == len(lambda2) == genus > 0:
+            raise ValueError(f"expected genus >= 1, got {genus}, and g coefficients in each half")
+        self._set(*_scalars(lambda1, lambda2))
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.lambda1[0].field
+    @classmethod
+    def _from_values(cls, field: FieldSpec, lam1, lam2) -> "CurveParams":
+        """The curve of the bare values of each half, ascending in x."""
+        out = cls.__new__(cls)
+        out._set(field, list(lam1), list(lam2))
+        return out
+
+    def _set(self, field, lam1, lam2):
+        if not lam2:
+            raise ValueError("genus must be at least 1, got 0")
+        p = field.modulus
+        f, df = _ints(lam1 + lam2 + [0, 1], p)
+        z, dz = _ints(lam2, p)
+        self.genus, self.field, self._f, self._z = len(lam2), field, (tuple(f), df), (tuple(z), dz)
+
+    lambda1 = property(lambda self: _read(self.field, self._f, self.genus))
+    lambda2 = property(lambda self: _read(self.field, self._z, self.genus))
 
     def __eq__(self, other):
         if not isinstance(other, CurveParams):
             return NotImplemented
-        return (
-            self.genus == other.genus
-            and self.lambda1 == other.lambda1
-            and self.lambda2 == other.lambda2
-        )
+        return self.field == other.field and self._f == other._f
 
     def __hash__(self):
-        return hash((self.genus, self.lambda1, self.lambda2))
+        return hash((self.field, self._f))
 
     def __repr__(self):
         return f"CurveParams(g={self.genus}, {self.lambda1}, {self.lambda2})"
 
 
 class GroupoidPoint:
-    """A triple (p_even, p_odd, z) of g-vectors, highest weight first."""
+    """A triple (p_even, p_odd, z) of g-vectors, highest weight first.
+    Held as the field, the Mumford pair u = x^g - sum p_even[i] x^i and
+    v = sum p_odd[i] x^i as kernel pairs, and z as g int numerators over
+    one denominator (content 1); equality and hashing compare these, and
+    the three vectors are boxed on read."""
 
-    __slots__ = ("p_even", "p_odd", "z")
+    __slots__ = ("field", "_u", "_v", "_z")
 
     def __init__(self, p_even, p_odd, z):
-        self.p_even = tuple(p_even)
-        self.p_odd = tuple(p_odd)
-        self.z = tuple(z)
-        g = len(self.p_even)
-        if len(self.p_odd) != g or len(self.z) != g:
-            raise ValueError("p_even, p_odd, z must all have length g")
+        p_even, p_odd, z = tuple(p_even), tuple(p_odd), tuple(z)
+        if not len(p_even) == len(p_odd) == len(z) > 0:
+            raise ValueError("p_even, p_odd, z must all have one length g >= 1")
+        field, *values = _scalars(p_even, p_odd, z)
+        (pe, dp), (po, do), (zs, dz) = (_ints(vals, field.modulus) for vals in values)
+        self.field, self._u = field, _norm([-c for c in pe] + [dp], dp, field.modulus)
+        self._v, self._z = _norm(po, do, field.modulus), (tuple(zs), dz)
 
-    @property
-    def genus(self) -> int:
-        return len(self.p_even)
+    @classmethod
+    def _make(cls, field: FieldSpec, u, v, z) -> "GroupoidPoint":
+        """The point of canonical pairs u, v and z, in the stored forms."""
+        out = cls.__new__(cls)
+        out.field, out._u, out._v, out._z = field, u, v, z
+        return out
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.p_even[0].field
+    genus = property(lambda self: len(self._z[0]))
+    p_even = property(lambda self: _read(self.field, self._u, self.genus, -1))
+    p_odd = property(lambda self: _read(self.field, self._v, self.genus))
+    z = property(lambda self: _read(self.field, self._z, self.genus))
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupoidPoint):
+    def __eq__(self, b):
+        if not isinstance(b, GroupoidPoint):
             return NotImplemented
-        return (
-            self.p_even == other.p_even
-            and self.p_odd == other.p_odd
-            and self.z == other.z
-        )
+        return (self.field, self._u, self._v, self._z) == (b.field, b._u, b._v, b._z)
 
     def __hash__(self):
-        return hash((self.p_even, self.p_odd, self.z))
+        return hash((self.field, self._u, self._v, self._z))
 
     def __repr__(self):
         return f"GroupoidPoint({self.p_even}, {self.p_odd}, {self.z})"
@@ -205,31 +238,24 @@ class RFunction:
         return f"RFunction(g={self.genus}, {inner})"
 
 
-def _curve_ints(c: CurveParams):
-    """f = x^(2g+1) + x^g * (lower half) + (upper half) as a kernel pair:
-    highest weight first, both halves are already ascending in x-power."""
-    nums, den = _ints([s.value for s in c.lambda1 + c.lambda2] + [0, 1], c.field.modulus)
-    return tuple(nums), den
-
-
 def curve_poly(c: CurveParams) -> Poly:
     """f as a Poly."""
-    return Poly._wrap(c.field, *_curve_ints(c))
+    return Poly._wrap(c.field, *c._f)
 
 
 def u_poly(a: GroupoidPoint) -> Poly:
     """Monic abscissa polynomial x^g - sum p_even[i] x^i."""
-    return Poly._from_raw(a.field, [-p.value for p in a.p_even] + [a.field._value(1)])
+    return Poly._wrap(a.field, *a._u)
 
 
 def v_poly(a: GroupoidPoint) -> Poly:
     """Ordinate interpolation polynomial of degree < g."""
-    return Poly._from_raw(a.field, [p.value for p in a.p_odd])
+    return Poly._wrap(a.field, *a._v)
 
 
 def invert(a: GroupoidPoint) -> GroupoidPoint:
     """The groupoid involution: flip the sign of the odd part."""
-    return GroupoidPoint(a.p_even, a.field._box([-p.value for p in a.p_odd]), a.z)
+    return GroupoidPoint._make(a.field, a._u, _neg(a._v, a.field.modulus), a._z)
 
 
 def anchor(a: GroupoidPoint):
@@ -244,8 +270,14 @@ def anchor(a: GroupoidPoint):
     with z read as a polynomial ascending in x.  Both halves come back
     highest weight first.
     """
-    rem = Poly._wrap(a.field, *_anchor_division(_bare(a), a.z)[3])
-    return tuple([rem[i] for i in range(a.genus)]), a.z
+    return _read(a.field, _anchor_division(a)[1], a.genus), a.z
+
+
+def _on_curve(a: GroupoidPoint, c: CurveParams) -> bool:
+    """Whether anchor(a) is c's coefficient vector, compared on pairs: the
+    same z, and Z1 = f mod x^g, which holds exactly when u | v^2 - f."""
+    f_low = _norm(c._f[0][: c.genus], c._f[1], c.field.modulus)
+    return a._z == c._z and _anchor_division(a)[1] == f_low
 
 
 def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
@@ -268,36 +300,24 @@ def _times_x_mod_u(w, p_even, p, dp=1):
     return [top * p_even[0]] + [w[i - 1] + top * p_even[i] for i in range(1, len(w))]
 
 
-def _bare(a: GroupoidPoint, sign: int = 1):
-    """(p, pe, dp, po, do): the modulus, then p_even and sign * p_odd as
-    int numerators over one denominator each (`poly._ints`)."""
-    p = a.field.modulus
-    pe, dp = _ints([c.value for c in a.p_even], p)
-    po, do = _ints([sign * c.value for c in a.p_odd], p)
-    return p, pe, dp, po, do
+def _anchor_division(a: GroupoidPoint):
+    """(q_a, Z1) with v^2 - f_high = q_a u + Z1, f_high = x^(2g+1) + x^g z,
+    so f = f_high + Z1 on the point's curve; the sign of v does not matter."""
+    p, (z, dz) = a.field.modulus, a._z
+    f_high = (0,) * len(z) + z + (0, dz), dz
+    return _divmod(*_add(*_mul(*a._v, *a._v, p), *f_high, p, -1), *a._u, p)
 
 
-def _anchor_division(b, z):
-    """(u, v, q_a, Z1) for a point in `_bare` form and its z vector: the
-    Mumford pair (u, v) and v^2 - f_high = q_a u + Z1, where f_high =
-    x^(2g+1) + x^g z, so that f = f_high + Z1 on the point's curve."""
-    p, pe, dp, po, do = b
-    g = len(pe)
-    u, v = _norm([-c for c in pe] + [dp], dp, p), _norm(po, do, p)
-    zs, dz = _ints([c.value for c in z], p)
-    f_high = [0] * g + zs + [0, dz], dz
-    return (u, v, *_divmod(*_add(*_mul(*v, *v, p), *f_high, p, -1), *u, p))
-
-
-def _columns(b):
+def _columns(a: GroupoidPoint):
     """The first g+1 columns of (E, O, x E, x O, x^2 E, ...) mod u for a
-    point in `_bare` form, as ascending int numerators, and their
-    denominators: E = x^g mod u = pe/dp and O = v = po/do, so column 2k
-    is x^(g+k) mod u over dp^(k+1) and column 2k+1 is x^k v mod u over
-    do dp^k, all 1 over F_p.
+    point, as ascending int numerators, and their denominators: E = x^g
+    mod u = pe/dp, pe the numerators of -u below x^g, and O = v = po/do,
+    so column 2k is x^(g+k) mod u over dp^(k+1) and column 2k+1 is x^k v
+    mod u over do dp^k, all 1 over F_p.
     """
-    p, pe, dp, po, do = b
-    g = len(pe)
+    p, (u, dp), (po, do) = a.field.modulus, a._u, a._v
+    g = len(u) - 1
+    pe, po = [-c for c in u[:g]], list(po) + [0] * (g - len(po))
     cols, dens = [pe, po], [dp, do]
     while len(cols) < g + 1:
         cols += [_times_x_mod_u(cols[-2], pe, p, dp), _times_x_mod_u(cols[-1], pe, p, dp)]
@@ -309,7 +329,7 @@ def kl_columns(a: GroupoidPoint):
     """The g x g matrix L of the first g columns of _columns and the
     (g+1)-st column ell as a vector, as bare values boxed for callers."""
     g, field = a.genus, a.field
-    cols, dens = _columns(_bare(a))
+    cols, dens = _columns(a)
     if not field.modulus:
         cols = [[Fraction(c, d) for c in col] for col, d in zip(cols, dens)]
     rows = [[col[i] for col in cols[:g]] for i in range(g)]
@@ -319,13 +339,13 @@ def kl_columns(a: GroupoidPoint):
 def _solve_h_core(b1, b2):
     """(h1, h2, den): h1 and h2 as int numerators over one denominator
     from (L1 - L2) h2 = ell2 - ell1 and h1 = -(L1 h2 + ell1), for two
-    points in `_bare` form.  One body for both fields: column j of both
-    sides is scaled by m_j = lcm(d1j, d2j) of the two points' column
-    denominators (1 over F_p), so the system is on ints, and `_solve_rows`
-    gives h2_j = m_j y_j / (det m_g); h1 = -(det ell1 + sum y_j col_j)
-    follows over the same denominator den = det m_g, which is 1 over F_p.
+    points.  One body for both fields: column j of both sides is scaled
+    by m_j = lcm(d1j, d2j) of the two points' column denominators (1 over
+    F_p), so the system is on ints, and `_solve_rows` gives h2_j = m_j y_j
+    / (det m_g); h1 = -(det ell1 + sum y_j col_j) follows over the same
+    denominator den = det m_g, which is 1 over F_p.
     """
-    p, g = b1[0], len(b1[1])
+    p, g = b1.field.modulus, b1.genus
     c1, d1 = _columns(b1)
     c2, d2 = _columns(b2)
     m = [lcm(x, y) for x, y in zip(d1, d2)]
@@ -352,9 +372,8 @@ def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
     """
     if anchor(a1bar) != anchor(a2bar):
         raise AnchorMismatch("inputs sit over different curve parameters")
-    *hs, den = _solve_h_core(_bare(a1bar), _bare(a2bar))
-    field = a1bar.field
-    return tuple(field._box(h if field.modulus else [Fraction(n, den) for n in h]) for h in hs)
+    *hs, den = _solve_h_core(a1bar, a2bar)
+    return tuple(_read(a1bar.field, (h, den), len(h)) for h in hs)
 
 
 def build_r_from_h(h1, h2, genus: int) -> RFunction:
@@ -368,9 +387,8 @@ def build_r_from_h(h1, h2, genus: int) -> RFunction:
     if len(h1) != genus or len(h2) != genus:
         raise ValueError("expected g coefficients in each block")
     field = h1[0].field
-    rest = [c.value for c in h2] + [1]
-    r1, r2 = Poly._from_raw(field, rest[1::2]), Poly._from_raw(field, rest[0::2])
-    return RFunction(genus, r1, r2, Poly._from_raw(field, [c.value for c in h1]))
+    rest = list(h2) + [field.one()]
+    return RFunction(genus, Poly(field, rest[1::2]), Poly(field, rest[0::2]), Poly(field, h1))
 
 
 def _stacked_rows(points):
@@ -432,23 +450,18 @@ class StarResult:
         self.r = r
 
 
-def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
-    """The partial product, keeping the internal RFunction for callers
-    that inspect its coefficients.  Every call certifies R on u and v
-    alone, sharing no code with the h-solve: r1 v + x^g r2 + r3 must
-    vanish mod u at both inverted inputs, else InvariantViolation.
-
-    Runs the stages of the module docstring on the `poly` kernels, with
-    w = -v the odd part of an inverted input.
-    """
+def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
+    """The product point, or with detail its StarResult: the stages of
+    the module docstring on the inputs' kernel pairs, with w = -v the odd
+    part of an inverted input."""
     if a1.genus != a2.genus:
         raise ValueError("genus mismatch")
     g, field = a1.genus, a1.field
-    b1, b2 = _bare(a1, -1), _bare(a2, -1)
-    p = b1[0]
+    (p, u1, u2), (b1, b2) = (field.modulus, a1._u, a2._u), (invert(a1), invert(a2))
+    w1, w2 = b1._v, b2._v
     # The anchors agree when z does and Z1 = (w^2 - f_high) mod u does.
-    (u1, w1, q_a, z1), (u2, w2, _, z2) = _anchor_division(b1, a1.z), _anchor_division(b2, a2.z)
-    if a1.z != a2.z or z1 != z2:
+    (q_a, z1), (_, z2) = _anchor_division(a1), _anchor_division(a2)
+    if a1._z != a2._z or z1 != z2:
         raise AnchorMismatch("summands sit over different curve parameters")
     h1, h2, den = _solve_h_core(b1, b2)
     rest = h2 + [den]  # x^g, y, x^(g+1), y x, ... with the pinned leading 1
@@ -459,7 +472,7 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
         raise InvariantViolation("R does not vanish on an inverted summand")
     norm = _add(*_mul(*k1, *_add(*e, *r1w1, p, -1), p), *_mul(*_mul(*r1, *r1, p), *q_a, p), p)
     if g % 2:
-        norm = _norm([-c for c in norm[0]], norm[1], p)
+        norm = _neg(norm, p)
     if len(norm[0]) != 2 * g + 1 or norm[0][-1] != norm[1]:
         raise NotMonicDegree3g(f"expected phi / u1 monic of degree {2 * g}, got {norm}")
     u3, remainder = _divmod(*norm, *u2, p)
@@ -473,27 +486,28 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
         raise DegenerateConfiguration(
             "odd-part recovery is singular; fall back to cantor_add", stage="odd_recovery"
         )
-    minus_v3 = _divmod(*_mul(*_divmod(*e, *u3, p)[1], *r1_inv, p), *u3, p)[1]
+    v3 = _divmod(*_mul(*_divmod(*_neg(e, p), *u3, p)[1], *r1_inv, p), *u3, p)[1]
+    point = GroupoidPoint._make(field, u3, v3, a1._z)
+    if not detail:
+        return point
     r2, r3 = Poly._from_ints(field, rest[0::2], den), Poly._from_ints(field, h1, den)
-    r = RFunction(g, Poly._wrap(field, *r1), r2, r3)
-    return StarResult(_box_point(field, u3, minus_v3, a1.z), r)
+    return StarResult(point, RFunction(g, Poly._wrap(field, *r1), r2, r3))
 
 
-def _box_point(field: FieldSpec, u, minus_v, z) -> GroupoidPoint:
-    """The point of a Mumford pair given as kernel pairs u, monic of
-    degree g = len(z), and -v: p_even = -u and p_odd = v below x^g."""
-    g = len(z)
-    out = [[-c for c in n[:g]] + [0] * (g - len(n[:g])) for n, _ in (u, minus_v)]
-    if not field.modulus:
-        out = [[Fraction(c, d) for c in n] for n, d in zip(out, (u[1], minus_v[1]))]
-    return GroupoidPoint(field._box(out[0]), field._box(out[1]), z)
+def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
+    """The partial product, keeping the internal RFunction for callers
+    that inspect its coefficients.  Every call certifies R on u and v
+    alone, sharing no code with the h-solve: r1 v + x^g r2 + r3 must
+    vanish mod u at both inverted inputs, else InvariantViolation."""
+    return _star(a1, a2, True)
 
 
 def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     """Add two points sharing an anchor; raises DegenerateConfiguration
     outside the generic chart (doubling, shared abscissa polynomial, ...)
-    and InvariantViolation if the certificate of star_detail fails."""
-    return star_detail(a1, a2).point
+    and InvariantViolation if the certificate of star_detail fails.
+    Runs star_detail's stages without building its RFunction."""
+    return _star(a1, a2, False)
 
 
 def _interpolate(field: FieldSpec, xs, ys):
@@ -521,9 +535,10 @@ def _interpolate(field: FieldSpec, xs, ys):
 
 
 def _phi_values(field: FieldSpec, xs, ys, z) -> GroupoidPoint:
-    """viete_phi on bare abscissas, already distinct, and ordinates."""
-    u, v = _interpolate(field, xs, ys)
-    return GroupoidPoint(field._box([-c for c in u[:-1]]), field._box(v), z)
+    """viete_phi on distinct bare abscissas and ordinates, z in a point's stored form."""
+    p = field.modulus
+    u, v = (_norm(*_ints(w, p), p) for w in _interpolate(field, xs, ys))
+    return GroupoidPoint._make(field, u, v, z)
 
 
 def viete_phi(t: PointListRep) -> GroupoidPoint:
@@ -533,7 +548,8 @@ def viete_phi(t: PointListRep) -> GroupoidPoint:
     xs = [field._value(x) for x, _ in t.pairs]
     if len(set(xs)) != len(xs):
         raise RepeatedAbscissa("abscissas must be pairwise distinct")
-    return _phi_values(field, xs, [field._value(y) for _, y in t.pairs], t.z)
+    zs, dz = _ints(_scalars(t.z)[1], field.modulus)
+    return _phi_values(field, xs, [field._value(y) for _, y in t.pairs], (tuple(zs), dz))
 
 
 def anchor_s(t: PointListRep):

@@ -61,6 +61,10 @@ def _add(a, da: int, b, db: int, p: int, sign: int = 1):
     return _norm(out, da, p)
 
 
+def _neg(a, p: int):
+    return _norm([-t for t in a[0]], a[1], p)
+
+
 def _mul(a, da: int, b, db: int, p: int):
     """(a/da) * (b/db) by schoolbook convolution."""
     if not a or not b:
@@ -137,11 +141,6 @@ class Poly:
         while vs and not vs[-1]:
             vs.pop()
         self.field, self._values, self._den = field, tuple(vs), den
-
-    @classmethod
-    def _from_raw(cls, field: FieldSpec, values) -> "Poly":
-        """Ascending bare coefficients: ints (reduced here) over F_p, Fractions over Q."""
-        return cls._from_ints(field, values, 1) if field.modulus else cls(field, values)
 
     @classmethod
     def _from_ints(cls, field: FieldSpec, nums, den: int) -> "Poly":

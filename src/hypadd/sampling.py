@@ -12,8 +12,7 @@ import random
 
 from .errors import TooFewPoints
 from .field import FieldSpec, make_field
-from .groupoid import CurveParams, GroupoidPoint, PointListRep, viete_phi
-from .groupoid import _interpolate, _phi_values
+from .groupoid import CurveParams, GroupoidPoint, _interpolate, _phi_values
 
 
 def sqrt_mod(a: int, p: int):
@@ -49,17 +48,15 @@ def sqrt_mod(a: int, p: int):
 
 def random_curve_fp(field: FieldSpec, genus: int, rng: random.Random) -> CurveParams:
     p = field.modulus
-    lam1 = tuple(field.scalar(rng.randrange(p)) for _ in range(genus))
-    lam2 = tuple(field.scalar(rng.randrange(p)) for _ in range(genus))
-    return CurveParams(genus, lam1, lam2)
+    lam1 = [rng.randrange(p) for _ in range(genus)]
+    return CurveParams._from_values(field, lam1, [rng.randrange(p) for _ in range(genus)])
 
 
 def sample_point_fp(c: CurveParams, rng: random.Random) -> GroupoidPoint:
     """Rejection-sample g distinct abscissas whose f-values are squares
     (TooFewPoints when fewer than g of the p abscissas qualify)."""
-    field = c.field
-    p = field.modulus
-    f = [1, 0] + [s.value for s in reversed(c.lambda1 + c.lambda2)]
+    field, p = c.field, c.field.modulus
+    f = c._f[0][::-1]  # descending residues of f
     xs, ys, rejected = [], [], set()
     while len(xs) < c.genus:
         if len(xs) + len(rejected) == p:
@@ -76,7 +73,7 @@ def sample_point_fp(c: CurveParams, rng: random.Random) -> GroupoidPoint:
             continue
         xs.append(x)
         ys.append(-root if rng.getrandbits(1) else root)
-    return _phi_values(field, xs, ys, c.lambda2)
+    return _phi_values(field, xs, ys, c._z)
 
 
 def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
@@ -90,41 +87,30 @@ def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
         raise ValueError(f"expected {2 * g} points, got {len(pairs)}")
     xs = [field._value(x) for x, _ in pairs]
     rhs = [field._value(y) ** 2 - x ** (2 * g + 1) for x, (_, y) in zip(xs, pairs)]
-    lam = field._box(_interpolate(field, xs, rhs)[1])
+    lam = _interpolate(field, xs, rhs)[1]
     # unknown i is the x^i coefficient, i.e. weight 4g+2-2i
-    return CurveParams(g, lam[:g], lam[g:])
-
-
-def _distinct_ints(rng: random.Random, count: int, lo: int, hi: int):
-    xs = rng.sample(range(lo, hi + 1), count)
-    return xs
+    return CurveParams._from_values(field, lam[:g], lam[g:])
 
 
 def sample_pair_q(genus: int, rng: random.Random, bound: int = 9):
     """A rational curve plus two anchored points on it, all with small
     coordinates before the fit."""
-    field = make_field("q")
-    g = genus
-    xs = _distinct_ints(rng, 2 * g, -bound, bound)
-    pairs = [
-        (field.scalar(x), field.scalar(rng.randint(1, bound)))
-        for x in xs
-    ]
-    c = fit_curve_through(field, g, pairs)
-    a1 = viete_phi(PointListRep(pairs[:g], c.lambda2))
-    a2 = viete_phi(PointListRep(pairs[g:], c.lambda2))
-    return c, a1, a2
+    field, g = make_field("q"), genus
+    xs = rng.sample(range(-bound, bound + 1), 2 * g)
+    ys = [rng.randint(1, bound) for _ in xs]
+    c = fit_curve_through(field, g, list(zip(xs, ys)))
+    return c, _phi_values(field, xs[:g], ys[:g], c._z), _phi_values(field, xs[g:], ys[g:], c._z)
 
 
 def sample_point_q_on_template(c: CurveParams, rng: random.Random, bound: int = 9):
     """A rational point plus the curve it lies on, keeping the template's
     lower coefficient half and re-fitting the upper half."""
-    field = c.field
-    g = c.genus
-    xs = [field._value(x) for x in _distinct_ints(rng, g, -bound, bound)]
+    field, g = c.field, c.genus
+    xs = [field._value(x) for x in rng.sample(range(-bound, bound + 1), g)]
     ys = [field._value(rng.randint(1, bound)) for _ in xs]
     # the upper half interpolates y^2 - x^(2g+1) - x^g (lower half)
-    lower = [sum([lam.value * x ** (g + i) for i, lam in enumerate(c.lambda2)]) for x in xs]
+    lam2 = [s.value for s in c.lambda2]
+    lower = [sum([lam * x ** (g + i) for i, lam in enumerate(lam2)]) for x in xs]
     rhs = [y * y - x ** (2 * g + 1) - w for x, y, w in zip(xs, ys, lower)]
-    fitted = CurveParams(g, field._box(_interpolate(field, xs, rhs)[1]), c.lambda2)
-    return fitted, _phi_values(field, xs, ys, c.lambda2)
+    fitted = CurveParams._from_values(field, _interpolate(field, xs, rhs)[1], lam2)
+    return fitted, _phi_values(field, xs, ys, c._z)

@@ -89,6 +89,12 @@ def test_from_mumford_rejects_subgeneric():
         from_mumford(identity_divisor(Q), CURVE_G1)
 
 
+def test_from_mumford_rejects_an_invalid_divisor():
+    """(x - 2, 4) has degree g on y^2 = x^3 + 1, but f(2) = 9, not 16."""
+    with pytest.raises(NotOnJacobian):
+        from_mumford(MumfordDivisor(qp(-2, 1), qp(4)), CURVE_G1)
+
+
 def test_identity_divisor_is_neutral():
     d = to_mumford(A1, CURVE_G1)
     e = identity_divisor(Q)
@@ -426,8 +432,9 @@ def check_cases():
             yield c, d, cantor_neg(d, c), to_mumford(b, c)
 
 
-def f_plus_one(args, f):
-    return ((f[0][0] + f[1],) + f[0][1:], f[1])
+def f_plus_one(c):
+    """The curve y^2 = f + 1, on which no divisor valid on c lies."""
+    return CurveParams(c.genus, (c.lambda1[0] + 1,) + c.lambda1[1:], c.lambda2)
 
 
 def test_cantor_checks_that_dd_divides_u1_and_u2(monkeypatch):
@@ -448,23 +455,51 @@ def test_cantor_checks_the_composition_cofactor(monkeypatch):
                 cantor_add(d, d, c)
 
 
-def test_cantor_checks_u1_divides_f_minus_v1_squared(monkeypatch):
-    """Doubling reads (f - v1^2) / u1; with f + 1 it is not exact."""
+def test_cantor_checks_u1_divides_f_minus_v1_squared():
+    """When gcd(u1, u2) != 1 each input is checked, reading (f - v1^2) / u1
+    once: doubling on f + 1 raises NotOnJacobian."""
     for c, d, _, _ in check_cases():
-        with monkeypatch.context() as m:
-            corrupt(m, "_curve_ints", f_plus_one)
-            with pytest.raises(NonzeroRemainder, match="f - v1"):
-                cantor_add(d, d, c)
+        with pytest.raises(NotOnJacobian):
+            cantor_add(d, d, f_plus_one(c))
+
+
+def test_cantor_checks_inputs_at_the_first_reduction():
+    """A coprime sum skips (f - v1^2) / u1; on f + 1 its first reduction
+    division is the input check and raises NotOnJacobian."""
+    for c, d, _, e in check_cases():
+        with pytest.raises(NotOnJacobian):
+            cantor_add(d, e, f_plus_one(c))
 
 
 def test_cantor_checks_membership_during_reduction(monkeypatch):
-    """A generic sum skips (f - v1^2) / u1; with f + 1 the reduction's
-    first division is not exact."""
+    """A genus-3 generic sum reduces twice; a nonzero remainder in the
+    second round is an internal fault: NonzeroRemainder."""
     for c, d, _, e in check_cases():
+        if c.genus != 3:
+            continue
         with monkeypatch.context() as m:
-            corrupt(m, "_curve_ints", f_plus_one)
+            corrupt(m, "_norm_quotient", lambda args, out: (out[0], ((1,), 1)), 2)
             with pytest.raises(NonzeroRemainder, match="membership"):
                 cantor_add(d, e, c)
+
+
+def test_cantor_add_refuses_an_invalid_divisor():
+    """u | v^2 - f is checked on every path.  The identity plus (x - 2, 4)
+    on y^2 = x^3 + 1 runs no reduction round, so the composed pair is
+    checked; a genus-3 valid plus invalid coprime pair fails at the first
+    reduction; a doubling or a pair sharing a root of u fails the check of
+    each input."""
+    bad = MumfordDivisor(qp(-2, 1), qp(4))
+    cases = [(identity_divisor(Q), bad, CURVE_G1), (bad, identity_divisor(Q), CURVE_G1)]
+    cases += [(bad, bad, CURVE_G1), (to_mumford(A1, CURVE_G1), bad, CURVE_G1)]
+    c, a, b = q_pair(3, seeded("invalid-divisor"))
+    d, e = to_mumford(a, c), to_mumford(b, c)
+    wrong = MumfordDivisor(e.u, e.v + Poly(Q, [1]))
+    cases += [(d, wrong, c), (wrong, d, c), (wrong, e, c), (e, wrong, c)]
+    for d1, d2, curve in cases:
+        assert not (divisor_valid(d1, curve) and divisor_valid(d2, curve))
+        with pytest.raises(NotOnJacobian):
+            cantor_add(d1, d2, curve)
 
 
 def test_cantor_checks_that_reduction_terminates(monkeypatch):

@@ -285,7 +285,7 @@ def test_dual_check_catches_kl_columns_fault(monkeypatch):
     rng = seeded("kl-fault")
     pairs = [A1, A2], list(q_pair(2, rng)[1:]), list(fp_pair(P, 3, rng)[1:])
     for a1, a2 in pairs:
-        inverted = groupoid._bare(invert(a1)), groupoid._bare(invert(a2))
+        inverted = invert(a1), invert(a2)
         for faulty in (inverted, inverted[:1], inverted[1:]):
 
             def perturbed(b, faulty=faulty):
@@ -343,8 +343,8 @@ def test_solve_h_holds_field_scalars(monkeypatch):
     assert all(holds_field_scalars(h, P) for h in solve_h(invert(a1), invert(a2)))
     c = fit_curve_through(Q, 1, [qs(1, 1), qs(0, 2)])
     b1, b2 = (viete_phi(PointListRep([qs(*xy)], c.lambda2)) for xy in ((1, 1), (0, 2)))
-    assert groupoid._columns(groupoid._bare(b1))[1] == [1, 1]
-    assert groupoid._columns(groupoid._bare(b2))[1] == [1, 1]
+    assert groupoid._columns(b1)[1] == [1, 1]
+    assert groupoid._columns(b2)[1] == [1, 1]
     dets.clear()
     for x, y in ((b1, b2), (b2, b1), q_pair(2, rng)[1:]):
         assert all(holds_field_scalars(h, Q) for h in solve_h(invert(x), invert(y)))
@@ -565,9 +565,9 @@ def _answered_pairs(rng):
 
 
 def test_star_boxes_only_its_answer(monkeypatch):
-    """star_detail works on bare values from input to output: it builds
-    exactly the 2g Scalars of the answer's p_even and p_odd, and runs no
-    Poly arithmetic operator."""
+    """star_detail works on kernel pairs from input to output: its answer
+    holds pairs too, so it builds no Scalar, and it runs no Poly
+    arithmetic operator."""
     pairs = _answered_pairs(seeded("boxing"))
     want = [star_detail(a1, a2) for a1, a2 in pairs]
     built, real_init = [], Scalar.__init__
@@ -585,7 +585,7 @@ def test_star_boxes_only_its_answer(monkeypatch):
     for (a1, a2), res in zip(pairs, want):
         built.clear()
         got = star_detail(a1, a2)
-        assert len(built) == 2 * a1.genus
+        assert built == []
         assert (got.point, got.r) == (res.point, res.r)
 
 

@@ -20,19 +20,22 @@ def test_src_has_no_assert():
     assert found == []
 
 
+def names_in(path: Path, kernel: str) -> list:
+    """Each place in one module that names, imports or defines `kernel`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        if name == kernel:
+            found.append(f"{path.name}:{node.lineno}:{name}")
+    return found
+
+
 def names_outside(home: str, kernel: str) -> list:
     """Each place in a module other than `home` that names `kernel`."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == home:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if isinstance(node, ast.alias):
-                name = node.name
-            if name == kernel:
-                found.append(f"{path.name}:{node.lineno}:{name}")
-    return found
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != home]
+    return [found for path in paths for found in names_in(path, kernel)]
 
 
 def test_only_linalg_picks_an_elimination():
@@ -47,3 +50,13 @@ def test_only_poly_runs_euclid():
     `_euclid`; they call `_inverse` or `xgcd` instead."""
     assert (SRC / "poly.py").read_text().count("def _euclid(") == 1
     assert names_outside("poly.py", "_euclid") == []
+
+
+def test_points_and_curves_are_read_not_converted():
+    """A GroupoidPoint and a CurveParams hold their kernel pairs, so no
+    module names the converters `_bare`, `_curve_ints` or `_box_point`,
+    and cantor names neither `_ints` nor `_box`: it reads the pairs of
+    its inputs and builds no Scalar."""
+    for converter in ("_bare", "_curve_ints", "_box_point"):
+        assert names_outside("", converter) == []
+    assert names_in(SRC / "cantor.py", "_ints") + names_in(SRC / "cantor.py", "_box") == []
