@@ -6,10 +6,10 @@ the coordinate addition law is chartbound, so it doubles as the
 reference oracle: transporting two coordinate points here, adding, and
 transporting back must reproduce `star` whenever the latter is defined.
 
-The entry points check fields (FieldMismatch) and compute on `poly`
-kernel pairs read off each Poly, the curve (f) and a point (u, v), so
-the round trip builds no Scalar; `cantor_add` also refuses an input with
-u not dividing v^2 - f.  Composition (Cantor, Math. Comp. 48, 1987) is:
+The entry points check fields (FieldMismatch) and pass the kernel pairs
+of divisors, points and the curve (f) through, so the round trip builds
+no Scalar and `cantor_add` no Poly; `cantor_add` also refuses an input
+with u not dividing v^2 - f.  Composition (Cantor, Math. Comp. 48, 1987) is:
 
     (d, e1) = xgcd(u1, u2), e1 u1 = d (mod u2); when d = 1, dd = 1,
     s1 = e1 and s3 = 0, else (dd, s3) = xgcd(v1 + v2, d) and
@@ -30,9 +30,10 @@ from .poly import Poly, _add, _divmod, _monic, _mul, _neg, xgcd
 
 
 class MumfordDivisor:
-    """Reduced or semi-reduced divisor (u, v): u monic, deg v < deg u."""
+    """Reduced or semi-reduced divisor (u, v): u monic, deg v < deg u, held
+    as the field and two kernel pairs, which `.u` and `.v` box as Polys."""
 
-    __slots__ = ("u", "v")
+    __slots__ = ("field", "_u", "_v")
 
     def __init__(self, u: Poly, v: Poly):
         if u.is_zero() or not u.is_monic():
@@ -41,20 +42,25 @@ class MumfordDivisor:
             raise ValueError("v must have degree below deg u")
         if v.field is not u.field and v.field != u.field:
             raise FieldMismatch("u and v over different fields")
-        self.u = u
-        self.v = v
+        self.field, self._u, self._v = u.field, (u._values, u._den), (v._values, v._den)
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.u.field
+    @classmethod
+    def _make(cls, field: FieldSpec, u, v) -> "MumfordDivisor":
+        """The divisor of canonical kernel pairs u and v."""
+        out = cls.__new__(cls)
+        out.field, out._u, out._v = field, u, v
+        return out
+
+    u = property(lambda self: Poly._wrap(self.field, *self._u))
+    v = property(lambda self: Poly._wrap(self.field, *self._v))
 
     def __eq__(self, other):
         if not isinstance(other, MumfordDivisor):
             return NotImplemented
-        return self.u == other.u and self.v == other.v
+        return (self.field, self._u, self._v) == (other.field, other._u, other._v)
 
     def __hash__(self):
-        return hash((self.u, self.v))
+        return hash((self.field, self._u, self._v))
 
     def __repr__(self):
         return f"MumfordDivisor(u={self.u!r}, v={self.v!r})"
@@ -87,8 +93,7 @@ def _norm_quotient(u, v, f, p: int):
 
 def divisor_valid(d: MumfordDivisor, c: CurveParams) -> bool:
     """The membership invariant: u divides v^2 - f."""
-    p, u, v = _modulus(c, d), d.u, d.v
-    return not _norm_quotient((u._values, u._den), (v._values, v._den), c._f, p)[1][0]
+    return not _norm_quotient(d._u, d._v, c._f, _modulus(c, d))[1][0]
 
 
 def to_mumford(a: GroupoidPoint, c: CurveParams) -> MumfordDivisor:
@@ -96,22 +101,21 @@ def to_mumford(a: GroupoidPoint, c: CurveParams) -> MumfordDivisor:
     _modulus(c, a)
     if not _on_curve(a, c):
         raise NotOnJacobian("z differs from the curve's lower half, or u does not divide v^2 - f")
-    return MumfordDivisor(Poly._wrap(c.field, *a._u), Poly._wrap(c.field, *a._v))
+    return MumfordDivisor._make(c.field, a._u, a._v)
 
 
 def from_mumford(d: MumfordDivisor, c: CurveParams) -> GroupoidPoint:
     """Transport back; only degree-g divisors have coordinate images."""
     _modulus(c, d)
-    if d.u.degree != c.genus:
-        raise NonGenericDivisor(f"deg u = {d.u.degree}, need exactly {c.genus}")
+    if len(d._u[0]) != c.genus + 1:
+        raise NonGenericDivisor(f"deg u = {len(d._u[0]) - 1}, need exactly {c.genus}")
     if not divisor_valid(d, c):
         raise NotOnJacobian("u does not divide v^2 - f")
-    return GroupoidPoint._make(c.field, (d.u._values, d.u._den), (d.v._values, d.v._den), c._z)
+    return GroupoidPoint._make(c.field, d._u, d._v, c._z)
 
 
 def cantor_neg(d: MumfordDivisor, c: CurveParams) -> MumfordDivisor:
-    _modulus(c, d)
-    return MumfordDivisor(d.u, -d.v)
+    return MumfordDivisor._make(c.field, d._u, _neg(d._v, _modulus(c, d)))
 
 
 def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> MumfordDivisor:
@@ -125,7 +129,7 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> Mumfor
     valid (CRT), so the first reduction division is the input check.
     """
     p, f, g = _modulus(c, d1, d2), c._f, c.genus
-    (u1, v1), (u2, v2) = (((d.u._values, d.u._den), (d.v._values, d.v._den)) for d in (d1, d2))
+    (u1, v1), (u2, v2) = (d1._u, d1._v), (d2._u, d2._v)
 
     d, s1 = xgcd(*u1, *u2, p)
     dd, s3, w1, w2 = ((1,), 1), ((), 1), u1, u2  # w1, w2 = u1 / dd, u2 / dd
@@ -163,4 +167,4 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, c: CurveParams) -> Mumfor
         rounds += 1
         if rounds > 2 * g + 2:
             raise InvariantViolation("reduction failed to terminate")
-    return MumfordDivisor(Poly._wrap(c.field, *u), Poly._wrap(c.field, *v))
+    return MumfordDivisor._make(c.field, u, v)

@@ -6,17 +6,21 @@ canonical range [0, p).  Every Scalar remembers the FieldSpec it came
 from, and mixed-field arithmetic raises FieldMismatch instead of
 guessing a coercion.
 
-Scalars live at the API: every coefficient, entry and coordinate a
-caller sees or passes in is one.  `Matrix`, `Poly` and the points and
-curves of `groupoid` store bare values (ints in [0, p) over F_p; over Q,
-a Matrix holds Fractions and the others int numerators over one
-denominator, made Fractions only when read).
+A Scalar holds its canonical value: `Scalar(field, v)` reduces an int
+into [0, p) over F_p and keeps a Q value as given, so arithmetic builds
+its result from the raw sum or product, and equal elements compare and
+hash equal.  Scalars live at the API: every coefficient, entry and
+coordinate a caller sees or passes in is one.  `Matrix`, `Poly`, the
+points and curves of `groupoid` and the divisors of `cantor` store bare
+values: ints in [0, p) over F_p; over Q, a Matrix holds Fractions (the
+matrix oracles' rows, ints) and the others int numerators over one
+denominator, made Fractions only when read by `poly._read`.
 FieldSpec._value converts what enters them and raises ValueError on a
-denominator that is 0 (or 0 mod p), _canonical reduces mod p, and _box
-builds Scalars on read.
+denominator that is 0 (or 0 mod p), and _box builds Scalars on read.
 
-A prime modulus is checked by deterministic Miller-Rabin, which is
-exact below 3.3e24; a larger one that passes is refused, never assumed prime.
+The FieldSpec constructor checks a nonzero modulus by deterministic
+Miller-Rabin, which is exact below 3.3e24; a larger one that passes is
+refused, never assumed prime.
 
 Characteristic 2 is rejected up front: the curve model and the addition
 law divide by 2 freely.
@@ -69,11 +73,11 @@ class FieldSpec:
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int = 0):
+        if modulus == 2:
+            raise EvenCharacteristic("characteristic 2 is not supported")
+        if modulus and not _is_prime(modulus):
+            raise NonPrimeModulus(f"{modulus} is not prime")
         self.modulus = modulus
-
-    @property
-    def kind(self) -> str:
-        return RATIONALS if self.modulus == 0 else PRIME
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.modulus == other.modulus
@@ -90,7 +94,7 @@ class FieldSpec:
         """Wrap an int, Fraction, or decimal/fraction string as a Scalar."""
         if isinstance(value, Scalar) and value.field is self:
             return value
-        return Scalar(self, self._value(value))
+        return Scalar(self, value if type(value) is int and self.modulus else self._value(value))
 
     def _value(self, value):
         """The bare value of an int, Fraction, string or Scalar of this
@@ -117,15 +121,9 @@ class FieldSpec:
             raise ValueError(f"{value} has no value in {self}: its denominator is 0 mod p")
         return num * pow(den, -1, self.modulus) % self.modulus
 
-    def _canonical(self, values) -> list:
-        """Bare values in canonical form: any ints over F_p are reduced
-        mod p, Fractions over Q pass through."""
-        p = self.modulus
-        return [v % p for v in values] if p else list(values)
-
     def _box(self, values) -> tuple:
-        """Scalars of this field from bare values, made canonical here."""
-        return tuple([Scalar(self, v) for v in self._canonical(values)])
+        """Scalars of this field from bare values, made canonical by Scalar."""
+        return tuple([Scalar(self, v) for v in values])
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -141,17 +139,15 @@ class FieldSpec:
 
 
 def make_field(kind: str, modulus: int | None = None) -> FieldSpec:
-    """Construct a FieldSpec, validating the modulus for prime fields."""
+    """Construct a FieldSpec; FieldSpec itself validates a prime modulus."""
     if kind == RATIONALS:
         return FieldSpec(0)
     if kind != PRIME:
         raise ValueError(f"unknown field kind {kind!r}")
     if modulus is None:
         raise ValueError("prime field needs a modulus")
-    if modulus == 2:
-        raise EvenCharacteristic("characteristic 2 is not supported")
-    if not _is_prime(modulus):
-        raise NonPrimeModulus(f"{modulus} is not prime")
+    if modulus == 0:
+        raise NonPrimeModulus("0 is not prime")
     return FieldSpec(modulus)
 
 
@@ -177,7 +173,7 @@ class Scalar:
 
     def __init__(self, field: FieldSpec, value):
         self.field = field
-        self.value = value
+        self.value = value % field.modulus if field.modulus else value
 
     def _lift(self, other):
         if isinstance(other, Scalar):
@@ -192,9 +188,7 @@ class Scalar:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.modulus == 0:
-            return Scalar(self.field, self.value + other.value)
-        return Scalar(self.field, (self.value + other.value) % self.field.modulus)
+        return Scalar(self.field, self.value + other.value)
 
     __radd__ = __add__
 
@@ -202,9 +196,7 @@ class Scalar:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.modulus == 0:
-            return Scalar(self.field, self.value - other.value)
-        return Scalar(self.field, (self.value - other.value) % self.field.modulus)
+        return Scalar(self.field, self.value - other.value)
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -216,9 +208,7 @@ class Scalar:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.modulus == 0:
-            return Scalar(self.field, self.value * other.value)
-        return Scalar(self.field, (self.value * other.value) % self.field.modulus)
+        return Scalar(self.field, self.value * other.value)
 
     __rmul__ = __mul__
 
@@ -235,18 +225,14 @@ class Scalar:
         return other * self.inverse()
 
     def __neg__(self):
-        if self.field.modulus == 0:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % self.field.modulus)
+        return Scalar(self.field, -self.value)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self.field.modulus == 0:
-            return Scalar(self.field, self.value**exponent)
-        return Scalar(self.field, pow(self.value, exponent, self.field.modulus))
+        return Scalar(self.field, pow(self.value, exponent, self.field.modulus or None))
 
     def inverse(self) -> "Scalar":
         if self.is_zero():

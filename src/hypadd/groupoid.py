@@ -36,12 +36,13 @@ its answer holds pairs too:
 The h-solve runs on those ints with one body for both fields: each
 column of both sides is scaled by the lcm of its two denominators (1
 over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
-come out over one denominator.  `kl_columns` boxes the same columns for
-the matrix routes.  Only `star_detail` builds R = r1 y + x^g r2 + r3,
-as its three polynomials.  Each product by a power of x is a shift, and
-r1^(-1) mod u3 comes from `poly._inverse` on the one extended Euclid
-`poly._euclid`.  `star`, `anchor` and `_on_curve` share one anchor
-division, `_anchor_division`.  The matrix routes (build_r_determinant,
+come out over one denominator.  `kl_columns` boxes the same columns
+through `poly._read`, and the matrix oracles stack them as int rows.
+Only `star_detail` builds R = r1 y + x^g r2 + r3, as its three
+polynomials.  Each product by a power of x is a shift, and r1^(-1) mod
+u3 comes from `poly._inverse` on the one extended Euclid `poly._euclid`.
+`star`, `anchor` and `_on_curve` share one anchor division,
+`_anchor_division`.  The matrix routes (build_r_determinant,
 rank_witness, anchor_s) and `phi_poly` stay as the tests' independent
 oracles.
 
@@ -49,7 +50,6 @@ Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are listed highest weight first.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -64,7 +64,7 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar, _inverse_value
 from .linalg import Matrix, _solve_rows, rank, solve, vandermonde
-from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm
+from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read
 
 
 def _scalars(*vectors):
@@ -74,13 +74,6 @@ def _scalars(*vectors):
         raise ValueError("every coordinate must be a Scalar")
     field = vectors[0][0].field
     return (field, *[[field._value(s) for s in vec] for vec in vectors])
-
-
-def _read(field: FieldSpec, pair, n: int, sign: int = 1) -> tuple:
-    """The first n coefficients of a kernel pair, times sign and zero-padded, as Scalars."""
-    nums, den = pair
-    vals = [sign * c for c in nums[:n]] + [0] * (n - len(nums[:n]))
-    return field._box(vals if field.modulus else [Fraction(c, den) for c in vals])
 
 
 class CurveParams:
@@ -327,13 +320,10 @@ def _columns(a: GroupoidPoint):
 
 def kl_columns(a: GroupoidPoint):
     """The g x g matrix L of the first g columns of _columns and the
-    (g+1)-st column ell as a vector, as bare values boxed for callers."""
+    (g+1)-st column ell as a vector, each column boxed by `_read`."""
     g, field = a.genus, a.field
-    cols, dens = _columns(a)
-    if not field.modulus:
-        cols = [[Fraction(c, d) for c in col] for col, d in zip(cols, dens)]
-    rows = [[col[i] for col in cols[:g]] for i in range(g)]
-    return Matrix._from_raw(field, rows), field._box(cols[g])
+    cols = [_read(field, col, g) for col in zip(*_columns(a))]
+    return Matrix(field, list(zip(*cols[:g]))), cols[g]
 
 
 def _solve_h_core(b1, b2):
@@ -392,12 +382,16 @@ def build_r_from_h(h1, h2, genus: int) -> RFunction:
 
 
 def _stacked_rows(points):
-    """The rows (e_i | L_i | ell_i) of each point's (I | L | ell) block, stacked."""
+    """The int rows (e_i | L_i | ell_i) of each point's (I | L | ell)
+    block from `_columns`, stacked.  A point's rows are scaled by the lcm
+    m of its column denominators (1 over F_p), which keeps the rank and
+    the solution."""
     rows = []
     for b in points:
-        l, ell = kl_columns(b)
-        eye = Matrix.identity(b.field, b.genus)
-        rows += [list(e) + list(lr) + [el] for e, lr, el in zip(eye.rows, l.rows, ell)]
+        (cols, dens), g = _columns(b), b.genus
+        m = lcm(*dens)
+        cols = [[v * (m // d) for v in col] for col, d in zip(cols, dens)]
+        rows += [[m if i == j else 0 for j in range(g)] + [col[i] for col in cols] for i in range(g)]
     return rows
 
 
@@ -414,7 +408,7 @@ def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction
     """
     g = a1bar.genus
     block = _stacked_rows((a1bar, a2bar))
-    a = Matrix(a1bar.field, [row[:-1] for row in block])
+    a = Matrix._from_raw(a1bar.field, [row[:-1] for row in block])
     try:
         x = solve(a, [-row[-1] for row in block])
     except SingularMatrix as exc:
@@ -490,7 +484,7 @@ def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
     point = GroupoidPoint._make(field, u3, v3, a1._z)
     if not detail:
         return point
-    r2, r3 = Poly._from_ints(field, rest[0::2], den), Poly._from_ints(field, h1, den)
+    r2, r3 = (Poly._wrap(field, *_norm(h, den, p)) for h in (rest[0::2], h1))
     return StarResult(point, RFunction(g, Poly._wrap(field, *r1), r2, r3))
 
 
@@ -519,7 +513,8 @@ def _interpolate(field: FieldSpec, xs, ys):
     xs = [x.numerator if x.denominator == 1 else x for x in xs]
     u = [1]
     for xi in xs:
-        u = field._canonical([a - xi * b for a, b in zip([0] + u, u + [0])])
+        u = [a - xi * b for a, b in zip([0] + u, u + [0])]
+        u = [c % p for c in u] if p else u
     v = [0] * len(xs)
     for xi, yi in zip(xs, ys):
         q, acc, d = [], 0, 0
@@ -577,7 +572,7 @@ def rank_witness(a1: GroupoidPoint, a2: GroupoidPoint, a3: GroupoidPoint) -> boo
     inverted a2, a3) have rank below 2g+1, i.e. the three point sets
     admit a common vanishing function of lowest order."""
     rows = _stacked_rows((invert(a1), invert(a2), a3))
-    return rank(Matrix(a1.field, rows)) < 2 * a1.genus + 1
+    return rank(Matrix._from_raw(a1.field, rows)) < 2 * a1.genus + 1
 
 
 def grade_scale(a: GroupoidPoint, c: CurveParams, t: Scalar):

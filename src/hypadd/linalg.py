@@ -11,14 +11,13 @@ platforms.
 A Matrix holds its field and a tuple of rows of bare values.  The
 elimination and the products compute on those, and Scalars are built
 only where a caller reads one: `rows`, `vec`'s result and `solve`'s
-solution.
+solution, which boxes its numerators over the determinant through
+`poly._read`.
 """
-
-from fractions import Fraction
 
 from .errors import NotSquare, SingularMatrix
 from .field import FieldSpec
-from .poly import _ints
+from .poly import _ints, _read
 
 
 class Matrix:
@@ -32,10 +31,10 @@ class Matrix:
 
     @classmethod
     def _from_raw(cls, field: FieldSpec, rows) -> "Matrix":
-        """The matrix with the given rows of bare values (reduced mod p here)."""
-        out = cls.__new__(cls)
+        """The matrix with the given rows of bare values or ints, reduced mod p here."""
+        out, p = cls.__new__(cls), field.modulus
         out.field = field
-        out._values = tuple([tuple(field._canonical(row)) for row in rows])
+        out._values = tuple([tuple([v % p for v in row] if p else row) for row in rows])
         return out
 
     @property
@@ -145,7 +144,7 @@ def solve(m: Matrix, rhs) -> tuple:
         raise ValueError("rhs length mismatch")
     p = m.field.modulus
     y, det = _solve_rows([_ints(row + (b,), p)[0] for row, b in zip(m._values, rhs)], n, p)
-    return m.field._box(y if p else [Fraction(v, det) for v in y])
+    return _read(m.field, (y, det), n)
 
 
 def rank(m: Matrix) -> int:

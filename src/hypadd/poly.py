@@ -13,7 +13,8 @@ pairs and p and returns (d, s), d = gcd(a, b) monic and s a = d (mod b),
 raising BothZero on two zeros; nothing computes the cofactor of b.
 `Poly` is the API shell over the kernels, whose Scalars (`coeffs`,
 `p[i]`, `lc()`, evaluation) hold Fractions over Q; `groupoid.star_detail`
-and `cantor` call the kernels directly."""
+and `cantor` call the kernels directly.  `_read`, the one reader from a
+kernel pair to Scalars, serves `Poly.coeffs`, `groupoid` and `linalg`."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -46,6 +47,13 @@ def _norm(nums, den: int, p: int):
     while n and not nums[n - 1]:
         n -= 1
     return tuple(nums[:n]), den
+
+
+def _read(field: FieldSpec, pair, n: int, sign: int = 1) -> tuple:
+    """The first n coefficients of a kernel pair, times sign and zero-padded, as Scalars."""
+    nums, den = pair
+    vals = [sign * c for c in nums[:n]] + [0] * (n - len(nums[:n]))
+    return field._box(vals if field.modulus else [Fraction(c, den) for c in vals])
 
 
 def _add(a, da: int, b, db: int, p: int, sign: int = 1):
@@ -143,11 +151,6 @@ class Poly:
         self.field, self._values, self._den = field, tuple(vs), den
 
     @classmethod
-    def _from_ints(cls, field: FieldSpec, nums, den: int) -> "Poly":
-        """nums / den in `_norm`'s canonical form."""
-        return cls._wrap(field, *_norm(nums, den, field.modulus))
-
-    @classmethod
     def _wrap(cls, field: FieldSpec, nums, den: int) -> "Poly":
         """The Poly of a kernel result: a canonical tuple over den."""
         out = cls.__new__(cls)
@@ -156,7 +159,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple([self[i] for i in range(len(self._values))])
+        return _read(self.field, (self._values, self._den), len(self._values))
 
     @property
     def degree(self):
@@ -206,13 +209,13 @@ class Poly:
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return Poly._from_ints(self.field, [-c for c in self._values], self._den)
+        return Poly._wrap(self.field, *_neg((self._values, self._den), self.field.modulus))
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
             s = self.field._value(other)
-            n, d = s.numerator, s.denominator
-            return Poly._from_ints(self.field, [c * n for c in self._values], self._den * d)
+            nums, den = [c * s.numerator for c in self._values], self._den * s.denominator
+            return Poly._wrap(self.field, *_norm(nums, den, self.field.modulus))
         if not self._check(other):
             return NotImplemented
         out = _mul(self._values, self._den, other._values, other._den, self.field.modulus)
@@ -274,7 +277,7 @@ class Poly:
 
 def x_power(field: FieldSpec, k: int) -> Poly:
     """The monomial x^k."""
-    return Poly._from_ints(field, [0] * k + [1], 1)
+    return Poly._wrap(field, (0,) * k + (1,), 1)
 
 
 def from_roots(field: FieldSpec, roots) -> Poly:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hypadd import make_field, field_from_string
+from hypadd import FieldSpec, Scalar, make_field, field_from_string
 from hypadd.errors import EvenCharacteristic, FieldMismatch, NonPrimeModulus, UncertifiedModulus
 from hypadd.field import _inverse_value, _is_prime
 
@@ -91,12 +91,37 @@ def test_cross_field_rejected():
 
 
 def test_field_construction_errors():
+    """make_field and the FieldSpec constructor refuse the same moduli, so
+    no Z/n is built whose inverses fail outside HypaddError; modulus 0
+    is Q only through FieldSpec."""
     with pytest.raises(EvenCharacteristic):
         make_field("fp", 2)
     with pytest.raises(NonPrimeModulus):
         make_field("fp", 10006)
     with pytest.raises(NonPrimeModulus):
         make_field("fp", 1)
+    with pytest.raises(NonPrimeModulus):
+        make_field("fp", 0)
+    with pytest.raises(EvenCharacteristic):
+        FieldSpec(2)
+    for modulus in (15, -7, 1):
+        with pytest.raises(NonPrimeModulus):
+            FieldSpec(modulus)
+    with pytest.raises(UncertifiedModulus):
+        FieldSpec(2**89 - 1)
+    assert FieldSpec(0) == Q and FieldSpec(10007) == P
+
+
+def test_scalar_constructor_is_canonical():
+    """Scalar(field, v) reduces an int into [0, p), so equal residues
+    compare and hash equal however they were built; a Q value is kept."""
+    f7 = make_field("fp", 7)
+    assert Scalar(f7, -1) == f7.scalar(6)
+    assert hash(Scalar(f7, -1)) == hash(f7.scalar(6))
+    assert Scalar(f7, 13).value == 6
+    assert {Scalar(f7, v) for v in (-8, -1, 6, 13)} == {f7.scalar(6)}
+    half = Fraction(-1, 2)
+    assert Scalar(Q, half).value is half
 
 
 def test_is_prime_matches_trial_division():

@@ -1,5 +1,6 @@
-"""Points and curves hold their field and canonical kernel pairs, built
-once by the constructor, and box Scalars only when a coordinate is read."""
+"""Points, curves and divisors hold their field and canonical kernel
+pairs, built once by the constructor, and box Scalars (or, for a
+divisor, Polys) only when a coordinate is read."""
 
 import json
 from fractions import Fraction
@@ -9,17 +10,29 @@ import pytest
 from hypadd import (
     CurveParams,
     GroupoidPoint,
+    MumfordDivisor,
+    Poly,
     cantor_add,
+    cantor_neg,
     from_mumford,
     invert,
     make_field,
     star,
     star_detail,
     to_mumford,
+    u_poly,
+    v_poly,
 )
 from hypadd.errors import DegenerateConfiguration, FieldMismatch, NotOnJacobian
 from hypadd.field import Scalar
-from hypadd.jsonio import curve_from_json, curve_to_json, point_from_json, point_to_json
+from hypadd.jsonio import (
+    curve_from_json,
+    curve_to_json,
+    divisor_from_json,
+    divisor_to_json,
+    point_from_json,
+    point_to_json,
+)
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 Q = make_field("q")
@@ -152,3 +165,52 @@ def test_a_point_of_another_genus_is_not_on_the_curve():
     a = GroupoidPoint((zero,), (one,), (zero,))
     with pytest.raises(NotOnJacobian):
         to_mumford(a, c)
+
+
+def test_equal_divisors_from_every_route_compare_and_hash_equal():
+    """The constructor, to_mumford, cantor_add in both orders, cantor_neg
+    twice and JSON give the same pairs for one divisor, and negation
+    matches the inverted point's divisor."""
+    for c, a, b in answered(seeded("divisor-routes"), 1):
+        s = cantor_add(to_mumford(a, c), to_mumford(b, c), c)
+        text = json.dumps(divisor_to_json(s))
+        routes = [
+            MumfordDivisor(s.u, s.v),
+            to_mumford(star(a, b), c),
+            cantor_add(to_mumford(b, c), to_mumford(a, c), c),
+            cantor_neg(cantor_neg(s, c), c),
+            divisor_from_json(c.field, json.loads(text)),
+        ]
+        assert all(r == s for r in routes)
+        assert {hash(r) for r in routes} == {hash(s)}
+        neg = cantor_neg(to_mumford(a, c), c)
+        assert neg == to_mumford(invert(a), c) == MumfordDivisor(u_poly(a), -v_poly(a))
+        assert hash(neg) == hash(to_mumford(invert(a), c))
+
+
+def test_divisor_reads_back_its_polys():
+    """.u and .v give back equal Polys with the same coefficient values,
+    Fractions over Q and reduced residues over F_7."""
+    q_u = Poly(Q, [Fraction(5, 6), Fraction(-3, 4), 1])
+    q_v = Poly(Q, [Fraction(7, 10), 4])
+    f7_u, f7_v = Poly(F7, [-1, 9, 1]), Poly(F7, [13])
+    for u, v in ((q_u, q_v), (f7_u, f7_v)):
+        d = MumfordDivisor(u, v)
+        assert (d.u, d.v) == (u, v) and d.field is u.field
+        for got, want in ((d.u.coeffs, u.coeffs), (d.v.coeffs, v.coeffs)):
+            assert [(type(s.value), s.value) for s in got] == [(type(s.value), s.value) for s in want]
+        assert repr(d) == f"MumfordDivisor(u={u!r}, v={v!r})"
+    assert [s.value for s in MumfordDivisor(f7_u, f7_v).u.coeffs] == [6, 2, 1]
+    # u = x + 1 and v = 1 have equal pairs over F_7, F_11 and Q, so the field decides.
+    same = [MumfordDivisor(Poly(f, [1, 1]), Poly(f, [1])) for f in (F7, F11, Q)]
+    assert [x == y for x in same for y in same] == [x is y for x in same for y in same]
+
+
+def test_divisor_constructor_keeps_its_checks():
+    """u must be nonzero and monic, deg v < deg u, and u, v share a field."""
+    x = Poly(F7, [0, 1])
+    for u, v in ((Poly(F7), Poly(F7)), (Poly(F7, [0, 2]), Poly(F7)), (x, Poly(F7, [1, 1]))):
+        with pytest.raises(ValueError):
+            MumfordDivisor(u, v)
+    with pytest.raises(FieldMismatch):
+        MumfordDivisor(x, Poly(F11, [1]))

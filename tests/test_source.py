@@ -1,7 +1,13 @@
-"""Rules the library source keeps, checked on its syntax tree."""
+"""Rules the library source keeps, checked on its syntax tree, and one
+boundary that only a run can show, checked by counting Scalars."""
 
 import ast
 from pathlib import Path
+
+from hypadd import invert, make_field, rank_witness, star
+from hypadd.errors import DegenerateConfiguration
+from hypadd.field import Scalar
+from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hypadd"
 
@@ -60,3 +66,52 @@ def test_points_and_curves_are_read_not_converted():
     for converter in ("_bare", "_curve_ints", "_box_point"):
         assert names_outside("", converter) == []
     assert names_in(SRC / "cantor.py", "_ints") + names_in(SRC / "cantor.py", "_box") == []
+
+
+def test_only_poly_and_the_divisor_constructor_read_den():
+    """Outside poly, a Poly's denominator slot `_den` is named only where
+    the MumfordDivisor constructor reads its two input Polys, once each;
+    everything else passes kernel pairs or boxes through `poly._read`."""
+    tree = ast.parse((SRC / "cantor.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MumfordDivisor")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    reads = [n.value.id for n in ast.walk(init) if isinstance(n, ast.Attribute) and n.attr == "_den"]
+    assert sorted(reads) == ["u", "v"]
+    assert len(names_outside("poly.py", "_den")) == 2
+
+
+def test_fraction_stays_in_the_field_layers():
+    """Scalars and pairs cross in field and poly, so besides them only the
+    symbolic expr and closedform name `Fraction`; linalg, groupoid and
+    cantor do not."""
+    naming = {found.split(":")[0] for found in names_outside("", "Fraction")}
+    assert naming <= {"field.py", "poly.py", "expr.py", "closedform.py"}
+    for module in ("linalg.py", "groupoid.py", "cantor.py"):
+        assert names_in(SRC / module, "Fraction") == []
+
+
+def test_rank_witness_builds_no_scalar(monkeypatch):
+    """rank_witness stacks int rows from the points' pairs and ranks them
+    without boxing a Scalar, at genus 2 and 8 over F_p and genus 2 over Q."""
+    rng, p = seeded("rank-no-scalar"), make_field("fp", TEST_PRIME)
+    cases = []
+    for genus, field in ((2, p), (8, p), (2, None)):
+        found = 0
+        while found < 3:
+            _, a, b = fp_pair(field, genus, rng) if field else q_pair(genus, rng)
+            try:
+                cases.append((a, b, star(a, b)))
+            except DegenerateConfiguration:
+                continue
+            found += 1
+    built, real_init = [], Scalar.__init__
+
+    def counted(self, field, value):
+        built.append(value)
+        real_init(self, field, value)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    for a, b, s in cases:
+        assert rank_witness(a, b, s)
+        assert not rank_witness(a, b, invert(s))
+    assert built == []
