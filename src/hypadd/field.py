@@ -12,9 +12,9 @@ its result from the raw sum or product, and equal elements compare and
 hash equal.  Scalars live at the API: every coefficient, entry and
 coordinate a caller sees or passes in is one.  `Matrix`, `Poly`, the
 points and curves of `groupoid` and the divisors of `cantor` store bare
-values: ints in [0, p) over F_p; over Q, a Matrix holds Fractions (the
-matrix oracles' rows, ints) and the others int numerators over one
-denominator, made Fractions only when read by `poly._read`.
+values: ints in [0, p) over F_p; over Q, a Matrix holds Fractions and
+the others int numerators over one denominator, made Fractions only
+when read by `poly._read`.
 FieldSpec._value converts what enters them and raises ValueError on a
 denominator that is 0 (or 0 mod p), and _box builds Scalars on read.
 
@@ -97,8 +97,8 @@ class FieldSpec:
         return Scalar(self, value if type(value) is int and self.modulus else self._value(value))
 
     def _value(self, value):
-        """The bare value of an int, Fraction, string or Scalar of this
-        field: a Fraction over Q, a residue in [0, p) over F_p."""
+        """The bare value of an int, Fraction, string or Scalar of this field,
+        a Fraction over Q or a residue in [0, p) over F_p; ValueError else."""
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar from {value.field}, not {self}")
@@ -112,14 +112,19 @@ class FieldSpec:
                 return self._value(Fraction(int(num), int(den)))
             value = int(text)
         if self.modulus == 0:
-            return value if type(value) is Fraction else Fraction(value)
-        if isinstance(value, int):
+            if type(value) is Fraction:
+                return value
+            if isinstance(value, (int, Fraction)):
+                return Fraction(value)
+        elif isinstance(value, int):
             return value % self.modulus
-        num = value.numerator % self.modulus
-        den = value.denominator % self.modulus
-        if not den:
-            raise ValueError(f"{value} has no value in {self}: its denominator is 0 mod p")
-        return num * pow(den, -1, self.modulus) % self.modulus
+        elif isinstance(value, Fraction):
+            num = value.numerator % self.modulus
+            den = value.denominator % self.modulus
+            if not den:
+                raise ValueError(f"{value} has no value in {self}: its denominator is 0 mod p")
+            return num * pow(den, -1, self.modulus) % self.modulus
+        raise ValueError(f"{value!r} is not an int, a Fraction, a string or a Scalar of {self}")
 
     def _box(self, values) -> tuple:
         """Scalars of this field from bare values, made canonical by Scalar."""

@@ -36,15 +36,14 @@ its answer holds pairs too:
 The h-solve runs on those ints with one body for both fields: each
 column of both sides is scaled by the lcm of its two denominators (1
 over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
-come out over one denominator.  `kl_columns` boxes the same columns
-through `poly._read`, and the matrix oracles stack them as int rows.
-Only `star_detail` builds R = r1 y + x^g r2 + r3, as its three
-polynomials.  Each product by a power of x is a shift, and r1^(-1) mod
-u3 comes from `poly._inverse` on the one extended Euclid `poly._euclid`.
-`star`, `anchor` and `_on_curve` share one anchor division,
-`_anchor_division`.  The matrix routes (build_r_determinant,
-rank_witness, anchor_s) and `phi_poly` stay as the tests' independent
-oracles.
+come out over one denominator.  Only `star_detail` builds R = r1 y +
+x^g r2 + r3, as its three polynomials.  Each product by a power of x is
+a shift, and r1^(-1) mod u3 comes from `poly._inverse` on the one
+extended Euclid `poly._euclid`.  `star`, `anchor` and `_on_curve` share
+one anchor division, `_anchor_division`.  The matrix routes
+(build_r_determinant, rank_witness, anchor_s) and `phi_poly` stay as the
+tests' independent oracles; the first two stack the same columns as int
+rows for the `linalg` kernels `_solve_rows` and `_rank_rows`.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are listed highest weight first.
@@ -55,6 +54,7 @@ from math import lcm
 from .errors import (
     AnchorMismatch,
     DegenerateConfiguration,
+    FieldMismatch,
     InvariantViolation,
     NonzeroRemainder,
     NotMonicDegree3g,
@@ -63,7 +63,7 @@ from .errors import (
     ZeroScale,
 )
 from .field import FieldSpec, Scalar, _inverse_value
-from .linalg import Matrix, _solve_rows, rank, solve, vandermonde
+from .linalg import _rank_rows, _solve_rows, solve, vandermonde
 from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read
 
 
@@ -74,6 +74,17 @@ def _scalars(*vectors):
         raise ValueError("every coordinate must be a Scalar")
     field = vectors[0][0].field
     return (field, *[[field._value(s) for s in vec] for vec in vectors])
+
+
+def _common_field(a, *others) -> FieldSpec:
+    """a's field, once every other point has a's genus (ValueError
+    otherwise) and lies over a's field (FieldMismatch otherwise)."""
+    for b in others:
+        if b.genus != a.genus:
+            raise ValueError("genus mismatch")
+        if b.field is not a.field and b.field != a.field:
+            raise FieldMismatch(f"points over {a.field} and {b.field}")
+    return a.field
 
 
 class CurveParams:
@@ -277,7 +288,7 @@ def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
     return CurveParams(genus, z1, z2)
 
 
-def _times_x_mod_u(w, p_even, p, dp=1):
+def _times_x_mod_u(w, p_even, p, dp):
     """x * w mod u on ascending lists of g int numerators, p_even over dp.
 
     The x^g term that the shift pushes out folds back in through
@@ -316,14 +327,6 @@ def _columns(a: GroupoidPoint):
         cols += [_times_x_mod_u(cols[-2], pe, p, dp), _times_x_mod_u(cols[-1], pe, p, dp)]
         dens += [dens[-2] * dp, dens[-1] * dp]
     return cols[: g + 1], dens[: g + 1]
-
-
-def kl_columns(a: GroupoidPoint):
-    """The g x g matrix L of the first g columns of _columns and the
-    (g+1)-st column ell as a vector, each column boxed by `_read`."""
-    g, field = a.genus, a.field
-    cols = [_read(field, col, g) for col in zip(*_columns(a))]
-    return Matrix(field, list(zip(*cols[:g]))), cols[g]
 
 
 def _solve_h_core(b1, b2):
@@ -368,7 +371,7 @@ def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
 
 def build_r_from_h(h1, h2, genus: int) -> RFunction:
     """Assemble an RFunction from the two solved coefficient blocks, in
-    the column order of kl_columns.
+    the column order of `_columns`.
 
     h1 holds r3 (ascending powers).  h2, followed by the pinned leading
     1, interleaves x^g, y, x^(g+1), y x, ...: the even entries are r2
@@ -382,15 +385,16 @@ def build_r_from_h(h1, h2, genus: int) -> RFunction:
 
 
 def _stacked_rows(points):
-    """The int rows (e_i | L_i | ell_i) of each point's (I | L | ell)
-    block from `_columns`, stacked.  A point's rows are scaled by the lcm
-    m of its column denominators (1 over F_p), which keeps the rank and
-    the solution."""
+    """The int rows (e_i | L_i | -ell_i) of each point's block from
+    `_columns`, stacked: the system (I | L) x = -ell.  A point's rows are
+    scaled by the lcm m of its column denominators (1 over F_p), which
+    keeps the solution and the rank; negating ell keeps the rank too."""
     rows = []
     for b in points:
         (cols, dens), g = _columns(b), b.genus
         m = lcm(*dens)
         cols = [[v * (m // d) for v in col] for col, d in zip(cols, dens)]
+        cols[g] = [-v for v in cols[g]]
         rows += [[m if i == j else 0 for j in range(g)] + [col[i] for col in cols] for i in range(g)]
     return rows
 
@@ -406,16 +410,15 @@ def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction
     rows; the leading cofactor is det (I | L), so it vanishes exactly
     when that system is singular.
     """
-    g = a1bar.genus
-    block = _stacked_rows((a1bar, a2bar))
-    a = Matrix._from_raw(a1bar.field, [row[:-1] for row in block])
+    g, field = a1bar.genus, _common_field(a1bar, a2bar)
     try:
-        x = solve(a, [-row[-1] for row in block])
+        y, det = _solve_rows(_stacked_rows((a1bar, a2bar)), 2 * g, field.modulus)
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
             "bordered determinant has zero leading slot; fall back to cantor_add",
             stage="det_lead",
         ) from exc
+    x = _read(field, (y, det), 2 * g)
     return build_r_from_h(x[:g], x[g:], g)
 
 
@@ -448,9 +451,7 @@ def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
     """The product point, or with detail its StarResult: the stages of
     the module docstring on the inputs' kernel pairs, with w = -v the odd
     part of an inverted input."""
-    if a1.genus != a2.genus:
-        raise ValueError("genus mismatch")
-    g, field = a1.genus, a1.field
+    g, field = a1.genus, _common_field(a1, a2)
     (p, u1, u2), (b1, b2) = (field.modulus, a1._u, a2._u), (invert(a1), invert(a2))
     w1, w2 = b1._v, b2._v
     # The anchors agree when z does and Z1 = (w^2 - f_high) mod u does.
@@ -571,8 +572,8 @@ def rank_witness(a1: GroupoidPoint, a2: GroupoidPoint, a3: GroupoidPoint) -> boo
     """True when the stacked (1 | L | ell) blocks of (inverted a1,
     inverted a2, a3) have rank below 2g+1, i.e. the three point sets
     admit a common vanishing function of lowest order."""
-    rows = _stacked_rows((invert(a1), invert(a2), a3))
-    return rank(Matrix._from_raw(a1.field, rows)) < 2 * a1.genus + 1
+    p, n = _common_field(a1, a2, a3).modulus, 2 * a1.genus + 1
+    return _rank_rows(_stacked_rows((invert(a1), invert(a2), a3)), n, p) < n
 
 
 def grade_scale(a: GroupoidPoint, c: CurveParams, t: Scalar):

@@ -57,7 +57,7 @@ def curve_to_json(c: CurveParams) -> dict:
 
 def curve_from_json(obj: dict) -> CurveParams:
     genus = _object(obj, "curve")["genus"]
-    if not isinstance(genus, int) or genus < 1:
+    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 1:
         raise ValueError("genus must be a positive integer")
     field = field_from_string(obj["field"])
     lam = vector_from_json(field, obj["lambda"], "lambda")

@@ -8,11 +8,11 @@ the solution as integer numerators over one determinant (1 over F_p).
 Pivoting is always "first nonzero", so runs are reproducible across
 platforms.
 
-A Matrix holds its field and a tuple of rows of bare values.  The
-elimination and the products compute on those, and Scalars are built
-only where a caller reads one: `rows`, `vec`'s result and `solve`'s
-solution, which boxes its numerators over the determinant through
-`poly._read`.
+`Matrix` is only the Scalar API over these kernels: it holds rows of
+bare values and boxes a Scalar only where a caller reads one: `rows`,
+`vec`'s result and `solve`'s solution, its numerators over the
+determinant read by `poly._read`.  The matrix oracles of `groupoid`
+pass int rows to `_solve_rows` and `_rank_rows` and build no Matrix.
 """
 
 from .errors import NotSquare, SingularMatrix
@@ -29,14 +29,6 @@ class Matrix:
         if len({len(r) for r in self._values}) > 1:
             raise ValueError("ragged rows")
 
-    @classmethod
-    def _from_raw(cls, field: FieldSpec, rows) -> "Matrix":
-        """The matrix with the given rows of bare values or ints, reduced mod p here."""
-        out, p = cls.__new__(cls), field.modulus
-        out.field = field
-        out._values = tuple([tuple([v % p for v in row] if p else row) for row in rows])
-        return out
-
     @property
     def rows(self) -> tuple:
         return tuple([self.field._box(row) for row in self._values])
@@ -48,11 +40,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self._values[0]) if self._values else 0
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -134,6 +121,11 @@ def _solve_rows(a, n: int, p: int):
     return y, det
 
 
+def _rank_rows(a, ncols: int, p: int) -> int:
+    """The rank of the int rows a on their first ncols columns, eliminating in place."""
+    return len(_eliminate(a, ncols, p)[0])
+
+
 def solve(m: Matrix, rhs) -> tuple:
     """Solve m @ x = rhs exactly for square m; raises SingularMatrix."""
     if m.nrows != m.ncols:
@@ -149,7 +141,7 @@ def solve(m: Matrix, rhs) -> tuple:
 
 def rank(m: Matrix) -> int:
     p = m.field.modulus
-    return len(_eliminate([_ints(row, p)[0] for row in m._values], m.ncols, p)[0])
+    return _rank_rows([_ints(row, p)[0] for row in m._values], m.ncols, p)
 
 
 def vandermonde(field: FieldSpec, xs) -> Matrix:

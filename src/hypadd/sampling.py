@@ -5,7 +5,8 @@ reproducible.  Over F_p g abscissas x with f(x) a square are drawn by
 rejection (TooFewPoints if the curve has fewer), and u and v are
 interpolated through the points.  Over the rationals squares are too
 sparse for that, so the curve is fitted instead: pick the abscissas and
-ordinates freely and interpolate the 2g curve coefficients through them.
+ordinates freely and interpolate the 2g curve coefficients through them,
+or, for a point on a Q template, take the upper half from its anchor.
 """
 
 import random
@@ -13,6 +14,9 @@ import random
 from .errors import TooFewPoints
 from .field import FieldSpec, make_field
 from .groupoid import CurveParams, GroupoidPoint, _interpolate, _phi_values
+from .groupoid import anchor, curve_from_anchor
+
+BOUND = 9  # Q samples: abscissas from [-BOUND, BOUND], ordinates from [1, BOUND]
 
 
 def sqrt_mod(a: int, p: int):
@@ -92,25 +96,21 @@ def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
     return CurveParams._from_values(field, lam[:g], lam[g:])
 
 
-def sample_pair_q(genus: int, rng: random.Random, bound: int = 9):
+def sample_pair_q(genus: int, rng: random.Random):
     """A rational curve plus two anchored points on it, all with small
     coordinates before the fit."""
     field, g = make_field("q"), genus
-    xs = rng.sample(range(-bound, bound + 1), 2 * g)
-    ys = [rng.randint(1, bound) for _ in xs]
+    xs = rng.sample(range(-BOUND, BOUND + 1), 2 * g)
+    ys = [rng.randint(1, BOUND) for _ in xs]
     c = fit_curve_through(field, g, list(zip(xs, ys)))
     return c, _phi_values(field, xs[:g], ys[:g], c._z), _phi_values(field, xs[g:], ys[g:], c._z)
 
 
-def sample_point_q_on_template(c: CurveParams, rng: random.Random, bound: int = 9):
-    """A rational point plus the curve it lies on, keeping the template's
-    lower coefficient half and re-fitting the upper half."""
+def sample_point_q_on_template(c: CurveParams, rng: random.Random):
+    """A rational point plus the curve it lies on: the template's lower
+    coefficient half and the upper half of the point's anchor."""
     field, g = c.field, c.genus
-    xs = [field._value(x) for x in rng.sample(range(-bound, bound + 1), g)]
-    ys = [field._value(rng.randint(1, bound)) for _ in xs]
-    # the upper half interpolates y^2 - x^(2g+1) - x^g (lower half)
-    lam2 = [s.value for s in c.lambda2]
-    lower = [sum([lam * x ** (g + i) for i, lam in enumerate(lam2)]) for x in xs]
-    rhs = [y * y - x ** (2 * g + 1) - w for x, y, w in zip(xs, ys, lower)]
-    fitted = CurveParams._from_values(field, _interpolate(field, xs, rhs)[1], lam2)
-    return fitted, _phi_values(field, xs, ys, c._z)
+    xs = [field._value(x) for x in rng.sample(range(-BOUND, BOUND + 1), g)]
+    ys = [field._value(rng.randint(1, BOUND)) for _ in xs]
+    point = _phi_values(field, xs, ys, c._z)
+    return curve_from_anchor(g, *anchor(point)), point

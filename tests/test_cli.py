@@ -220,6 +220,14 @@ def test_random_point_fp_stays_on_curve(tmp_path, capsys):
     assert [s.value for s in z2] == [3]
 
 
+def test_random_point_on_a_bool_genus_exits_2(tmp_path, capsys):
+    """JSON true is not the genus 1, as it is not the scalar 1."""
+    c = write(tmp_path, "bool.json", {"genus": True, "field": "fp:10007", "lambda": [3, 7]})
+    assert run(["random-point", "--curve", c, "--seed", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "genus" in err["detail"]
+
+
 def test_random_point_on_a_curve_with_too_few_points_exits_2(tmp_path, capsys):
     F5 = make_field("fp", 5)
     # f = x^5 + 2x^3 takes a square value on F_5 only at x = 0

@@ -168,6 +168,17 @@ def test_scalar_parsing():
     assert P.scalar(-1) == P.scalar(10006)
 
 
+def test_inexact_values_are_a_value_error():
+    """Only an int, a Fraction, a string or a Scalar of the field is a
+    value: a float would be read as its binary expansion over Q, and over
+    F_p neither a float nor None has a numerator."""
+    for field in (Q, P):
+        for value in (0.1, 1.0, None, [1], complex(1, 0)):
+            with pytest.raises(ValueError, match="not an int, a Fraction"):
+                field.scalar(value)
+        assert field.scalar(Fraction(6, 4)) == field.scalar("3/2")
+
+
 def test_scalar_to_string():
     assert Q.scalar(Fraction(-3, 4)).to_string() == "-3/4"
     assert Q.scalar(5).to_string() == "5"

@@ -28,6 +28,7 @@ from hypadd import (
 from hypadd.errors import (
     AnchorMismatch,
     DegenerateConfiguration,
+    FieldMismatch,
     InvariantViolation,
     NonzeroRemainder,
     NotMonicDegree3g,
@@ -40,13 +41,12 @@ from hypadd.groupoid import (
     anchor_s,
     build_r_determinant,
     build_r_from_h,
-    kl_columns,
     phi_poly,
     solve_h,
 )
 from hypadd.field import Scalar
 from hypadd.linalg import Matrix
-from hypadd.poly import Poly
+from hypadd.poly import Poly, _read
 from hypadd.sampling import fit_curve_through
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 from tests.test_linalg import holds_field_scalars
@@ -183,19 +183,13 @@ def test_symmetrized_h1_display_probe():
     """
     b1, b2 = invert(A1), invert(A2)
     h1, h2 = solve_h(b1, b2)
-    l1, ell1 = kl_columns(b1)
-    l2, ell2 = kl_columns(b2)
+    # genus 1: L is the 1 x 1 first column of _columns, ell the second
+    (l1, ell1), (l2, ell2) = (
+        [_read(Q, col, 1)[0] for col in zip(*groupoid._columns(b))] for b in (b1, b2)
+    )
     half = Q.scalar(Fraction(1, 2))
-    inner_minus = tuple(
-        -half
-        * ((ell1[i] + ell2[i]) - sum((l1.rows[i][j] + l2.rows[i][j]) * h2[j] for j in range(1)))
-        for i in range(1)
-    )
-    inner_plus = tuple(
-        -half
-        * ((ell1[i] + ell2[i]) + sum((l1.rows[i][j] + l2.rows[i][j]) * h2[j] for j in range(1)))
-        for i in range(1)
-    )
+    inner_minus = (-half * ((ell1 + ell2) - (l1 + l2) * h2[0]),)
+    inner_plus = (-half * ((ell1 + ell2) + (l1 + l2) * h2[0]),)
     assert h1 == qs(1)
     assert inner_minus == qs(3)
     assert inner_plus == qs(1)
@@ -230,6 +224,28 @@ def test_star_anchor_mismatch():
     # (0, 1) with z = 5: the same Z1 = 1 as A1, but on y^2 = x^3 + 5x + 1
     with pytest.raises(AnchorMismatch):
         star(A1, g1_point(0, 1, 5))
+
+
+def test_points_of_another_field_or_genus_rejected():
+    """star, star_detail, rank_witness and build_r_determinant refuse a
+    point over another field, as Cantor's to_mumford does, rather than
+    answering over the first point's field; a point of another genus is a
+    ValueError, checked first."""
+    f7, f11 = make_field("fp", 7), make_field("fp", 11)
+    a = GroupoidPoint((f7.scalar(6),), (f7.scalar(0),), (f7.scalar(3),))
+    b = GroupoidPoint((f11.scalar(0),), (f11.scalar(2),), (f11.scalar(3),))
+    for call in (star, star_detail, build_r_determinant):
+        with pytest.raises(FieldMismatch):
+            call(a, b)
+    for triple in ((a, b, a), (a, a, b), (b, a, a)):
+        with pytest.raises(FieldMismatch):
+            rank_witness(*triple)
+    g2 = GroupoidPoint(*[(f7.zero(),) * 2] * 3)
+    for call in (star, build_r_determinant, lambda x, y: rank_witness(x, x, y)):
+        with pytest.raises(ValueError, match="genus"):
+            call(a, g2)
+        with pytest.raises(ValueError, match="genus"):
+            call(GroupoidPoint(*[(f11.zero(),) * 2] * 3), a)
 
 
 def test_rfunction_worked_g1():

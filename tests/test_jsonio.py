@@ -66,6 +66,9 @@ def test_curve_validation_errors():
         curve_from_json({"genus": 0, "field": "q", "lambda": []})
     with pytest.raises(ValueError):
         curve_from_json({"genus": 2, "field": "q", "lambda": [1, 2, 3]})
+    for genus in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="genus"):
+            curve_from_json({"genus": genus, "field": "q", "lambda": ["0", "1"]})
 
 
 def test_point_round_trip():

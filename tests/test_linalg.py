@@ -100,7 +100,7 @@ def test_rank_full_iff_det_nonzero(m):
 
 
 def test_solve_identity():
-    m = Matrix.identity(Q, 3)
+    m = Matrix(Q, [[int(i == j) for j in range(3)] for i in range(3)])
     b = (Q.scalar(3), Q.scalar(-1), Q.scalar("1/2"))
     assert solve(m, b) == b
 
@@ -153,7 +153,7 @@ def test_equality_on_canonical_entries():
     """Computed matrices compare and hash by their reduced entries, and
     matrices over different fields never compare equal."""
     m = Matrix(P, [[1, 2], [3, 4]])
-    raw = Matrix._from_raw(P, [[-1, -2], [-3, -4]])
+    raw = Matrix(P, [[-1, -2], [-3, -4]])
     neg = Matrix(P, [[10006, 10005], [10004, 10003]])
     assert raw == neg and hash(raw) == hash(neg)
     assert Matrix(Q, [[1, 2], [3, 4]]) != m

@@ -115,3 +115,85 @@ def test_rank_witness_builds_no_scalar(monkeypatch):
         assert rank_witness(a, b, s)
         assert not rank_witness(a, b, invert(s))
     assert built == []
+
+
+# Names in src/ that nothing in src/ references outside their own body,
+# and why each stays; every other name must have a caller there.
+UNCALLED = {
+    # exported API (hypadd.__all__) that the library does not call itself
+    "cantor.cantor_neg",
+    "cantor.identity_divisor",
+    "groupoid.u_poly",
+    "groupoid.v_poly",
+    "groupoid.viete_phi",
+    # public methods that the tests' reference routes read
+    "expr.Expr.eval",
+    "poly.Poly.monic",
+    # independent oracles and references for the tests
+    "closedform.g2_slope_exprs",
+    "groupoid.anchor_s",
+    "groupoid.build_r_determinant",
+    "groupoid.phi_poly",
+    "groupoid.solve_h",
+    "identities.check_g1_wp_prime_sum",
+    "identities.check_zp_consistency",
+    "identities.zp_formal_expression",
+    "poly.from_roots",
+    "poly.x_power",
+    # the Matrix API (solve and vandermonde serve anchor_s)
+    "linalg.rank",
+}
+
+
+def definitions() -> list:
+    """(module.name, node) for each module-level function and class of
+    src/hypadd and each method that is not a dunder, as module.Class.name."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            found.append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{path.stem}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    return found
+
+
+def references() -> list:
+    """(module, line, name) for each name or attribute read in src/hypadd;
+    imports and `__all__` strings are not references."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                found.append((path.stem, node.lineno, name))
+    return found
+
+
+def test_every_name_has_a_caller_or_a_reason():
+    """Each function, class and method of src/ is referenced in src/
+    outside its own body, or listed in UNCALLED: a new uncalled helper
+    fails here, and so does a listed name that gained a caller or went."""
+    refs = references()
+    uncalled = {
+        qual
+        for qual, node in definitions()
+        if not any(
+            name == qual.rsplit(".", 1)[1]
+            and not (module == qual.split(".")[0] and node.lineno <= line <= node.end_lineno)
+            for module, line, name in refs
+        )
+    }
+    assert uncalled == UNCALLED
+
+
+def test_matrix_stays_the_scalar_api():
+    """Only linalg and the package exports name `Matrix`: the matrix
+    oracles pass int rows to the linalg kernels and build none."""
+    assert [f for f in names_outside("linalg.py", "Matrix") if not f.startswith("__init__")] == []
