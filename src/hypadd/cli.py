@@ -306,7 +306,9 @@ def _cmd_verify(args) -> int:
         genus = args.genus
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    props = [p.strip() for p in args.props.split(",") if p.strip()]
+    props = list(dict.fromkeys([p.strip() for p in args.props.split(",") if p.strip()]))
+    if not props:
+        raise ValueError(f"--props {args.props!r} selects no property")
     for p in props:
         if p not in KNOWN_PROPS:
             raise ValueError(f"unknown property {p!r}")

@@ -2,7 +2,8 @@
 
 Every solve and every rank runs one elimination, the fraction-free
 `_eliminate`, on int rows for both fields: over F_p on residues mod p,
-over Q on each row cleared of its denominators (`poly._ints`).  Solves
+which a Matrix holds already, so its rows are copied as they are; over
+Q on each row cleared of its denominators (`poly._ints`).  Solves
 go through `_solve_rows`, which adds one back-substitution and returns
 the solution as integer numerators over one determinant (1 over F_p).
 Pivoting is always "first nonzero", so runs are reproducible across
@@ -135,13 +136,14 @@ def solve(m: Matrix, rhs) -> tuple:
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
     p = m.field.modulus
-    y, det = _solve_rows([_ints(row + (b,), p)[0] for row, b in zip(m._values, rhs)], n, p)
+    rows = [row + (b,) for row, b in zip(m._values, rhs)]
+    y, det = _solve_rows([list(r) if p else _ints(r, p)[0] for r in rows], n, p)
     return _read(m.field, (y, det), n)
 
 
 def rank(m: Matrix) -> int:
     p = m.field.modulus
-    return _rank_rows([_ints(row, p)[0] for row in m._values], m.ncols, p)
+    return _rank_rows([list(r) if p else _ints(r, p)[0] for r in m._values], m.ncols, p)
 
 
 def vandermonde(field: FieldSpec, xs) -> Matrix:

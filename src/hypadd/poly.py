@@ -7,7 +7,14 @@ FLINT's fmpq_poly (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 6).  The kernels `_add`, `_mul`, `_divmod`, `_monic` and the one
 extended Euclid `_euclid`, which carries only the cofactor of its first
 operand, compute on such (nums, den) pairs with the modulus p (0 for Q)
-and return `_norm`'s canonical form.  `_inverse` (for `star`) and `xgcd`
+and return `_norm`'s canonical form.  Over F_p, `_mul` and `_divmod`
+run on operands packed into one int, one 64-bit word per coefficient
+(`_pack`), whenever a bound on p and the lengths proves that no word
+overflows: a product is then one C big-int multiply (Kronecker
+substitution, as FLINT's nmod_poly; Modern Computer Algebra, section
+8.4), and long division updates one packed remainder per quotient term.
+A factor of length 2 or less, a divisor of degree 2 or less, a large p
+and Q take the coefficient loops.  `_inverse` (for `star`) and `xgcd`
 (for Cantor) are thin callers of `_euclid`: `xgcd` takes two kernel
 pairs and p and returns (d, s), d = gcd(a, b) monic and s a = d (mod b),
 raising BothZero on two zeros; nothing computes the cofactor of b.
@@ -16,6 +23,8 @@ raising BothZero on two zeros; nothing computes the cofactor of b.
 and `cantor` call the kernels directly.  `_read`, the one reader from a
 kernel pair to Scalars, serves `Poly.coeffs`, `groupoid` and `linalg`."""
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,6 +32,9 @@ from .errors import BothZero, DivisionByZeroPoly, FieldMismatch
 from .field import FieldSpec, Scalar
 
 NEG_INF = float("-inf")
+_WORD = array("Q").itemsize * 8  # bits per coefficient of a packed int
+_MASK = (1 << _WORD) - 1
+_SWAP = sys.byteorder == "big"  # packed words are little-endian
 
 
 def _ints(values, p: int):
@@ -73,11 +85,36 @@ def _neg(a, p: int):
     return _norm([-t for t in a[0]], a[1], p)
 
 
+def _pack(a) -> int:
+    """The ints a, each in [0, 2^_WORD), as one int whose _WORD-bit word i
+    is a[i] on any host; array("Q") raises for any other value."""
+    words = array("Q", a)
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack(x: int, n: int):
+    """The n words of a packed int x < 2^(n _WORD), lowest first."""
+    words = array("Q", x.to_bytes(n * _WORD // 8, "little"))
+    if _SWAP:
+        words.byteswap()
+    return words
+
+
 def _mul(a, da: int, b, db: int, p: int):
-    """(a/da) * (b/db) by schoolbook convolution."""
+    """(a/da) * (b/db) by schoolbook convolution, or over F_p by Kronecker
+    substitution, one multiply of the packed ints.  That path needs
+    n = min(len a, len b) > 2 and A + B + n.bit_length() <= _WORD for A, B
+    the bit lengths of max(a) and max(b): each product word sums at most n
+    terms below 2^(A+B), so it stays below 2^_WORD and carries nothing
+    into the next word."""
     if not a or not b:
         return (), 1
     m = len(b)
+    if p and (n := min(len(a), m)) > 2:
+        if max(a).bit_length() + max(b).bit_length() + n.bit_length() <= _WORD:
+            return _norm(_unpack(_pack(a) * _pack(b), len(a) + m - 1), da * db, p)
     out = [0] * (len(a) + m - 1)
     for i, x in enumerate(a):
         out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
@@ -87,24 +124,37 @@ def _mul(a, da: int, b, db: int, p: int):
 def _divmod(a, da: int, b, db: int, p: int):
     """Exact long division of canonical a/da by b/db: (quotient, remainder).
     Over Q pseudo-division lc^e A = Q B + R on the numerators, each step
-    exact: q = Q db / (da lc^e), r = R / (da lc^e)."""
+    exact: q = Q db / (da lc^e), r = R / (da lc^e).  Over F_p, when
+    m = deg b > 2 and 2 P + K < _WORD for P and K the bit lengths of p and
+    of the quotient length k, it runs on one packed remainder: step j
+    reads word j + m as w, sets q_j = c = w / lc mod p and adds
+    (p - c) b x^j, so each word stays congruent mod p to the remainder's
+    coefficient; a word starts below p and gains at most k terms below
+    p^2, so it stays below p + k p^2 < 2^_WORD and carries nothing."""
     if not b:
         raise DivisionByZeroPoly("division by the zero polynomial")
     if len(a) < len(b):
         return ((), 1), (tuple(a), da)
-    rem, m = list(a), len(b) - 1
-    lc = b[m]
+    m, lc = len(b) - 1, b[-1]
+    quo, scale = [0] * (len(a) - m), 1
     if p:
-        inv_lc, scale = pow(lc, -1, p), 1
+        inv_lc = 1 if lc == 1 else pow(lc, -1, p)
     else:
-        scale = lc ** (len(rem) - m)
-        rem = [r * scale for r in rem]
-    quo = [0] * (len(rem) - m)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + m] * inv_lc % p if p else rem[k + m] // lc
-        quo[k] = c
-        if c:
-            rem[k : k + m] = [r - c * y for r, y in zip(rem[k : k + m], b)]
+        scale = lc ** len(quo)
+    if p and m > 2 and 2 * p.bit_length() + len(quo).bit_length() < _WORD:
+        rem, packed_b = _pack(a), _pack(b)
+        for j in range(len(quo) - 1, -1, -1):
+            c = quo[j] = ((rem >> _WORD * (j + m)) & _MASK) * inv_lc % p
+            if c:
+                rem += (p - c) * packed_b << _WORD * j
+        rem = _unpack(rem, len(a))
+    else:
+        rem = list(a) if p else [r * scale for r in a]
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + m] * inv_lc % p if p else rem[k + m] // lc
+            quo[k] = c
+            if c:
+                rem[k : k + m] = [r - c * y for r, y in zip(rem[k : k + m], b)]
     if not p:
         quo = [c * db for c in quo]
     return _norm(quo, da * scale, p), _norm(rem[:m], da * scale, p)

@@ -349,6 +349,33 @@ def test_verify_unknown_prop_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("props", [",", "", " , "])
+def test_verify_no_prop_exits_2(props, capsys):
+    """A --props list that names no property checks nothing, so it is a
+    usage error rather than a passing report."""
+    code = run(["verify", "--field", "q", "--genus", "1", "--trials", "1", "--props", props])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_verify_runs_a_repeated_prop_once(monkeypatch, capsys):
+    """A repeated name runs its property once, in the order of its first
+    occurrence, and reports it once."""
+    ran, real = [], cli._run_prop
+
+    def counted(prop, *rest):
+        ran.append(prop)
+        return real(prop, *rest)
+
+    monkeypatch.setattr(cli, "_run_prop", counted)
+    argv = ["verify", "--field", "q", "--genus", "1", "--trials", "1"]
+    assert run(argv + ["--props", "inverse,comm,inverse, comm"]) == 0
+    assert ran == ["inverse", "comm"]
+    assert sorted(json.loads(capsys.readouterr().out)["props"]) == ["comm", "inverse"]
+
+
 def test_uncertified_modulus_exits_2(capsys):
     code = run(["verify", "--field", f"fp:{2**89 - 1}", "--genus", "1", "--trials", "1"])
     err = json.loads(capsys.readouterr().err)

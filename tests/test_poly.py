@@ -5,9 +5,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from hypadd import make_field
-from hypadd.errors import BothZero, DivisionByZeroPoly, FieldMismatch
-from hypadd.poly import NEG_INF, Poly, _inverse, from_roots, x_power, xgcd
+from hypadd import cantor_add, from_mumford, make_field, poly, star, to_mumford
+from hypadd.errors import BothZero, DegenerateConfiguration, DivisionByZeroPoly, FieldMismatch
+from hypadd.poly import NEG_INF, Poly, _divmod, _inverse, _mul, _pack, from_roots, x_power, xgcd
+from tests.conftest import fp_pair, seeded
 
 Q = make_field("q")
 F7 = make_field("fp", 7)
@@ -370,3 +371,149 @@ def test_inverse_mod_worked_values():
     assert boxed_inverse(qp(0, 0, 0, 1), qp(1, 1, 1)) == qp(1)
     assert boxed_inverse(qp(-1, 1), qp(-1, 0, 1)) is None
     assert boxed_inverse(Poly(F7), Poly(F7, [1, 0, 1])) is None
+
+
+# Kernels over F_p against textbook routines on ascending residue lists.
+PACKED_PRIMES = (7, 10007, 2**31 - 1, 2**61 - 1)
+
+
+def stripped(values):
+    while values and not values[-1]:
+        values = values[:-1]
+    return tuple(values)
+
+
+def textbook_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return stripped(out)
+
+
+def textbook_divmod(a, b, p):
+    m, inv = len(b) - 1, pow(b[-1], -1, p)
+    rem, quo = list(a), [0] * max(len(a) - m, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = c = rem[k + m] * inv % p
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % p
+    return stripped(quo), stripped(rem[:m])
+
+
+def residues(n, p, rng, monic=False):
+    """n canonical residues with a nonzero top one, 1 when monic."""
+    return tuple(rng.randrange(p) for _ in range(n - 1)) + (1 if monic else rng.randrange(1, p),)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_fp_mul_matches_the_textbook_convolution(p):
+    """Lengths 1-20 on both sides, random and all-(p - 1) operands, the
+    worst case of the packed product's word bound."""
+    rng = seeded(f"packed-mul-{p}")
+    for la in range(1, 21):
+        for lb in range(1, 21):
+            for a, b in ((residues(la, p, rng), residues(lb, p, rng)), ((p - 1,) * la, (p - 1,) * lb)):
+                assert _mul(a, 1, b, 1, p) == (textbook_mul(a, b, p), 1)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_fp_divmod_matches_textbook_long_division(p):
+    """Dividends of length 1-20 by monic and non-monic divisors of length
+    1-20 (`_euclid` divides by non-monic remainders), random and
+    all-(p - 1); and multiples of (p - 1, ..., p - 1, 1) by 1 + x + ...,
+    whose every step adds (p - 1)^2 to the words below the top one, the
+    worst case of the packed remainder's word bound."""
+    rng = seeded(f"packed-divmod-{p}")
+    for la in range(1, 21):
+        for lb in range(1, 21):
+            cases = [(residues(la, p, rng), residues(lb, p, rng, monic)) for monic in (True, False)]
+            worst = (p - 1,) * (lb - 1) + (1,)
+            cases += [((p - 1,) * la, (p - 1,) * lb), ((p - 1,) * la, worst)]
+            if la >= lb:
+                cases.append((textbook_mul(worst, (1,) * (la - lb + 1), p), worst))
+            for a, b in cases:
+                q, r = textbook_divmod(a, b, p)
+                assert _divmod(a, 1, b, 1, p) == ((q, 1), (r, 1))
+
+
+def packs(monkeypatch):
+    """The list of operands that `poly._pack` receives from here on."""
+    packed, real = [], poly._pack
+
+    def counted(a):
+        packed.append(a)
+        return real(a)
+
+    monkeypatch.setattr(poly, "_pack", counted)
+    return packed
+
+
+def test_pack_puts_coefficient_i_in_word_i():
+    assert _pack([1, 2, 3]) == 1 + (2 << 64) + (3 << 128)
+    assert _pack([2**64 - 1]) == 2**64 - 1
+    with pytest.raises(OverflowError):
+        _pack([5, -1])
+    with pytest.raises(OverflowError):
+        _pack([2**64])
+
+
+@pytest.mark.parametrize(
+    "p, mul_lengths, divmod_quotients",
+    [
+        (7, range(3, 21), range(1, 18)),
+        (10007, range(3, 21), range(1, 18)),
+        (2**31 - 1, [3], [1]),
+        (2**61 - 1, [], []),
+    ],
+)
+def test_packed_paths_take_exactly_the_bounded_operands(monkeypatch, p, mul_lengths, divmod_quotients):
+    """On all-(p - 1) operands the product packs for n > 2 only where
+    A + B + n.bit_length() <= 64, and the division by a degree-3 divisor
+    packs only where 2 P + k.bit_length() < 64: F_(2^31 - 1) sits on both
+    sides of both bounds, F_(2^61 - 1) always falls through.  A divisor
+    of degree 2 or less never packs."""
+    packed = packs(monkeypatch)
+
+    def packed_by(kernel, *args):
+        packed.clear()
+        kernel(*args)
+        return bool(packed)
+
+    top, divisor = (p - 1,) * 20, (p - 1,) * 3 + (1,)
+    assert [n for n in range(1, 21) if packed_by(_mul, top[:n], 1, top[:n], 1, p)] == list(mul_lengths)
+    quotients = [k for k in range(1, 18) if packed_by(_divmod, top[: k + 3], 1, divisor, 1, p)]
+    assert quotients == list(divmod_quotients)
+    assert not any(packed_by(_divmod, top, 1, top[:n], 1, p) for n in (1, 2, 3))
+
+
+def answered_fp_pairs(field, genus, count, tag):
+    """count (curve, a1, a2) over field on which star answers."""
+    rng, found = seeded(tag), []
+    while len(found) < count:
+        c, a1, a2 = fp_pair(field, genus, rng)
+        try:
+            star(a1, a2)
+        except DegenerateConfiguration:
+            continue
+        found.append((c, a1, a2))
+    return found
+
+
+def test_genus_8_star_matches_cantor_over_a_31_bit_prime():
+    """Over F_(2^31 - 1) the products in star and Cantor fall on both
+    sides of the packed product's bound."""
+    for c, a1, a2 in answered_fp_pairs(make_field("fp", 2**31 - 1), 8, 3, "packed-star-g8"):
+        want = from_mumford(cantor_add(to_mumford(a1, c), to_mumford(a2, c), c), c)
+        assert star(a1, a2) == want
+
+
+@pytest.mark.parametrize("genus, packed_path", [(8, True), (2, False)])
+def test_fp_star_takes_the_packed_path_above_genus_2(monkeypatch, genus, packed_path):
+    """A genus-8 star over F_10007 packs its operands; a genus-2 one, whose
+    u has degree 2, stays on the coefficient loops."""
+    pairs = answered_fp_pairs(F10007, genus, 3, f"packed-guard-{genus}")
+    packed = packs(monkeypatch)
+    for _, a1, a2 in pairs:
+        star(a1, a2)
+    assert bool(packed) is packed_path

@@ -58,6 +58,14 @@ def test_only_poly_runs_euclid():
     assert names_outside("poly.py", "_euclid") == []
 
 
+def test_only_poly_packs_words():
+    """The packed-word F_p kernels stay inside poly: no other module
+    imports `array` or names `_pack`; they call `_mul` and `_divmod`."""
+    assert (SRC / "poly.py").read_text().count("def _pack(") == 1
+    assert names_outside("poly.py", "array") == []
+    assert names_outside("poly.py", "_pack") == []
+
+
 def test_points_and_curves_are_read_not_converted():
     """A GroupoidPoint and a CurveParams hold their kernel pairs, so no
     module names the converters `_bare`, `_curve_ints` or `_box_point`,
