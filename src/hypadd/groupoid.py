@@ -33,6 +33,16 @@ its answer holds pairs too:
                  division u3 = (phi / u1) / u2
     odd part     v3 = -(e mod u3) r1^(-1) mod u3
 
+At genus 2, R = r1 (y - V) for the cubic V through both inverted inputs,
+so over F_p `star` runs Harley's composition on bare ints (Lange, AAECC
+15, 2005), and r = 0 or s1 = 0 leaves the pair to the stages above:
+
+    anchor       Z1 at both inputs from x^k = A_k x + B_k (mod u)
+    slope        s = (w2 - w1) u1^(-1) mod u2 through r = res(u1, u2);
+                 V = w1 + s u1 is checked to be w2 mod u2
+    norm         u3 = (f - V^2) / (u1 u2) made monic, zero remainder checked
+    odd part     v3 = V mod u3
+
 The h-solve runs on those ints with one body for both fields: each
 column of both sides is scaled by the lcm of its two denominators (1
 over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
@@ -447,11 +457,74 @@ class StarResult:
         self.r = r
 
 
+def _g2_low(u, v, z, p):
+    """f's low half (f0, f1) on a genus-2 F_p point's curve: Z1 = (v^2 -
+    x^5 - x^2 z) mod u on bare ints, from x^k = A_k x + B_k (mod u)."""
+    (c0, c1, _), (v0, v1), (z0, z1) = u, v, z
+    a3, b3, t = c1 * c1 - c0, c0 * c1, v1 * v1 - z0
+    a4 = b3 - c1 * a3
+    f1 = 2 * v0 * v1 - t * c1 + c0 * a3 + c1 * a4 - z1 * a3
+    return (v0 * v0 - t * c0 + c0 * a4 - z1 * b3) % p, f1 % p
+
+
+def _g2_slope(u1, v1, u2, v2, p):
+    """(s0, s1, 1/s1) for s = (w2 - w1) u1^(-1) mod u2, w = -v, through
+    u1 mod u2 = e1 x + e0 and r = res(u1, u2) with one inversion; None
+    when r or s1 is 0."""
+    (c0, c1, _), (d0, d1, _) = u1, u2
+    e0, e1, g0, g1 = c0 - d0, c1 - d1, v1[0] - v2[0], v1[1] - v2[1]
+    r, n1 = e0 * (e0 - d1 * e1) + d0 * e1 * e1, g1 * e0 - g0 * e1  # s1 = n1 / r
+    if not r * n1 % p:
+        return None
+    t, n0 = pow(r * n1, -1, p), g0 * (e0 - d1 * e1) + d0 * g1 * e1
+    return n0 * n1 * t % p, n1 * n1 * t % p, r * r * t % p
+
+
+def _g2_star(a1: GroupoidPoint, a2: GroupoidPoint, field: FieldSpec):
+    """`star` at genus 2 over F_p as straight-line int code, or None to
+    leave the pair to the generic stages: the genus-2 stages of the
+    module docstring, each check raising the generic body's typed error."""
+    p, (z0, z1), (u1, u2) = field.modulus, a1._z[0], (a1._u[0], a2._u[0])
+    v1, v2 = (a1._v[0] + (0, 0))[:2], (a2._v[0] + (0, 0))[:2]
+    f0, f1 = _g2_low(u1, v1, a1._z[0], p)
+    if a1._z != a2._z or (f0, f1) != _g2_low(u2, v2, a2._z[0], p):
+        raise AnchorMismatch("summands sit over different curve parameters")
+    if (slope := _g2_slope(u1, v1, u2, v2, p)) is None:
+        return None
+    (s0, s1, inv_s1), (c0, c1, _), (d0, d1, _) = slope, u1, u2
+    # V = w1 + s u1 = s1 x^3 + t2 x^2 + t1 x + t0
+    t2, t1, t0 = (s0 + s1 * c1) % p, (s0 * c1 + s1 * c0 - v1[1]) % p, (s0 * c0 - v1[0]) % p
+    if (s1 * (d1 * d1 - d0) - t2 * d1 + t1 + v2[1]) % p or (d0 * (s1 * d1 - t2) + t0 + v2[0]) % p:
+        raise InvariantViolation("V does not meet the second inverted summand")
+    # f - V^2 = (q2 x^2 + q1 x + q0) u1 u2 + rem, u1 u2 = x^4 + m3 x^3 + ... + m0
+    m3, m2, m1, m0 = c1 + d1, c0 + d0 + c1 * d1, c1 * d0 + c0 * d1, c0 * d0
+    q2 = -s1 * s1
+    q1 = (1 - 2 * s1 * t2 - q2 * m3) % p
+    q0 = (-t2 * t2 - 2 * s1 * t1 - q2 * m2 - q1 * m3) % p
+    rem = (
+        z1 - 2 * (s1 * t0 + t2 * t1) - q2 * m1 - q1 * m2 - q0 * m3,
+        z0 - t1 * t1 - 2 * t2 * t0 - q2 * m0 - q1 * m1 - q0 * m2,
+        f1 - 2 * t1 * t0 - q1 * m0 - q0 * m1,
+        f0 - t0 * t0 - q0 * m0,
+    )
+    if any(r % p for r in rem):
+        raise NonzeroRemainder("norm polynomial not divisible by u1*u2")
+    scale = -inv_s1 * inv_s1
+    if q2 * scale % p != 1:
+        raise InvariantViolation(f"expected a monic degree-2 quotient, got {(q0, q1, q2)}")
+    e1, e0 = q1 * scale % p, q0 * scale % p  # u3 = x^2 + e1 x + e0, and v3 = V mod u3
+    v3 = ((s1 * e0 * e1 - t2 * e0 + t0) % p, (s1 * (e1 * e1 - e0) - t2 * e1 + t1) % p)
+    v3 = v3 if v3[1] else v3[:1] if v3[0] else ()
+    return GroupoidPoint._make(field, ((e0, e1, 1), 1), (v3, 1), a1._z)
+
+
 def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
     """The product point, or with detail its StarResult: the stages of
     the module docstring on the inputs' kernel pairs, with w = -v the odd
     part of an inverted input."""
     g, field = a1.genus, _common_field(a1, a2)
+    if g == 2 and field.modulus and not detail and (point := _g2_star(a1, a2, field)):
+        return point
     (p, u1, u2), (b1, b2) = (field.modulus, a1._u, a2._u), (invert(a1), invert(a2))
     w1, w2 = b1._v, b2._v
     # The anchors agree when z does and Z1 = (w^2 - f_high) mod u does.
@@ -501,7 +574,8 @@ def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     """Add two points sharing an anchor; raises DegenerateConfiguration
     outside the generic chart (doubling, shared abscissa polynomial, ...)
     and InvariantViolation if the certificate of star_detail fails.
-    Runs star_detail's stages without building its RFunction."""
+    Runs star_detail's stages without building its RFunction, or at
+    genus 2 over F_p the straight-line route of the module docstring."""
     return _star(a1, a2, False)
 
 

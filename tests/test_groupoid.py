@@ -29,6 +29,7 @@ from hypadd.errors import (
     AnchorMismatch,
     DegenerateConfiguration,
     FieldMismatch,
+    HypaddError,
     InvariantViolation,
     NonzeroRemainder,
     NotMonicDegree3g,
@@ -47,13 +48,14 @@ from hypadd.groupoid import (
 from hypadd.field import Scalar
 from hypadd.linalg import Matrix
 from hypadd.poly import Poly, _read
-from hypadd.sampling import fit_curve_through
+from hypadd.sampling import fit_curve_through, random_curve_fp, sample_point_fp
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 from tests.test_linalg import holds_field_scalars
 from tests.test_poly import FRACTION_ARITHMETIC
 
 Q = make_field("q")
 P = make_field("fp", TEST_PRIME)
+M61 = make_field("fp", 2**61 - 1)
 
 
 def qs(*vals):
@@ -246,6 +248,18 @@ def test_points_of_another_field_or_genus_rejected():
             call(a, g2)
         with pytest.raises(ValueError, match="genus"):
             call(GroupoidPoint(*[(f11.zero(),) * 2] * 3), a)
+    # genus 2 over F_p takes star's straight-line route only past both checks;
+    # equal numerators over F_7 and F_11 would pass its anchor comparison
+    b7, b11 = (
+        GroupoidPoint(*[(f.scalar(k), f.scalar(k + 1)) for k in (1, 3, 5)]) for f in (f7, f11)
+    )
+    for x, y in ((b7, b11), (b11, b7)):
+        with pytest.raises(FieldMismatch):
+            star(x, y)
+    g3 = GroupoidPoint(*[(f7.zero(),) * 3] * 3)
+    for x, y in ((b7, a), (b7, g3), (g3, b7)):
+        with pytest.raises(ValueError, match="genus"):
+            star(x, y)
 
 
 def test_rfunction_worked_g1():
@@ -634,13 +648,137 @@ def test_star_checks_the_norm_quotient_shape(monkeypatch):
 
 def test_star_checks_the_division_by_u2(monkeypatch):
     """At even g, a wrong q_a leaves phi / u1 monic of degree 2g but no
-    longer divisible by u2: star raises NonzeroRemainder."""
+    longer divisible by u2: star raises NonzeroRemainder.  The genus-2
+    F_p pair takes star's straight-line route, which has no q_a: there
+    f's low half off by one at both inputs leaves f - V^2 not divisible
+    by u1 u2.  star_detail still runs the generic body on that pair."""
     rng = seeded("norm-remainder")
-    pairs = [fp_pair(P, g, rng)[1:] for g in (2, 4)] + [q_pair(g, rng)[1:] for g in (2, 4)]
+    g2_fp, *pairs = [fp_pair(P, g, rng)[1:] for g in (2, 4)] + [q_pair(g, rng)[1:] for g in (2, 4)]
+    real = groupoid._g2_low
+
+    def shifted(u, v, z, p):
+        f0, f1 = real(u, v, z, p)
+        return (f0 + 1) % p, f1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groupoid, "_g2_low", shifted)
+        with pytest.raises(NonzeroRemainder):
+            star(*g2_fp)
     _bump_anchor_quotient(monkeypatch)
+    with pytest.raises(NonzeroRemainder):
+        star_detail(*g2_fp)
     for a1, a2 in pairs:
         with pytest.raises(NonzeroRemainder):
             star(a1, a2)
+
+
+def _route_pairs(field, n, tag):
+    """n seeded genus-2 pairs over field that star answers."""
+    rng, pairs = seeded(tag), []
+    while len(pairs) < n:
+        _, a1, a2 = fp_pair(field, 2, rng)
+        try:
+            star(a1, a2)
+        except DegenerateConfiguration:
+            continue
+        pairs.append((a1, a2))
+    return pairs
+
+
+def _outcome(call, a1, a2):
+    """call's point, or the type and stage of its typed error."""
+    try:
+        return call(a1, a2)
+    except HypaddError as exc:
+        return type(exc), getattr(exc, "stage", None)
+
+
+@pytest.mark.parametrize(
+    "p, refusals", [(10007, 0), (2**61 - 1, 0), (101, 20)], ids=["p10007", "p2^61-1", "p101"]
+)
+def test_genus2_fp_route_agrees_with_the_generic_body(p, refusals):
+    """star's genus-2 F_p route gives the point of star_detail, which runs
+    the generic body, or the same typed error at the same stage: on 300
+    seeded pairs per field, and on each tenth pair's doubling and
+    opposite.  Over F_101 about 9% of the random pairs refuse, so the
+    hand-back to the generic stages runs on its own too."""
+
+    def both_agree(a1, a2):
+        got = _outcome(star, a1, a2)
+        assert got == _outcome(lambda x, y: star_detail(x, y).point, a1, a2)
+        return isinstance(got, tuple)
+
+    field, rng, refused = make_field("fp", p), seeded(f"g2-route-agrees:{p}"), 0
+    for i in range(300):
+        _, a1, a2 = fp_pair(field, 2, rng)
+        refused += both_agree(a1, a2)
+        if i % 10 == 0:
+            both_agree(a1, a1)
+            both_agree(a1, invert(a1))
+    assert refused >= refusals
+
+
+@pytest.mark.parametrize("field", [P, M61], ids=["p10007", "p2^61-1"])
+def test_genus2_fp_star_runs_only_the_route(monkeypatch, field):
+    """An answered genus-2 star over F_p builds no Scalar and no Poly and
+    calls none of the generic stages' kernels, so the benchmark's genus-2
+    `verify` times the straight-line route."""
+    pairs = _route_pairs(field, 10, "g2-route-only")
+    want = [star_detail(a1, a2).point for a1, a2 in pairs]
+    built, real_init = [], Scalar.__init__
+
+    def counted(self, f, value):
+        built.append(value)
+        real_init(self, f, value)
+
+    def refuse(*_):
+        raise AssertionError("a generic stage or a Poly on the genus-2 route")
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(Poly, "_wrap", refuse)
+    for name in ("_solve_rows", "_columns", "_mul", "_divmod", "_inverse", "_anchor_division"):
+        monkeypatch.setattr(groupoid, name, refuse)
+    assert [star(a1, a2) for a1, a2 in pairs] == want
+    assert built == []
+
+
+def test_genus2_fp_route_checks_the_anchor(monkeypatch):
+    """The route compares both halves of the two anchors itself: points
+    on curves that differ only in f's low half, only in z, or in both
+    raise AnchorMismatch with the generic anchor division refused."""
+    rng = seeded("g2-route-anchor")
+    c = random_curve_fp(P, 2, rng)
+    (l0, l1), (z0, z1), one = c.lambda1, c.lambda2, P.one()
+    others = CurveParams(2, (l0 + one, l1), (z0, z1)), CurveParams(2, (l0, l1), (z0, z1 + one))
+    a = sample_point_fp(c, rng)
+    bs = [sample_point_fp(other, rng) for other in (*others, random_curve_fp(P, 2, rng))]
+
+    def refuse(*_):
+        raise AssertionError("the generic anchor division ran")
+
+    monkeypatch.setattr(groupoid, "_anchor_division", refuse)
+    for b in bs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(AnchorMismatch):
+                star(x, y)
+
+
+def test_genus2_fp_route_checks_v_and_the_quotient(monkeypatch):
+    """A wrong slope s moves V off w2 mod u2, and a wrong 1/s1 leaves the
+    quotient (f - V^2) / (u1 u2) not monic: each raises
+    InvariantViolation."""
+    pairs = _route_pairs(P, 3, "g2-route-invariants")
+    real = groupoid._g2_slope
+    for bump, match in (((1, 0, 0), "second inverted summand"), ((0, 0, 1), "monic")):
+
+        def bumped(*args, bump=bump):
+            return tuple(x + d for x, d in zip(real(*args), bump))
+
+        monkeypatch.setattr(groupoid, "_g2_slope", bumped)
+        for a1, a2 in pairs:
+            with pytest.raises(InvariantViolation, match=match):
+                star(a1, a2)
 
 
 def test_curve_params_need_genus_at_least_one():
