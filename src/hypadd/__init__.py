@@ -42,7 +42,6 @@ from .groupoid import (
     v_poly,
     viete_phi,
 )
-from .linalg import Matrix
 from .poly import Poly
 
 __version__ = "0.1.0"
@@ -54,7 +53,6 @@ __all__ = [
     "FieldSpec",
     "GroupoidPoint",
     "HypaddError",
-    "Matrix",
     "MumfordDivisor",
     "NonGenericDivisor",
     "NonzeroRemainder",

@@ -304,6 +304,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("verify needs --curve, or both --field and --genus")
         field = field_from_string(args.field)
         genus = args.genus
+    if genus < 1:
+        raise ValueError(f"--genus must be at least 1, got {genus}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     props = list(dict.fromkeys([p.strip() for p in args.props.split(",") if p.strip()]))

@@ -35,10 +35,6 @@ class BothZero(HypaddError):
     """gcd of two zero polynomials is undefined."""
 
 
-class NotSquare(HypaddError):
-    """Matrix operation requires a square matrix."""
-
-
 class TooFewPoints(HypaddError):
     """A curve over F_p has fewer than g abscissas x with f(x) a square."""
 

@@ -9,12 +9,11 @@ guessing a coercion.
 A Scalar holds its canonical value: `Scalar(field, v)` reduces an int
 into [0, p) over F_p and keeps a Q value as given, so arithmetic builds
 its result from the raw sum or product, and equal elements compare and
-hash equal.  Scalars live at the API: every coefficient, entry and
-coordinate a caller sees or passes in is one.  `Matrix`, `Poly`, the
-points and curves of `groupoid` and the divisors of `cantor` store bare
-values: ints in [0, p) over F_p; over Q, a Matrix holds Fractions and
-the others int numerators over one denominator, made Fractions only
-when read by `poly._read`.
+hash equal.  Scalars live at the API: every coefficient and coordinate
+a caller sees or passes in is one.  `Poly`, the points and curves of
+`groupoid` and the divisors of `cantor` store bare values: ints in
+[0, p) over F_p, and over Q int numerators over one denominator, made
+Fractions only when read by `poly._read`.
 FieldSpec._value converts what enters them and raises ValueError on a
 denominator that is 0 (or 0 mod p), and _box builds Scalars on read.
 

@@ -52,8 +52,9 @@ a shift, and r1^(-1) mod u3 comes from `poly._inverse` on the one
 extended Euclid `poly._euclid`.  `star`, `anchor` and `_on_curve` share
 one anchor division, `_anchor_division`.  The matrix routes
 (build_r_determinant, rank_witness, anchor_s) and `phi_poly` stay as the
-tests' independent oracles; the first two stack the same columns as int
-rows for the `linalg` kernels `_solve_rows` and `_rank_rows`.
+tests' independent oracles.  All three matrix routes run on int rows for
+the `linalg` kernels `_solve_rows` and `_rank_rows`: the first two stack
+the same columns, and anchor_s one Vandermonde row per point.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are listed highest weight first.
@@ -73,7 +74,7 @@ from .errors import (
     ZeroScale,
 )
 from .field import FieldSpec, Scalar, _inverse_value
-from .linalg import _rank_rows, _solve_rows, solve, vandermonde
+from .linalg import _rank_rows, _solve_rows
 from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read
 
 
@@ -184,23 +185,22 @@ class GroupoidPoint:
 
 
 class PointListRep:
-    """g affine curve points with distinct abscissas, plus the z vector."""
+    """g affine curve points with distinct abscissas, plus the z vector:
+    ValueError unless g >= 1 and every entry is a Scalar, FieldMismatch
+    unless all lie over the first abscissa's field."""
 
-    __slots__ = ("pairs", "z")
+    __slots__ = ("field", "pairs", "z")
 
     def __init__(self, pairs, z):
         self.pairs = tuple((x, y) for x, y in pairs)
         self.z = tuple(z)
-        if len(self.pairs) != len(self.z):
-            raise ValueError("expected g pairs and g z entries")
+        if not len(self.pairs) == len(self.z) > 0:
+            raise ValueError("expected g >= 1 pairs and g z entries")
+        self.field = _scalars([c for pair in self.pairs for c in pair], self.z)[0]
 
     @property
     def genus(self) -> int:
         return len(self.pairs)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.pairs[0][0].field
 
 
 class RFunction:
@@ -626,20 +626,22 @@ def anchor_s(t: PointListRep):
     """Anchor computed directly in the point-list chart.
 
     Solves V Z1 = Y - X V z with V the Vandermonde of the abscissas,
-    X = diag(x_i^g) and Y_i = y_i^2 - x_i^(2g+1); agrees with anchor on
-    the coordinate image.
+    X = diag(x_i^g) and Y_i = y_i^2 - x_i^(2g+1): one int row (1, x_i,
+    ..., x_i^(g-1) | Y_i - x_i^g (V z)_i) per point, cleared of its
+    denominators over Q, for one `_solve_rows` call.  Agrees with anchor
+    on the coordinate image.
     """
-    field = t.field
-    g = t.genus
-    xs = [x for x, _ in t.pairs]
-    if len({x.value for x in xs}) != len(xs):
+    field, g = t.field, t.genus
+    p = field.modulus
+    pairs = [(field._value(x), field._value(y)) for x, y in t.pairs]
+    if len({x for x, _ in pairs}) != g:
         raise RepeatedAbscissa("abscissas must be pairwise distinct")
-    v = vandermonde(field, xs)
-    y_vec = [y * y - x ** (2 * g + 1) for x, y in t.pairs]
-    vz = v.vec(t.z)
-    xvz = [x**g * w for x, w in zip(xs, vz)]
-    z1 = tuple(x - y for x, y in zip(solve(v, y_vec), solve(v, xvz)))
-    return z1, tuple(t.z)
+    z, rows = [field._value(c) for c in t.z], []
+    for x, y in pairs:
+        powers = [x**i for i in range(g)]
+        vz = sum([c * w for c, w in zip(z, powers)])
+        rows.append(_ints(powers + [y * y - x ** (2 * g + 1) - x**g * vz], p)[0])
+    return _read(field, _solve_rows(rows, g, p), g), t.z
 
 
 def rank_witness(a1: GroupoidPoint, a2: GroupoidPoint, a3: GroupoidPoint) -> bool:

@@ -1,65 +1,17 @@
-"""Exact dense linear algebra over the shared Scalar type.
+"""Exact dense elimination on int rows.
 
 Every solve and every rank runs one elimination, the fraction-free
 `_eliminate`, on int rows for both fields: over F_p on residues mod p,
-which a Matrix holds already, so its rows are copied as they are; over
-Q on each row cleared of its denominators (`poly._ints`).  Solves
-go through `_solve_rows`, which adds one back-substitution and returns
-the solution as integer numerators over one determinant (1 over F_p).
-Pivoting is always "first nonzero", so runs are reproducible across
-platforms.
-
-`Matrix` is only the Scalar API over these kernels: it holds rows of
-bare values and boxes a Scalar only where a caller reads one: `rows`,
-`vec`'s result and `solve`'s solution, its numerators over the
-determinant read by `poly._read`.  The matrix oracles of `groupoid`
-pass int rows to `_solve_rows` and `_rank_rows` and build no Matrix.
+over Q on rows that the caller has cleared of their denominators
+(`poly._ints`).  Solves go through `_solve_rows`, which adds one
+back-substitution and returns the solution as integer numerators over
+one determinant (1 over F_p), a kernel pair that `poly._read` boxes.
+`_rank_rows` counts the pivots.  Pivoting is always "first nonzero", so
+runs are reproducible across platforms.  The callers are the h-solve of
+`groupoid.star` and the matrix oracles of `groupoid`.
 """
 
-from .errors import NotSquare, SingularMatrix
-from .field import FieldSpec
-from .poly import _ints, _read
-
-
-class Matrix:
-    __slots__ = ("field", "_values")
-
-    def __init__(self, field: FieldSpec, rows):
-        self.field = field
-        self._values = tuple([tuple([field._value(c) for c in row]) for row in rows])
-        if len({len(r) for r in self._values}) > 1:
-            raise ValueError("ragged rows")
-
-    @property
-    def rows(self) -> tuple:
-        return tuple([self.field._box(row) for row in self._values])
-
-    @property
-    def nrows(self) -> int:
-        return len(self._values)
-
-    @property
-    def ncols(self) -> int:
-        return len(self._values[0]) if self._values else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.field == other.field and self._values == other._values
-
-    def __hash__(self):
-        return hash((self.field, self._values))
-
-    def vec(self, v):
-        """Matrix-vector product; v is a sequence of Scalars."""
-        v = [self.field._value(c) for c in v]
-        if self.ncols != len(v):
-            raise ValueError("shape mismatch")
-        return self.field._box([sum([x * y for x, y in zip(row, v)]) for row in self._values])
-
-    def __repr__(self):
-        body = "; ".join(" ".join(c.to_string() for c in row) for row in self.rows)
-        return f"Matrix[{body}]"
+from .errors import SingularMatrix
 
 
 def _eliminate(a, ncols: int, p: int):
@@ -125,35 +77,3 @@ def _solve_rows(a, n: int, p: int):
 def _rank_rows(a, ncols: int, p: int) -> int:
     """The rank of the int rows a on their first ncols columns, eliminating in place."""
     return len(_eliminate(a, ncols, p)[0])
-
-
-def solve(m: Matrix, rhs) -> tuple:
-    """Solve m @ x = rhs exactly for square m; raises SingularMatrix."""
-    if m.nrows != m.ncols:
-        raise NotSquare(f"{m.nrows}x{m.ncols} solve")
-    n = m.nrows
-    rhs = [m.field._value(v) for v in rhs]
-    if len(rhs) != n:
-        raise ValueError("rhs length mismatch")
-    p = m.field.modulus
-    rows = [row + (b,) for row, b in zip(m._values, rhs)]
-    y, det = _solve_rows([list(r) if p else _ints(r, p)[0] for r in rows], n, p)
-    return _read(m.field, (y, det), n)
-
-
-def rank(m: Matrix) -> int:
-    p = m.field.modulus
-    return _rank_rows([list(r) if p else _ints(r, p)[0] for r in m._values], m.ncols, p)
-
-
-def vandermonde(field: FieldSpec, xs) -> Matrix:
-    """Square Vandermonde matrix with rows (1, x_i, ..., x_i^(n-1))."""
-    xs = [field.scalar(x) for x in xs]
-    n = len(xs)
-    rows = []
-    for x in xs:
-        row = [field.one()]
-        for _ in range(n - 1):
-            row.append(row[-1] * x)
-        rows.append(row)
-    return Matrix(field, rows)

@@ -21,7 +21,7 @@ raising BothZero on two zeros; nothing computes the cofactor of b.
 `Poly` is the API shell over the kernels, whose Scalars (`coeffs`,
 `p[i]`, `lc()`, evaluation) hold Fractions over Q; `groupoid.star_detail`
 and `cantor` call the kernels directly.  `_read`, the one reader from a
-kernel pair to Scalars, serves `Poly.coeffs`, `groupoid` and `linalg`."""
+kernel pair to Scalars, serves `Poly.coeffs` and `groupoid`."""
 
 import sys
 from array import array

@@ -1,5 +1,7 @@
 import random
 
+from hypadd.linalg import _solve_rows
+from hypadd.poly import _ints, _read
 from hypadd.sampling import random_curve_fp, sample_pair_q, sample_point_fp
 
 TEST_PRIME = 10007
@@ -16,3 +18,17 @@ q_pair = sample_pair_q
 
 def seeded(tag: str) -> random.Random:
     return random.Random(f"hypadd-tests:{tag}")
+
+
+def vandermonde_solve(field, xs, ys) -> tuple:
+    """The Scalars c with sum_j c_j x_i^j = y_i for distinct abscissas, by
+    one `_solve_rows` call on the int Vandermonde rows (1, x_i, ...,
+    x_i^(n-1) | y_i), each cleared of its denominators over Q: a
+    reference for interpolation that shares no code with `_interpolate`.
+    A repeated abscissa raises SingularMatrix."""
+    p, n = field.modulus, len(xs)
+    rows = []
+    for x, y in zip(xs, ys):
+        x = field._value(x)
+        rows.append(_ints([x**j for j in range(n)] + [field._value(y)], p)[0])
+    return _read(field, _solve_rows(rows, n, p), n)

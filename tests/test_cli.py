@@ -441,3 +441,15 @@ def test_verify_rejects_genus_or_trials_below_one(field, genus, trials, capsys):
     assert code == 2
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("field", ["q", "fp:10007"])
+@pytest.mark.parametrize("genus", ["0", "-1"])
+def test_verify_names_a_genus_below_one(field, genus, capsys):
+    """verify refuses a genus below 1 up front, over Q as over F_p, with
+    a detail that names the given value, not a sampler's own error."""
+    code = run(["verify", "--field", field, "--genus", genus, "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == f"--genus must be at least 1, got {genus}"

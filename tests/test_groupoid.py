@@ -46,16 +46,21 @@ from hypadd.groupoid import (
     solve_h,
 )
 from hypadd.field import Scalar
-from hypadd.linalg import Matrix
 from hypadd.poly import Poly, _read
 from hypadd.sampling import fit_curve_through, random_curve_fp, sample_point_fp
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
-from tests.test_linalg import holds_field_scalars
 from tests.test_poly import FRACTION_ARITHMETIC
 
 Q = make_field("q")
 P = make_field("fp", TEST_PRIME)
 M61 = make_field("fp", 2**61 - 1)
+F3 = make_field("fp", 3)
+F7 = make_field("fp", 7)
+
+
+def holds_field_scalars(values, field):
+    kind = Fraction if field.modulus == 0 else int
+    return type(values) is tuple and all(c.field == field and type(c.value) is kind for c in values)
 
 
 def qs(*vals):
@@ -170,6 +175,57 @@ def test_anchor_s_agrees_with_anchor():
                 z = tuple(field.scalar(rng.randint(-5, 5)) for _ in range(g))
                 t = PointListRep(pairs, z)
                 assert anchor_s(t) == anchor(viete_phi(t))
+
+
+def wide_value(field, rng):
+    """A Fraction with a denominator up to 9 over Q, any residue over F_p."""
+    if field is Q:
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+    return rng.randrange(field.modulus)
+
+
+def test_anchor_s_agrees_with_anchor_on_wide_values():
+    """anchor_s clears each Vandermonde row of its denominators over Q
+    and works on residues over F_p, so it must still match anchor with
+    Fraction abscissas and ordinates, near 2^61 and in F_3, up to genus 8."""
+    rng = seeded("anchor-s-wide")
+    cases = [(Q, g) for g in (1, 2, 3, 5, 8)] + [(M61, g) for g in (1, 2, 5, 8)]
+    for field, g in cases + [(F3, g) for g in (1, 2, 3)]:
+        for _ in range(4):
+            xs = set()
+            while len(xs) < g:
+                xs.add(wide_value(field, rng))
+            pairs = tuple((field.scalar(x), field.scalar(wide_value(field, rng))) for x in xs)
+            t = PointListRep(pairs, tuple(field.scalar(wide_value(field, rng)) for _ in range(g)))
+            assert anchor_s(t) == anchor(viete_phi(t))
+
+
+def test_point_list_rep_refuses_genus_zero():
+    """No pairs is genus 0, refused as GroupoidPoint refuses it, before
+    viete_phi or anchor_s could index the empty pair list."""
+    with pytest.raises(ValueError, match="g >= 1"):
+        viete_phi(PointListRep([], []))
+    with pytest.raises(ValueError, match="g >= 1"):
+        anchor_s(PointListRep([], []))
+
+
+@pytest.mark.parametrize(
+    "pairs, z",
+    [
+        ([(Q.scalar(1), Q.scalar(2))], [F7.zero()]),
+        ([(Q.scalar(1), Q.scalar(2)), (F7.scalar(1), F7.scalar(3))], [Q.zero(), Q.zero()]),
+        ([(Q.scalar(1), F7.scalar(2))], [Q.zero()]),
+    ],
+    ids=["z", "abscissa", "ordinate"],
+)
+def test_point_list_rep_refuses_a_foreign_field(pairs, z):
+    """A z entry, abscissa or ordinate over another field than the first
+    abscissa is refused with FieldMismatch, through viete_phi and anchor_s
+    alike, instead of a point over mixed fields or a RepeatedAbscissa."""
+    with pytest.raises(FieldMismatch):
+        viete_phi(PointListRep(pairs, z))
+    with pytest.raises(FieldMismatch):
+        anchor_s(PointListRep(pairs, z))
 
 
 def test_solve_h_worked_g1():
@@ -331,8 +387,7 @@ def test_dual_check_catches_kl_columns_fault(monkeypatch):
 
 def test_star_makes_one_solve(monkeypatch):
     """star solves one linear system, the h-solve, with one call of the
-    linalg kernel, over F_p and over Q; neither solve nor Matrix.vec
-    runs."""
+    linalg kernel, over F_p and over Q."""
     sizes = []
     real = groupoid._solve_rows
 
@@ -340,12 +395,7 @@ def test_star_makes_one_solve(monkeypatch):
         sizes.append(n)
         return real(a, n, p)
 
-    def refuse(*_):
-        raise AssertionError("solve or Matrix.vec in star")
-
     monkeypatch.setattr(groupoid, "_solve_rows", counted)
-    monkeypatch.setattr(groupoid, "solve", refuse)
-    monkeypatch.setattr(Matrix, "vec", refuse)
     rng = seeded("one-solve")
     pairs = [fp_pair(P, g, rng) for g in (1, 3, 8)] + [q_pair(2, rng)]
     for _, a1, a2 in pairs:
@@ -383,12 +433,11 @@ def test_solve_h_holds_field_scalars(monkeypatch):
 
 def test_q_star_solves_h_on_ints(monkeypatch):
     """Over Q the h-solve runs on int numerators: no Fraction arithmetic
-    inside _solve_h_core, and neither solve nor Matrix.vec, also when
-    p_even has denominators."""
+    inside _solve_h_core, also when p_even has denominators."""
     real = groupoid._solve_h_core
 
     def refuse(*_):
-        raise AssertionError("Fraction arithmetic, solve or Matrix.vec in the Q h-solve")
+        raise AssertionError("Fraction arithmetic in the Q h-solve")
 
     def on_ints(b1, b2):
         with pytest.MonkeyPatch.context() as inner:
@@ -404,8 +453,6 @@ def test_q_star_solves_h_on_ints(monkeypatch):
         cases.append((grade_scale(a1, c, t)[0], grade_scale(a2, c, t)[0]))
     want = [star(a1, a2) for a1, a2 in cases]
     monkeypatch.setattr(groupoid, "_solve_h_core", on_ints)
-    monkeypatch.setattr(groupoid, "solve", refuse)
-    monkeypatch.setattr(Matrix, "vec", refuse)
     assert [star(a1, a2) for a1, a2 in cases] == want
 
 

@@ -18,7 +18,6 @@ from hypadd.groupoid import (
     v_poly,
     viete_phi,
 )
-from hypadd.linalg import solve, vandermonde
 from hypadd.poly import from_roots
 from hypadd.sampling import (
     fit_curve_through,
@@ -28,7 +27,7 @@ from hypadd.sampling import (
     sample_point_q_on_template,
     sqrt_mod,
 )
-from tests.conftest import TEST_PRIME, seeded
+from tests.conftest import TEST_PRIME, seeded, vandermonde_solve
 
 Q = make_field("q")
 P = make_field("fp", TEST_PRIME)
@@ -127,7 +126,7 @@ def test_interpolate_matches_vandermonde_solve(case):
     field, xs, ys = case
     u, v = _interpolate(field, [field._value(x) for x in xs], [field._value(y) for y in ys])
     assert field._box(u) == from_roots(field, xs).coeffs
-    assert field._box(v) == solve(vandermonde(field, xs), ys)
+    assert field._box(v) == vandermonde_solve(field, xs, ys)
     if field is Q:
         assert all(type(c) is Fraction for c in u + v)
     z = [field.scalar(0)] * len(xs)
@@ -139,7 +138,7 @@ def test_interpolate_matches_vandermonde_solve(case):
 def _fit_by_solve(field, g, pairs):
     """The Vandermonde solve that fit_curve_through's interpolation replaces."""
     rhs = [y * y - x ** (2 * g + 1) for x, y in pairs]
-    lam = solve(vandermonde(field, [x for x, _ in pairs]), rhs)
+    lam = vandermonde_solve(field, [x for x, _ in pairs], rhs)
     return CurveParams(g, lam[:g], lam[g:])
 
 
@@ -163,9 +162,9 @@ def test_sample_point_q_on_template_matches_vandermonde_solve():
         lam2 = base.lambda2
         lower = [sum([lam * x ** (g + i) for i, lam in enumerate(lam2)], Q.zero()) for x in xs]
         rhs = [y * y - x ** (2 * g + 1) - w for x, y, w in zip(xs, ys, lower)]
-        assert fitted == CurveParams(g, solve(vandermonde(Q, xs), rhs), base.lambda2)
+        assert fitted == CurveParams(g, vandermonde_solve(Q, xs, rhs), base.lambda2)
         assert a.p_even == tuple(-c for c in from_roots(Q, xs).coeffs[:g])
-        assert a.p_odd == solve(vandermonde(Q, xs), ys)
+        assert a.p_odd == vandermonde_solve(Q, xs, ys)
         assert a.z == base.lambda2
 
 

@@ -4,6 +4,7 @@ boundary that only a run can show, checked by counting Scalars."""
 import ast
 from pathlib import Path
 
+import hypadd
 from hypadd import invert, make_field, rank_witness, star
 from hypadd.errors import DegenerateConfiguration
 from hypadd.field import Scalar
@@ -46,7 +47,7 @@ def names_outside(home: str, kernel: str) -> list:
 
 def test_only_linalg_picks_an_elimination():
     """The one elimination stays inside linalg: no other module names
-    `_eliminate`; they call `_solve_rows` or the public routines instead."""
+    `_eliminate`; they call `_solve_rows` or `_rank_rows` instead."""
     assert (SRC / "linalg.py").read_text().count("def _eliminate(") == 1
     assert names_outside("linalg.py", "_eliminate") == []
 
@@ -148,8 +149,6 @@ UNCALLED = {
     "identities.zp_formal_expression",
     "poly.from_roots",
     "poly.x_power",
-    # the Matrix API (solve and vandermonde serve anchor_s)
-    "linalg.rank",
 }
 
 
@@ -201,7 +200,17 @@ def test_every_name_has_a_caller_or_a_reason():
     assert uncalled == UNCALLED
 
 
-def test_matrix_stays_the_scalar_api():
-    """Only linalg and the package exports name `Matrix`: the matrix
-    oracles pass int rows to the linalg kernels and build none."""
-    assert [f for f in names_outside("linalg.py", "Matrix") if not f.startswith("__init__")] == []
+def test_no_scalar_matrix_layer():
+    """Every solve and rank runs on int rows, so no module defines or
+    names a Scalar matrix API: `Matrix`, `vandermonde` or `NotSquare`."""
+    for name in ("Matrix", "vandermonde", "NotSquare"):
+        assert names_outside("", name) == []
+        assert name not in hypadd.__all__
+
+
+def test_linalg_imports_only_errors():
+    """linalg stays the int-row elimination: it imports only its errors,
+    so it cannot box Scalars or build Polys."""
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [(n.level, n.module) for n in imports] == [(1, "errors")]
