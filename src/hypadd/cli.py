@@ -346,12 +346,12 @@ HANDLERS = {
     "cantor-add": _cmd_cantor_add,
     "verify": _cmd_verify,
 }
+_PARSER = build_parser()
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -72,6 +72,8 @@ class FieldSpec:
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int = 0):
+        if type(modulus) is not int:
+            raise ValueError(f"the modulus must be an int, got {modulus!r}")
         if modulus == 2:
             raise EvenCharacteristic("characteristic 2 is not supported")
         if modulus and not _is_prime(modulus):

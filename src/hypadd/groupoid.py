@@ -46,15 +46,17 @@ so over F_p `star` runs Harley's composition on bare ints (Lange, AAECC
 The h-solve runs on those ints with one body for both fields: each
 column of both sides is scaled by the lcm of its two denominators (1
 over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
-come out over one denominator.  Only `star_detail` builds R = r1 y +
-x^g r2 + r3, as its three polynomials.  Each product by a power of x is
-a shift, and r1^(-1) mod u3 comes from `poly._inverse` on the one
-extended Euclid `poly._euclid`.  `star`, `anchor` and `_on_curve` share
-one anchor division, `_anchor_division`.  The matrix routes
-(build_r_determinant, rank_witness, anchor_s) and `phi_poly` stay as the
-tests' independent oracles.  All three matrix routes run on int rows for
-the `linalg` kernels `_solve_rows` and `_rank_rows`: the first two stack
-the same columns, and anchor_s one Vandermonde row per point.
+come out over one denominator.  `star` keeps R = r1 y + x^g r2 + r3 as
+the pairs r1 and e; one builder, `_r_function`, reads R's three
+polynomials from solved blocks, for `star_detail` and for the bordered
+determinant.  Each product by a power of x is a shift, and r1^(-1) mod
+u3 comes from `poly._inverse` on the one extended Euclid `poly._euclid`.
+`star`, `anchor` and `_on_curve` share one anchor division,
+`_anchor_division`.  The matrix routes (build_r_determinant,
+rank_witness, anchor_s) and `phi_poly` stay as the tests' independent
+oracles, and none runs the h-solve.  All three matrix routes run on int
+rows for the `linalg` kernels `_solve_rows` and `_rank_rows`: the first
+two stack the same columns, and anchor_s one Vandermonde row per point.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are listed highest weight first.
@@ -108,8 +110,8 @@ class CurveParams:
 
     def __init__(self, genus: int, lambda1, lambda2):
         lambda1, lambda2 = tuple(lambda1), tuple(lambda2)
-        if not len(lambda1) == len(lambda2) == genus > 0:
-            raise ValueError(f"expected genus >= 1, got {genus}, and g coefficients in each half")
+        if type(genus) is not int or not len(lambda1) == len(lambda2) == genus > 0:
+            raise ValueError(f"expected an int genus >= 1, got {genus!r}, and g values per half")
         self._set(*_scalars(lambda1, lambda2))
 
     @classmethod
@@ -367,31 +369,14 @@ def _solve_h_core(b1, b2):
     return h1, h2, 1 if p else det * m[g]
 
 
-def solve_h(a1bar: GroupoidPoint, a2bar: GroupoidPoint):
-    """Coefficients (H1, H2) of the function vanishing on both inputs,
-    the already-inverted points: H1 + L(b) H2 + ell(b) = 0 at b = a1bar
-    and b = a2bar.  H2 comes from their difference, H1 from
-    back-substitution at a1bar; `star` certifies R at both inputs.
-    """
-    if anchor(a1bar) != anchor(a2bar):
-        raise AnchorMismatch("inputs sit over different curve parameters")
-    *hs, den = _solve_h_core(a1bar, a2bar)
-    return tuple(_read(a1bar.field, (h, den), len(h)) for h in hs)
-
-
-def build_r_from_h(h1, h2, genus: int) -> RFunction:
-    """Assemble an RFunction from the two solved coefficient blocks, in
-    the column order of `_columns`.
-
-    h1 holds r3 (ascending powers).  h2, followed by the pinned leading
-    1, interleaves x^g, y, x^(g+1), y x, ...: the even entries are r2
-    and the odd ones r1.
-    """
-    if len(h1) != genus or len(h2) != genus:
-        raise ValueError("expected g coefficients in each block")
-    field = h1[0].field
-    rest = list(h2) + [field.one()]
-    return RFunction(genus, Poly(field, rest[1::2]), Poly(field, rest[0::2]), Poly(field, h1))
+def _r_function(field: FieldSpec, h1, h2, den: int) -> RFunction:
+    """R from the solved blocks, int numerators over den, in the column
+    order of `_columns`: h1 is r3 (ascending powers), and h2 followed by
+    the pinned leading den interleaves x^g, y, x^(g+1), y x, ..., so its
+    even entries are r2 and its odd ones r1."""
+    hs, p = h2 + [den], field.modulus
+    r1, r2, r3 = (Poly._wrap(field, *_norm(h, den, p)) for h in (hs[1::2], hs[::2], h1))
+    return RFunction(len(h1), r1, r2, r3)
 
 
 def _stacked_rows(points):
@@ -428,8 +413,7 @@ def build_r_determinant(a1bar: GroupoidPoint, a2bar: GroupoidPoint) -> RFunction
             "bordered determinant has zero leading slot; fall back to cantor_add",
             stage="det_lead",
         ) from exc
-    x = _read(field, (y, det), 2 * g)
-    return build_r_from_h(x[:g], x[g:], g)
+    return _r_function(field, y[:g], y[g:], det)
 
 
 def phi_poly(r: RFunction, c: CurveParams) -> Poly:
@@ -556,10 +540,7 @@ def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
         )
     v3 = _divmod(*_mul(*_divmod(*_neg(e, p), *u3, p)[1], *r1_inv, p), *u3, p)[1]
     point = GroupoidPoint._make(field, u3, v3, a1._z)
-    if not detail:
-        return point
-    r2, r3 = (Poly._wrap(field, *_norm(h, den, p)) for h in (rest[0::2], h1))
-    return StarResult(point, RFunction(g, Poly._wrap(field, *r1), r2, r3))
+    return StarResult(point, _r_function(field, h1, h2, den)) if detail else point
 
 
 def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:

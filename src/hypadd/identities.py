@@ -6,22 +6,10 @@ the coefficient of the monomial of weight 3g - k, or zero when that
 co-weight has no monomial.
 """
 
-from typing import NamedTuple
-
 from .closedform import g2_add
 from .expr import Const, Var
 from .field import Scalar
-from .groupoid import GroupoidPoint, RFunction, star_detail
-
-
-class HCoeffs(NamedTuple):
-    h1: Scalar
-    h2: Scalar
-    h3: Scalar
-
-
-def hcoeffs(r: RFunction) -> HCoeffs:
-    return HCoeffs(r.h_at(1), r.h_at(2), r.h_at(3))
+from .groupoid import GroupoidPoint, star_detail
 
 
 def _p2(a: GroupoidPoint) -> Scalar:
@@ -55,7 +43,7 @@ def check_g1_wp_prime_sum(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
     if a1.genus != 1:
         raise ValueError("genus-1 identity")
     res = star_detail(a1, a2)
-    h1, h2, h3 = hcoeffs(res.r)
+    h1, h2, h3 = (res.r.h_at(k) for k in (1, 2, 3))
     p_1, p_2 = _p2(a1), _p2(a2)
     pp_1, pp_2 = 2 * _p3(a1), 2 * _p3(a2)
     pp_3 = 2 * _p3(res.point)
@@ -83,7 +71,7 @@ def check_zp_consistency(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
     if a1.genus != 2:
         raise ValueError("genus-2 identity")
     res = star_detail(a1, a2)
-    h1, h2, h3 = hcoeffs(res.r)
+    h1, h2, h3 = (res.r.h_at(k) for k in (1, 2, 3))
     if not h3.is_zero():
         return False
     p22s = _p2(a1) + _p2(a2) + _p2(res.point)

@@ -219,7 +219,7 @@ def test_criterion_3_anchor_invariance(oracle_run, axiom_run, capsys):
 
 
 def test_criterion_4_dual_r_construction(capsys):
-    from hypadd.groupoid import build_r_determinant, build_r_from_h, solve_h
+    from hypadd.groupoid import _r_function, _solve_h_core, build_r_determinant
 
     rng = random.Random("acceptance:dual-r")
     total = 0
@@ -229,11 +229,10 @@ def test_criterion_4_dual_r_construction(capsys):
             try:
                 c, a1, a2 = _fp_curve_pair(g, rng)
                 b1, b2 = invert(a1), invert(a2)
-                h1, h2 = solve_h(b1, b2)
+                solve_route = _r_function(b1.field, *_solve_h_core(b1, b2))
             except DegenerateConfiguration:
                 continue
             det_route = build_r_determinant(b1, b2)
-            solve_route = build_r_from_h(h1, h2, g)
             assert det_route.h == solve_route.h, "R routes disagree"
             done += 1
             total += 1

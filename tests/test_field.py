@@ -112,6 +112,14 @@ def test_field_construction_errors():
     assert FieldSpec(0) == Q and FieldSpec(10007) == P
 
 
+def test_field_spec_refuses_a_modulus_that_is_not_an_int():
+    """A float, string, bool or None modulus raises ValueError, not a
+    bare TypeError from the primality test, "True is not prime", or Q."""
+    for modulus in (10007.0, "10007", True, False, None):
+        with pytest.raises(ValueError):
+            FieldSpec(modulus)
+
+
 def test_scalar_constructor_is_canonical():
     """Scalar(field, v) reduces an int into [0, p), so equal residues
     compare and hash equal however they were built; a Q value is kept."""

@@ -41,9 +41,7 @@ from hypadd.groupoid import (
     RFunction,
     anchor_s,
     build_r_determinant,
-    build_r_from_h,
     phi_poly,
-    solve_h,
 )
 from hypadd.field import Scalar
 from hypadd.poly import Poly, _read
@@ -58,13 +56,20 @@ F3 = make_field("fp", 3)
 F7 = make_field("fp", 7)
 
 
-def holds_field_scalars(values, field):
+def holds_field_scalars(r, field):
+    """Whether R's polynomials read as Scalars of field: ints over F_p, Fractions over Q."""
     kind = Fraction if field.modulus == 0 else int
-    return type(values) is tuple and all(c.field == field and type(c.value) is kind for c in values)
+    values = [c for h in (r.r1, r.r2, r.r3) for c in h.coeffs]
+    return all(c.field == field and type(c.value) is kind for c in values)
 
 
 def qs(*vals):
     return tuple(Q.scalar(v) for v in vals)
+
+
+def solved_r(b1, b2):
+    """R from the h-solve of two inverted points, read by star's builder."""
+    return groupoid._r_function(b1.field, *groupoid._solve_h_core(b1, b2))
 
 
 def g1_point(p2, p3, z4=0):
@@ -229,9 +234,9 @@ def test_point_list_rep_refuses_a_foreign_field(pairs, z):
 
 
 def test_solve_h_worked_g1():
-    h1, h2 = solve_h(invert(A1), invert(A2))
-    assert h2 == qs(1)
-    assert h1 == qs(1)
+    r = solved_r(invert(A1), invert(A2))
+    assert r.r2.coeffs == qs(1)
+    assert r.r3.coeffs == qs(1)
 
 
 def test_symmetrized_h1_display_probe():
@@ -240,22 +245,22 @@ def test_symmetrized_h1_display_probe():
     discrepancy stays documented.  The solver uses the linear system.
     """
     b1, b2 = invert(A1), invert(A2)
-    h1, h2 = solve_h(b1, b2)
+    r = solved_r(b1, b2)  # at genus 1, h1 is r3 and h2 is r2
     # genus 1: L is the 1 x 1 first column of _columns, ell the second
     (l1, ell1), (l2, ell2) = (
         [_read(Q, col, 1)[0] for col in zip(*groupoid._columns(b))] for b in (b1, b2)
     )
     half = Q.scalar(Fraction(1, 2))
-    inner_minus = (-half * ((ell1 + ell2) - (l1 + l2) * h2[0]),)
-    inner_plus = (-half * ((ell1 + ell2) + (l1 + l2) * h2[0]),)
-    assert h1 == qs(1)
+    inner_minus = (-half * ((ell1 + ell2) - (l1 + l2) * r.r2[0]),)
+    inner_plus = (-half * ((ell1 + ell2) + (l1 + l2) * r.r2[0]),)
+    assert r.r3.coeffs == qs(1)
     assert inner_minus == qs(3)
     assert inner_plus == qs(1)
 
 
 def test_solve_h_doubling_degenerate():
     with pytest.raises(DegenerateConfiguration) as exc:
-        solve_h(invert(A1), invert(A1))
+        groupoid._solve_h_core(invert(A1), invert(A1))
     assert exc.value.stage == "h_solve"
 
 
@@ -405,10 +410,11 @@ def test_star_makes_one_solve(monkeypatch):
 
 
 def test_solve_h_holds_field_scalars(monkeypatch):
-    """solve_h boxes h1 and h2 as Scalars of the inputs' field: residues
-    over F_p, Fractions over Q, also when the solved denominator
-    det m_g is 1 or -1.  The genus-1 curve through (1, 1) and (0, 2), with
-    the pair taken in each order, gives those two denominators."""
+    """R read from the h-solve holds Scalars of the inputs' field: residues
+    over F_p, Fractions over Q, also when the solved denominator det m_g
+    is 1 or -1, which the builder's `_norm` makes positive.  The genus-1
+    curve through (1, 1) and (0, 2), with the pair taken in each order,
+    gives those two denominators, and one R."""
     dets = []
     real = groupoid._solve_rows
 
@@ -420,15 +426,16 @@ def test_solve_h_holds_field_scalars(monkeypatch):
     monkeypatch.setattr(groupoid, "_solve_rows", recorded)
     rng = seeded("solve-h-scalars")
     _, a1, a2 = fp_pair(P, 3, rng)
-    assert all(holds_field_scalars(h, P) for h in solve_h(invert(a1), invert(a2)))
+    assert holds_field_scalars(solved_r(invert(a1), invert(a2)), P)
     c = fit_curve_through(Q, 1, [qs(1, 1), qs(0, 2)])
     b1, b2 = (viete_phi(PointListRep([qs(*xy)], c.lambda2)) for xy in ((1, 1), (0, 2)))
     assert groupoid._columns(b1)[1] == [1, 1]
     assert groupoid._columns(b2)[1] == [1, 1]
     dets.clear()
     for x, y in ((b1, b2), (b2, b1), q_pair(2, rng)[1:]):
-        assert all(holds_field_scalars(h, Q) for h in solve_h(invert(x), invert(y)))
+        assert holds_field_scalars(solved_r(invert(x), invert(y)), Q)
     assert dets[:2] == [1, -1]
+    assert solved_r(invert(b1), invert(b2)) == solved_r(invert(b2), invert(b1))
 
 
 def test_q_star_solves_h_on_ints(monkeypatch):
@@ -548,8 +555,7 @@ def test_dual_r_routes_agree():
             c, a1, a2 = q_pair(g, rng)
             b1, b2 = invert(a1), invert(a2)
             det_route = build_r_determinant(b1, b2)
-            h1, h2 = solve_h(b1, b2)
-            solve_route = build_r_from_h(h1, h2, g)
+            solve_route = solved_r(b1, b2)
             assert det_route.h == solve_route.h
 
 
@@ -831,6 +837,14 @@ def test_genus2_fp_route_checks_v_and_the_quotient(monkeypatch):
 def test_curve_params_need_genus_at_least_one():
     with pytest.raises(ValueError):
         CurveParams(0, (), ())
+
+
+def test_curve_params_refuse_a_genus_that_is_not_an_int():
+    """A bool or float genus is refused, as a curve file's "genus": true
+    is, instead of being read as genus 1."""
+    for genus in (True, 1.0):
+        with pytest.raises(ValueError):
+            CurveParams(genus, qs(1), qs(0))
 
 
 def test_shared_u_configuration_degenerate_g2():

@@ -6,7 +6,6 @@ from hypadd.identities import (
     check_g1_wp_prime_sum,
     check_pgg_sum,
     check_zp_consistency,
-    hcoeffs,
     zp_formal_expression,
 )
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
@@ -30,11 +29,6 @@ def test_extract_h_worked_g1():
     assert r.h_at(2) == Q.zero()
     assert r.h_at(3) == Q.one()
     assert r.h_at(99) == Q.zero()
-
-
-def test_hcoeffs_worked_g1():
-    r = star_detail(A1, A2).r
-    assert hcoeffs(r) == (Q.one(), Q.zero(), Q.one())
 
 
 def test_genus1_h2_is_structurally_zero():

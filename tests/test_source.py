@@ -137,13 +137,13 @@ UNCALLED = {
     "groupoid.viete_phi",
     # public methods that the tests' reference routes read
     "expr.Expr.eval",
+    "poly.Poly.lc",
     "poly.Poly.monic",
     # independent oracles and references for the tests
     "closedform.g2_slope_exprs",
     "groupoid.anchor_s",
     "groupoid.build_r_determinant",
     "groupoid.phi_poly",
-    "groupoid.solve_h",
     "identities.check_g1_wp_prime_sum",
     "identities.check_zp_consistency",
     "identities.zp_formal_expression",
@@ -172,29 +172,34 @@ def definitions() -> list:
 
 
 def references() -> list:
-    """(module, line, name) for each name or attribute read in src/hypadd;
-    imports and `__all__` strings are not references."""
+    """(module, line, name, is_attribute) for each name loaded or
+    attribute read in src/hypadd; stores, imports and `__all__` strings
+    are not references."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                found.append((path.stem, node.lineno, name))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                is_attribute = isinstance(node, ast.Attribute)
+                name = node.attr if is_attribute else node.id
+                found.append((path.stem, node.lineno, name, is_attribute))
     return found
 
 
 def test_every_name_has_a_caller_or_a_reason():
     """Each function, class and method of src/ is referenced in src/
     outside its own body, or listed in UNCALLED: a new uncalled helper
-    fails here, and so does a listed name that gained a caller or went."""
+    fails here, and so does a listed name that gained a caller or went.
+    A method counts as called only through an attribute read (x.lc), so
+    a local variable of the same name does not call it."""
     refs = references()
     uncalled = {
         qual
         for qual, node in definitions()
         if not any(
             name == qual.rsplit(".", 1)[1]
+            and (is_attribute or qual.count(".") == 1)
             and not (module == qual.split(".")[0] and node.lineno <= line <= node.end_lineno)
-            for module, line, name in refs
+            for module, line, name, is_attribute in refs
         )
     }
     assert uncalled == UNCALLED
