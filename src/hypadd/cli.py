@@ -206,10 +206,10 @@ def _sample_pair(field, genus, curve, rng):
 
 
 def _third_point(c, a, b, field, rng):
-    """A further point sharing the pair's anchor."""
+    """A further point on the pair's anchor; over Q, b - a, so no star in assoc doubles."""
     if field.modulus != 0:
         return sample_point_fp(c, rng)
-    return star(a, invert(b))
+    return star(invert(a), b)
 
 
 def _run_prop(prop, field, genus, curve, trials, seed):

@@ -3,19 +3,18 @@
 These are the fully expanded versions of `star`: no linear solves, just
 rational expressions in the input coordinates.  Genus 2 is written in
 terms of a seed slope h and its images h' = L(h), h'' = L(h') under the
-shift operator L of `expr.apply_L`.  L differentiates only u2, v2, u4
-and v4, with coefficients in u3, v3, u5 and v5 alone, so it is d/dt
-along the fixed direction d = L(p): h(p + t*d) = h + t*h' + (t^2/2)*h''.
-`g2_add` reads h, h' and h'' off one evaluation of the slope on
-polynomials in t; its denominator is constant along L.  The expression
-trees of `g2_slope_exprs` are kept as the tests' oracle for that
-tangency identity and for L(h'') = 0.
+shift operator L = 1/2 [(u3 - v3)(d/du2 - d/dv2) + (u5 - v5)(d/du4 - d/dv4)].
+Its coefficients involve only u3, v3, u5 and v5, which L does not
+differentiate, so L is d/dt along the fixed direction d = L(p):
+h(p + t*d) = h + t*h' + (t^2/2)*h''.  `g2_add` reads h, h' and h'' off
+one evaluation of the slope on polynomials in t; its denominator is
+constant along L.  The acceptance suite checks the tangency identity
+and L(h'') = 0 on the same expansion.
 """
 
 from fractions import Fraction
 
 from .errors import AnchorMismatch, DegenerateConfiguration
-from .expr import APPLY_L_VARS, Var, apply_L
 from .groupoid import GroupoidPoint, anchor
 from .poly import Poly
 
@@ -44,20 +43,12 @@ def g1_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
 def _g2_slope(u2, u3, u4, u5, v2, v3, v4, v5) -> tuple:
     """Numerator and denominator of the genus-2 seed slope h.
 
-    Built from +, - and * only, so it runs on `Var`s and on `Poly`s.
+    Built from +, - and * only, so it runs on Scalars and on `Poly`s.
     The overall sign is pinned by the equality tests against star.
     """
     num = (v4 - u4) * ((v4 + v2 * v2) - (u4 + u2 * u2)) - (v2 - u2) * (v2 * v4 - u2 * u4)
     den = (v4 - u4) * (v3 - u3) - (v2 - u2) * (v5 - u5)
     return num, den
-
-
-def g2_slope_exprs() -> tuple:
-    """The genus-2 seed slope h and its images h' = L(h), h'' = L(h')."""
-    num, den = _g2_slope(*[Var(name) for name in APPLY_L_VARS])
-    h = num / den
-    hp = apply_L(h)
-    return h, hp, apply_L(hp)
 
 
 def g2_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:

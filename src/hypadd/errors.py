@@ -92,17 +92,5 @@ class NonGenericDivisor(HypaddError):
     """Reduced divisor has degree below g and no coordinate image."""
 
 
-class UnknownVariable(HypaddError):
-    """Expression uses a variable outside the operator's domain."""
-
-
-class UnboundVariable(HypaddError):
-    """Evaluation environment is missing a variable."""
-
-
-class ZeroDenominator(HypaddError):
-    """Expression evaluation divided by zero."""
-
-
 class ZeroScale(HypaddError):
     """Grading action requires a nonzero scale factor."""

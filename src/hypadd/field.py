@@ -152,7 +152,7 @@ def make_field(kind: str, modulus: int | None = None) -> FieldSpec:
         raise ValueError(f"unknown field kind {kind!r}")
     if modulus is None:
         raise ValueError("prime field needs a modulus")
-    if modulus == 0:
+    if modulus == 0 and type(modulus) is int:
         raise NonPrimeModulus("0 is not prime")
     return FieldSpec(modulus)
 

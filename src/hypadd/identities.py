@@ -3,11 +3,11 @@
 The h-coefficients below always refer to the RFunction built inside
 `star` for the pair being tested, indexed by co-weight: r.h_at(k) is
 the coefficient of the monomial of weight 3g - k, or zero when that
-co-weight has no monomial.
+co-weight has no monomial.  The genus-2 cubic zeta relation is one
+Scalar function, `zp_relation`, for `check_zp_consistency` and the tests.
 """
 
 from .closedform import g2_add
-from .expr import Const, Var
 from .field import Scalar
 from .groupoid import GroupoidPoint, star_detail
 
@@ -56,17 +56,13 @@ def check_g1_wp_prime_sum(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
 
 
 def check_zp_consistency(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
-    """Genus-2 consistency of the cubic zeta relation.
+    """Genus-2 consistency of the cubic zeta relation `zp_relation`.
 
-    Writing z2s = -h1, p22s = h1^2 - 2 h2 (checked against the actual
-    even-coordinate sum), p222s = 2(p3(a1) + p3(a2) - p3(a3)), and
-    z1s = p222s/2 - h1^3 + 3 h1 h2, the combination
-
-        2 z1s - p222s - 3 p22s z2s + z2s^3
-
-    must vanish.  It does so for any p222s (`zp_formal_expression`), so
-    the product's p3 is also checked on its own, against the w3 of the
-    closed form `g2_add`.  h3 must be absent (gap co-weight) at genus 2.
+    p22s = h1^2 - 2 h2 is checked against the actual even-coordinate
+    sum, and the relation must vanish at p222s = 2(p3(a1) + p3(a2) -
+    p3(a3)).  It does so for any p222s, so the product's p3 is also
+    checked on its own, against the w3 of the closed form `g2_add`.
+    h3 must be absent (gap co-weight) at genus 2.
     """
     if a1.genus != 2:
         raise ValueError("genus-2 identity")
@@ -78,23 +74,18 @@ def check_zp_consistency(a1: GroupoidPoint, a2: GroupoidPoint) -> bool:
     if p22s != h1 * h1 - 2 * h2 or _p3(res.point) != _p3(g2_add(a1, a2)):
         return False
     p222s = 2 * (_p3(a1) + _p3(a2) - _p3(res.point))
-    half = a1.field.scalar(1) / a1.field.scalar(2)
-    z2s = -h1
-    z1s = half * p222s - h1**3 + 3 * h1 * h2
-    value = 2 * z1s - p222s - 3 * p22s * z2s + z2s**3
-    return value.is_zero()
+    return zp_relation(h1, h2, p222s).is_zero()
 
 
-def zp_formal_expression():
-    """The cubic zeta relation with its substitutions left symbolic.
+def zp_relation(h1: Scalar, h2: Scalar, p222s: Scalar) -> Scalar:
+    """The cubic zeta relation 2 z1s - p222s - 3 p22s z2s + z2s^3, with
+    z2s = -h1, p22s = h1^2 - 2 h2 and z1s = p222s/2 - h1^3 + 3 h1 h2.
 
-    Variables: h1, h2, and t for the odd-coordinate sum p222s.  The
-    returned tree is identically zero as a rational function, which the
-    tests confirm by evaluation at random points.
+    It is the zero polynomial in (h1, h2, p222s), which the tests
+    confirm by evaluation at random points.
     """
-    h1, h2, t = Var("h1"), Var("h2"), Var("t")
-    half = Const(1) / Const(2)
+    half = h1.field.scalar(1) / h1.field.scalar(2)
     z2s = -h1
     p22s = h1 * h1 - 2 * h2
-    z1s = half * t - h1 * h1 * h1 + 3 * h1 * h2
-    return 2 * z1s - t - 3 * p22s * z2s + z2s * z2s * z2s
+    z1s = half * p222s - h1**3 + 3 * h1 * h2
+    return 2 * z1s - p222s - 3 * p22s * z2s + z2s**3

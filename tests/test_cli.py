@@ -83,6 +83,18 @@ def test_add_invariant_violation_exits_1(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
 
 
+def test_add_methods_that_disagree_exit_1(tmp_path, capsys, monkeypatch):
+    """--method both compares star with the Cantor route: a Cantor answer
+    off star's exits 1 with both points in a MethodMismatch document."""
+    c, a, b = setup_worked(tmp_path)
+    monkeypatch.setattr(cli, "from_mumford", lambda d, c: A1)
+    assert run(["add", "--curve", c, "--a", a, "--b", b, "--method", "both"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MethodMismatch"
+    assert point_from_json(Q, err["groupoid"]) == GroupoidPoint(qs(-1), qs(0), qs(0))
+    assert point_from_json(Q, err["cantor"]) == A1
+
+
 def test_add_doubling_succeeds_via_cantor(tmp_path, capsys):
     c, a, _ = setup_worked(tmp_path)
     assert run(["add", "--curve", c, "--a", a, "--b", a, "--method", "cantor"]) == 0
@@ -331,6 +343,20 @@ def test_verify_fp_without_curve(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["genus"] == 2
+
+
+def test_verify_q_assoc_answers_trials(capsys):
+    """Over Q the third point is b - a, so neither side of the
+    associativity check doubles a point, and trials are answered."""
+    for genus in (1, 2):
+        argv = [
+            "verify", "--field", "q", "--genus", str(genus), "--trials", "5",
+            "--seed", "1", "--props", "assoc",
+        ]
+        assert run(argv) == 0
+        assoc = json.loads(capsys.readouterr().out)["props"]["assoc"]
+        assert assoc["failures"] == 0
+        assert assoc["passes"] > 0, assoc
 
 
 def test_verify_closedform_skips_high_genus(capsys):

@@ -1,15 +1,13 @@
 import pytest
 
 from hypadd import GroupoidPoint, anchor, g1_add, g2_add, make_field, star, star_detail
-from hypadd.closedform import g2_slope_exprs
+from hypadd.closedform import _g2_slope
 from hypadd.errors import AnchorMismatch, DegenerateConfiguration
-from hypadd.expr import Expr
 from hypadd.groupoid import PointListRep, viete_phi
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 Q = make_field("q")
 P = make_field("fp", TEST_PRIME)
-G2_NAMES = ("u4", "u2", "u5", "u3", "v4", "v2", "v5", "v3")
 
 
 def qs(*vals):
@@ -82,22 +80,6 @@ def test_g2_matches_star_fp():
         assert g2_add(a1, a2) == star(a1, a2)
 
 
-def test_g2_add_evaluates_no_expression(monkeypatch):
-    """g2_add expands the slope along L on polynomials; the expression
-    trees are only the tests' oracle."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("g2_add evaluated an expression tree")
-
-    monkeypatch.setattr(Expr, "eval", refuse)
-    rng = seeded("g2-no-expr")
-    for _ in range(5):
-        c, a1, a2 = fp_pair(P, 2, rng)
-        assert g2_add(a1, a2) == star(a1, a2)
-        c, a1, a2 = q_pair(2, rng)
-        assert g2_add(a1, a2) == star(a1, a2)
-
-
 def test_g2_commutes():
     rng = seeded("g2-comm")
     c, a1, a2 = q_pair(2, rng)
@@ -110,12 +92,13 @@ def test_g2_slope_is_the_h1_coefficient():
     once: 12/12 agreement for this convention, 0/12 for the negation.
     """
     rng = seeded("g2-slope")
-    h_e, _, _ = g2_slope_exprs()
     for _ in range(6):
         c, a1, a2 = q_pair(2, rng)
         h1 = star_detail(a1, a2).r.h_at(1)
-        env = dict(zip(G2_NAMES, a1.p_even + a1.p_odd + a2.p_even + a2.p_odd))
-        h_val = h_e.eval(env, Q)
+        (u4, u2), (u5, u3) = a1.p_even, a1.p_odd
+        (v4, v2), (v5, v3) = a2.p_even, a2.p_odd
+        num, den = _g2_slope(u2, u3, u4, u5, v2, v3, v4, v5)
+        h_val = num / den
         assert h_val == h1
         assert -h_val != h1 or h1 == Q.zero()
 

@@ -114,10 +114,13 @@ def test_field_construction_errors():
 
 def test_field_spec_refuses_a_modulus_that_is_not_an_int():
     """A float, string, bool or None modulus raises ValueError, not a
-    bare TypeError from the primality test, "True is not prime", or Q."""
-    for modulus in (10007.0, "10007", True, False, None):
+    bare TypeError from the primality test, "True is not prime", or Q,
+    from FieldSpec and from make_field("fp", ...) alike."""
+    for modulus in (10007.0, "10007", True, False, 0.0, None):
         with pytest.raises(ValueError):
             FieldSpec(modulus)
+        with pytest.raises(ValueError):
+            make_field("fp", modulus)
 
 
 def test_scalar_constructor_is_canonical():

@@ -725,6 +725,28 @@ def test_star_checks_the_division_by_u2(monkeypatch):
             star(a1, a2)
 
 
+def test_star_checks_the_quotient_by_u2_is_monic_of_degree_g(monkeypatch):
+    """A quotient of phi / u1 by u2 that is not monic of degree g raises
+    InvariantViolation.  Only that division has a dividend of degree 2g,
+    twice the divisor's; its quotient's lead is doubled, once per pair."""
+    rng = seeded("u2-quotient")
+    pairs = [fp_pair(P, 4, rng)[1:], q_pair(2, rng)[1:]]
+    real, bumped = groupoid._divmod, []
+
+    def bump(a, da, b, db, p):
+        (q, dq), r = real(a, da, b, db, p)
+        if len(a) == 2 * len(b) - 1:
+            bumped.append(len(b) - 1)
+            q = q[:-1] + (2 * q[-1],)
+        return (q, dq), r
+
+    monkeypatch.setattr(groupoid, "_divmod", bump)
+    for a1, a2 in pairs:
+        with pytest.raises(InvariantViolation, match=f"monic degree-{a1.genus} quotient"):
+            star(a1, a2)
+    assert bumped == [4, 2]
+
+
 def _route_pairs(field, n, tag):
     """n seeded genus-2 pairs over field that star answers."""
     rng, pairs = seeded(tag), []

@@ -6,7 +6,7 @@ from hypadd.identities import (
     check_g1_wp_prime_sum,
     check_pgg_sum,
     check_zp_consistency,
-    zp_formal_expression,
+    zp_relation,
 )
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
@@ -106,15 +106,11 @@ def test_zp_consistency_catches_wrong_p3(monkeypatch):
 
 
 def test_zp_formal_expression_vanishes():
-    """Schwartz-Zippel over a large prime: the formal relation in
-    (h1, h2, t) is the zero polynomial."""
+    """Schwartz-Zippel over a large prime: the relation that
+    check_zp_consistency evaluates is the zero polynomial in
+    (h1, h2, p222s)."""
     big = make_field("fp", 2**31 - 1)
-    e = zp_formal_expression()
-    assert e.free_vars() <= {"h1", "h2", "t"}
     rng = random.Random("zp-formal")
     for _ in range(40):
-        env = {
-            name: big.scalar(rng.randrange(big.modulus))
-            for name in ("h1", "h2", "t")
-        }
-        assert e.eval(env, big) == big.zero()
+        h1, h2, p222s = (big.scalar(rng.randrange(big.modulus)) for _ in range(3))
+        assert zp_relation(h1, h2, p222s) == big.zero()

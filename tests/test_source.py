@@ -90,11 +90,10 @@ def test_only_poly_and_the_divisor_constructor_read_den():
 
 
 def test_fraction_stays_in_the_field_layers():
-    """Scalars and pairs cross in field and poly, so besides them only the
-    symbolic expr and closedform name `Fraction`; linalg, groupoid and
-    cantor do not."""
+    """Scalars and pairs cross in field and poly, so besides them only
+    closedform names `Fraction`; linalg, groupoid and cantor do not."""
     naming = {found.split(":")[0] for found in names_outside("", "Fraction")}
-    assert naming <= {"field.py", "poly.py", "expr.py", "closedform.py"}
+    assert naming <= {"field.py", "poly.py", "closedform.py"}
     for module in ("linalg.py", "groupoid.py", "cantor.py"):
         assert names_in(SRC / module, "Fraction") == []
 
@@ -136,17 +135,14 @@ UNCALLED = {
     "groupoid.v_poly",
     "groupoid.viete_phi",
     # public methods that the tests' reference routes read
-    "expr.Expr.eval",
     "poly.Poly.lc",
     "poly.Poly.monic",
     # independent oracles and references for the tests
-    "closedform.g2_slope_exprs",
     "groupoid.anchor_s",
     "groupoid.build_r_determinant",
     "groupoid.phi_poly",
     "identities.check_g1_wp_prime_sum",
     "identities.check_zp_consistency",
-    "identities.zp_formal_expression",
     "poly.from_roots",
     "poly.x_power",
 }
@@ -209,6 +205,16 @@ def test_no_scalar_matrix_layer():
     """Every solve and rank runs on int rows, so no module defines or
     names a Scalar matrix API: `Matrix`, `vandermonde` or `NotSquare`."""
     for name in ("Matrix", "vandermonde", "NotSquare"):
+        assert names_outside("", name) == []
+        assert name not in hypadd.__all__
+
+
+def test_no_expression_dag():
+    """The shift operator L is stated once, as the derivative along L(p)
+    in closedform: there is no expr.py, and no module defines or names
+    an expression DAG (`Expr`, `Var`, `apply_L`) or its errors."""
+    assert not (SRC / "expr.py").exists()
+    for name in ("Expr", "Var", "apply_L", "UnknownVariable", "UnboundVariable", "ZeroDenominator"):
         assert names_outside("", name) == []
         assert name not in hypadd.__all__
 
