@@ -36,12 +36,12 @@ class MumfordDivisor:
     __slots__ = ("field", "_u", "_v")
 
     def __init__(self, u: Poly, v: Poly):
+        if v.field is not u.field and v.field != u.field:
+            raise FieldMismatch("u and v over different fields")
         if u.is_zero() or not u.is_monic():
             raise ValueError("u must be monic")
         if not v.degree < u.degree:
             raise ValueError("v must have degree below deg u")
-        if v.field is not u.field and v.field != u.field:
-            raise FieldMismatch("u and v over different fields")
         self.field, self._u, self._v = u.field, (u._values, u._den), (v._values, v._den)
 
     @classmethod

@@ -147,6 +147,8 @@ class FieldSpec:
 def make_field(kind: str, modulus: int | None = None) -> FieldSpec:
     """Construct a FieldSpec; FieldSpec itself validates a prime modulus."""
     if kind == RATIONALS:
+        if modulus is not None:
+            raise ValueError(f"the rationals take no modulus, got {modulus!r}")
         return FieldSpec(0)
     if kind != PRIME:
         raise ValueError(f"unknown field kind {kind!r}")

@@ -77,7 +77,7 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar, _inverse_value
 from .linalg import _rank_rows, _solve_rows
-from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read
+from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read, _trim
 
 
 def _scalars(*vectors):
@@ -344,18 +344,19 @@ def _columns(a: GroupoidPoint):
 def _solve_h_core(b1, b2):
     """(h1, h2, den): h1 and h2 as int numerators over one denominator
     from (L1 - L2) h2 = ell2 - ell1 and h1 = -(L1 h2 + ell1), for two
-    points.  One body for both fields: column j of both sides is scaled
-    by m_j = lcm(d1j, d2j) of the two points' column denominators (1 over
-    F_p), so the system is on ints, and `_solve_rows` gives h2_j = m_j y_j
-    / (det m_g); h1 = -(det ell1 + sum y_j col_j) follows over the same
-    denominator den = det m_g, which is 1 over F_p.
+    points.  One body for both fields: over Q column j of both sides is
+    scaled by m_j = lcm(d1j, d2j) of the two points' column denominators,
+    so the system is on ints, and `_solve_rows` gives h2_j = m_j y_j /
+    (det m_g); h1 = -(det ell1 + sum y_j col_j) follows over the same
+    denominator den = det m_g.  Over F_p every m_j and det are 1, so
+    nothing is scaled and h2 is y.
     """
     p, g = b1.field.modulus, b1.genus
-    c1, d1 = _columns(b1)
-    c2, d2 = _columns(b2)
-    m = [lcm(x, y) for x, y in zip(d1, d2)]
-    s1 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(c1, m, d1)]
-    s2 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(c2, m, d2)]
+    (s1, d1), (s2, d2) = _columns(b1), _columns(b2)
+    if not p:
+        m = [lcm(x, y) for x, y in zip(d1, d2)]
+        s1 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(s1, m, d1)]
+        s2 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(s2, m, d2)]
     a = [[x[i] - y[i] for x, y in zip(s1[:g], s2)] + [s2[g][i] - s1[g][i]] for i in range(g)]
     try:
         y, det = _solve_rows(a, g, p)
@@ -363,7 +364,7 @@ def _solve_h_core(b1, b2):
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
         ) from exc
-    h1, h2 = [-det * v for v in s1[g]], [mj * z for mj, z in zip(m, y)]
+    h1, h2 = [-det * v for v in s1[g]], y if p else [mj * z for mj, z in zip(m, y)]
     for col, z in zip(s1, y):
         h1 = [w - z * v for w, v in zip(h1, col)]
     return h1, h2, 1 if p else det * m[g]
@@ -582,13 +583,18 @@ def _interpolate(field: FieldSpec, xs, ys):
             raise SingularMatrix("repeated abscissa")
         s = yi * _inverse_value(d, p)
         v = [a + s * b for a, b in zip(v, reversed(q))]
+    if p:
+        return u, [c % p for c in v]
     return [field._value(c) for c in u], [field._value(c) for c in v]
 
 
 def _phi_values(field: FieldSpec, xs, ys, z) -> GroupoidPoint:
-    """viete_phi on distinct bare abscissas and ordinates, z in a point's stored form."""
-    p = field.modulus
-    u, v = (_norm(*_ints(w, p), p) for w in _interpolate(field, xs, ys))
+    """viete_phi on distinct bare abscissas and ordinates, z in a point's
+    stored form.  Over F_p u and v are residue lists already, and u is monic."""
+    p, (u, v) = field.modulus, _interpolate(field, xs, ys)
+    if p:
+        return GroupoidPoint._make(field, (tuple(u), 1), _trim(v), z)
+    u, v = (_norm(*_ints(w, p), p) for w in (u, v))
     return GroupoidPoint._make(field, u, v, z)
 
 

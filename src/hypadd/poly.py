@@ -4,13 +4,17 @@ A polynomial is ascending int numerators, trailing zeros stripped (zero
 is empty, of degree -inf), over one denominator: residues in [0, p)
 over 1 on F_p; over Q a denominator > 0 with gcd(den, *nums) = 1, as
 FLINT's fmpq_poly (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 6).  The kernels `_add`, `_mul`, `_divmod`, `_monic` and the one
-extended Euclid `_euclid`, which carries only the cofactor of its first
-operand, compute on such (nums, den) pairs with the modulus p (0 for Q)
-and return `_norm`'s canonical form.  Over F_p, `_mul` and `_divmod`
-run on operands packed into one int, one 64-bit word per coefficient
-(`_pack`), whenever a bound on p and the lengths proves that no word
-overflows: a product is then one C big-int multiply (Kronecker
+ch. 6).  The kernels `_add`, `_neg`, `_mul`, `_divmod`, `_monic` and the
+one extended Euclid `_euclid`, which carries only the cofactor of its
+first operand, compute on such (nums, den) pairs with the modulus p (0
+for Q) and return that canonical form.  Over F_p the contract is
+canonical residue tuples in and out: each kernel reduces mod p in the
+pass that computes its result and strips zeros with `_trim`, with no
+second pass, and the packed word bounds below hold only for residues.
+`_norm` canonicalises Q results and raw int lists.  Over F_p, `_mul`
+and `_divmod` run on operands packed into one int, one 64-bit word per
+coefficient (`_pack`), whenever a bound on p and the lengths proves that
+no word overflows: a product is then one C big-int multiply (Kronecker
 substitution, as FLINT's nmod_poly; Modern Computer Algebra, section
 8.4), and long division updates one packed remainder per quotient term.
 A factor of length 2 or less, a divisor of degree 2 or less, a large p
@@ -46,6 +50,14 @@ def _ints(values, p: int):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _trim(nums, den: int = 1):
+    """(nums as a tuple without trailing zeros, den)."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    return tuple(nums[:n] if n < len(nums) else nums), den
+
+
 def _norm(nums, den: int, p: int):
     """nums / den as a tuple reduced mod p over F_p (den 1); over Q,
     den > 0 and content 1.  Trailing zeros are stripped."""
@@ -55,10 +67,7 @@ def _norm(nums, den: int, p: int):
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         if g != 1:
             den, nums = den // g, [v // g for v in nums]
-    n = len(nums)
-    while n and not nums[n - 1]:
-        n -= 1
-    return tuple(nums[:n]), den
+    return _trim(nums, den)
 
 
 def _read(field: FieldSpec, pair, n: int, sign: int = 1) -> tuple:
@@ -70,10 +79,14 @@ def _read(field: FieldSpec, pair, n: int, sign: int = 1) -> tuple:
 
 def _add(a, da: int, b, db: int, p: int, sign: int = 1):
     """a/da + sign * b/db, for sign 1 or -1."""
+    n = min(len(a), len(b))
+    if p:
+        if sign > 0:
+            return _trim([(x + y) % p for x, y in zip(a, b)] + list(a[n:]) + list(b[n:]))
+        return _trim([(x - y) % p for x, y in zip(a, b)] + list(a[n:]) + [-y % p for y in b[n:]])
     if da != db:
         den = lcm(da, db)
         a, b, da = [x * (den // da) for x in a], [y * (den // db) for y in b], den
-    n = min(len(a), len(b))
     if sign > 0:
         out = [x + y for x, y in zip(a, b)] + list(a[n:]) + list(b[n:])
     else:
@@ -82,6 +95,8 @@ def _add(a, da: int, b, db: int, p: int, sign: int = 1):
 
 
 def _neg(a, p: int):
+    if p:
+        return tuple([-t % p for t in a[0]]), 1
     return _norm([-t for t in a[0]], a[1], p)
 
 
@@ -105,19 +120,20 @@ def _unpack(x: int, n: int):
 def _mul(a, da: int, b, db: int, p: int):
     """(a/da) * (b/db) by schoolbook convolution, or over F_p by Kronecker
     substitution, one multiply of the packed ints.  That path needs
-    n = min(len a, len b) > 2 and A + B + n.bit_length() <= _WORD for A, B
-    the bit lengths of max(a) and max(b): each product word sums at most n
-    terms below 2^(A+B), so it stays below 2^_WORD and carries nothing
-    into the next word."""
+    n = min(len a, len b) > 2 and 2 P + n.bit_length() <= _WORD for P the
+    bit length of p: each product word sums at most n terms below p^2, so
+    it stays below 2^_WORD and carries nothing into the next word.  The
+    bound holds only for residues in [0, p), the F_p operand contract."""
     if not a or not b:
         return (), 1
     m = len(b)
-    if p and (n := min(len(a), m)) > 2:
-        if max(a).bit_length() + max(b).bit_length() + n.bit_length() <= _WORD:
-            return _norm(_unpack(_pack(a) * _pack(b), len(a) + m - 1), da * db, p)
+    if p and (n := min(len(a), m)) > 2 and 2 * p.bit_length() + n.bit_length() <= _WORD:
+        return tuple([w % p for w in _unpack(_pack(a) * _pack(b), len(a) + m - 1)]), 1
     out = [0] * (len(a) + m - 1)
     for i, x in enumerate(a):
         out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
+    if p:
+        return tuple([v % p for v in out]), 1
     return _norm(out, da * db, p)
 
 
@@ -155,16 +171,17 @@ def _divmod(a, da: int, b, db: int, p: int):
             quo[k] = c
             if c:
                 rem[k : k + m] = [r - c * y for r, y in zip(rem[k : k + m], b)]
-    if not p:
-        quo = [c * db for c in quo]
+    if p:  # the quotient terms are residues already, and its top is nonzero
+        return (tuple(quo), 1), _trim([r % p for r in rem[:m]])
+    quo = [c * db for c in quo]
     return _norm(quo, da * scale, p), _norm(rem[:m], da * scale, p)
 
 
 def _monic(a, p: int):
     """a / lc(a) for nonzero numerators a: their denominator cancels."""
-    if p:
+    if p:  # the top becomes 1, so nothing is trimmed
         inv = pow(a[-1], -1, p)
-        return _norm([v * inv for v in a], 1, p)
+        return tuple([v * inv % p for v in a]), 1
     return _norm(a, a[-1], p)
 
 
@@ -181,6 +198,8 @@ def _euclid(a, da: int, m, dm: int, p: int):
         s0, s1 = s1, _add(*s0, *_mul(*q, *s1, p), p, -1)
     (g, dg), c = r0, r0[0][-1]  # divide both by the leading coefficient c / dg
     n, d = (pow(c, -1, p), 1) if p else (dg, c)
+    if p:  # each top is nonzero, and so is its product by n
+        return (tuple([v * n % p for v in g]), 1), (tuple([v * n % p for v in s0[0]]), 1)
     return _norm([v * n for v in g], dg * d, p), _norm([v * n for v in s0[0]], s0[1] * d, p)
 
 

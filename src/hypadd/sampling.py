@@ -70,8 +70,8 @@ def sample_point_fp(c: CurveParams, rng: random.Random) -> GroupoidPoint:
             continue
         y2 = 0
         for a in f:
-            y2 = (y2 * x + a) % p
-        root = sqrt_mod(y2, p)
+            y2 = y2 * x + a
+        root = sqrt_mod(y2, p)  # reduces y2 mod p
         if root is None:
             rejected.add(x)
             continue

@@ -123,6 +123,15 @@ def test_field_spec_refuses_a_modulus_that_is_not_an_int():
             make_field("fp", modulus)
 
 
+def test_make_field_q_refuses_a_modulus():
+    """The rationals take no modulus: make_field("q", m) raises ValueError
+    for every m other than None, rather than returning Q and dropping m."""
+    assert make_field("q", None) == Q
+    for modulus in (7, 10007, 0, 1, -3, 7.0, "7", False):
+        with pytest.raises(ValueError):
+            make_field("q", modulus)
+
+
 def test_scalar_constructor_is_canonical():
     """Scalar(field, v) reduces an int into [0, p), so equal residues
     compare and hash equal however they were built; a Q value is kept."""

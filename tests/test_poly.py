@@ -1,3 +1,4 @@
+import contextlib
 import operator
 from fractions import Fraction
 from math import gcd
@@ -5,45 +6,44 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from hypadd import cantor_add, from_mumford, make_field, poly, star, to_mumford
+from hypadd import cantor, cantor_add, from_mumford, groupoid, make_field, poly, star, to_mumford
 from hypadd.errors import BothZero, DegenerateConfiguration, DivisionByZeroPoly, FieldMismatch
 from hypadd.poly import NEG_INF, Poly, _divmod, _inverse, _mul, _pack, from_roots, x_power, xgcd
+from hypadd.sampling import random_curve_fp, sample_point_fp
 from tests.conftest import fp_pair, seeded
 
 Q = make_field("q")
 F7 = make_field("fp", 7)
 F10007 = make_field("fp", 10007)
+F31 = make_field("fp", 2**31 - 1)
+F61 = make_field("fp", 2**61 - 1)
 
 
 def qp(*coeffs):
     return Poly(Q, tuple(Q.scalar(c) for c in coeffs))
 
 
-coeff_lists = st.lists(
-    st.fractions(min_value=-100, max_value=100, max_denominator=10), min_size=0, max_size=6
-)
-
-
-def qpolys():
-    return coeff_lists.map(lambda cs: Poly(Q, tuple(Q.scalar(c) for c in cs)))
+def qpolys(max_size=6):
+    coeffs = st.fractions(min_value=-100, max_value=100, max_denominator=10)
+    return st.lists(coeffs, max_size=max_size).map(lambda cs: Poly(Q, tuple(Q.scalar(c) for c in cs)))
 
 
 def fp_elements(field):
     return st.integers(min_value=0, max_value=field.modulus - 1)
 
 
-def fppolys(field):
-    return st.lists(fp_elements(field), max_size=6).map(lambda cs: Poly(field, cs))
+def fppolys(field, max_size=6):
+    return st.lists(fp_elements(field), max_size=max_size).map(lambda cs: Poly(field, cs))
 
 
-def polys_over_one_field(n):
-    """A field (Q, F_7 or F_10007), n polynomials over it and an element
-    of it to evaluate at."""
+def polys_over_one_field(n, primes=(F7, F10007), max_size=6):
+    """A field (Q or one of primes), n polynomials over it with at most
+    max_size coefficients, and an element of it to evaluate at."""
     at = st.fractions(min_value=-50, max_value=50, max_denominator=10)
-    q = st.tuples(st.just(Q), st.tuples(*[qpolys()] * n), at)
+    q = st.tuples(st.just(Q), st.tuples(*[qpolys(max_size)] * n), at)
     fp = [
-        st.tuples(st.just(f), st.tuples(*[fppolys(f)] * n), fp_elements(f))
-        for f in (F7, F10007)
+        st.tuples(st.just(f), st.tuples(*[fppolys(f, max_size)] * n), fp_elements(f))
+        for f in primes
     ]
     return st.one_of(q, *fp)
 
@@ -230,12 +230,22 @@ def canonical_form(p):
     return gcd(den, *vals) == 1
 
 
-@given(polys_over_one_field(2))
+@given(polys_over_one_field(2, (F7, F10007, F31, F61), max_size=12))
 def test_results_are_canonical(case):
+    """Every kernel result is canonical, on lengths up to 12 and on primes
+    up to 2^61 - 1, so that the packed paths of `_mul` and `_divmod` run
+    (on F_7 and F_10007, and on F_(2^31 - 1) at their shortest packed
+    lengths) and so do their coefficient loops: the sums, products,
+    quotients and remainders, the (d, s) pair of `xgcd` and the result
+    of `_inverse`."""
     field, (a, b), x0 = case
     results = [a, b, a + b, a - b, -a, a * b, a * field.scalar(x0), a.monic()]
     if not b.is_zero():
         results += divmod(a, b)
+    if not (a.is_zero() and b.is_zero()):
+        results += boxed_xgcd(a, b)[:2]
+    if b.degree >= 1 and (s := boxed_inverse(a, b)) is not None:
+        results.append(s)
     assert all(canonical_form(p) for p in results)
 
 
@@ -517,3 +527,83 @@ def test_fp_star_takes_the_packed_path_above_genus_2(monkeypatch, genus, packed_
     for _, a1, a2 in pairs:
         star(a1, a2)
     assert bool(packed) is packed_path
+
+
+def two_pairs(a, da, b, db, p, sign=1):
+    return p, [(a, da), (b, db)]
+
+
+# Each F_p kernel and (p, its operand pairs) from its arguments: two
+# pairs and p (and `_add`'s sign), a pair and p for `_neg`, or bare
+# numerators and p for `_monic`.
+KERNEL_OPERANDS = dict.fromkeys(("_add", "_mul", "_divmod", "_euclid", "_inverse", "xgcd"), two_pairs)
+KERNEL_OPERANDS.update(_neg=lambda a, p: (p, [a]), _monic=lambda a, p: (p, [(a, 1)]))
+
+
+def kernel_pairs(result):
+    """The kernel pairs in a kernel's result: one pair, a pair of pairs,
+    or none for `_inverse`'s None."""
+    if result is None:
+        return []
+    if type(result[1]) is int:
+        return [result]
+    return [pair for part in result for pair in kernel_pairs(part)]
+
+
+def is_residue_tuple(pair, p):
+    nums, den = pair
+    return (
+        type(nums) is tuple
+        and den == 1
+        and all(type(v) is int and 0 <= v < p for v in nums)
+        and (not nums or nums[-1] != 0)
+    )
+
+
+def watch_kernels(monkeypatch):
+    """Wrap every F_p kernel under each name `poly`, `groupoid` and
+    `cantor` call it by.  Returns the names of the kernels called, and
+    the list of (kernel, "operand" or "result", pair) for each pair that
+    was not a tuple of residues in [0, p) over 1 without a trailing zero."""
+    called, bad = set(), []
+
+    def wrap(name, kernel):
+        def watched(*args):
+            p, operands = KERNEL_OPERANDS[name](*args)
+            result = kernel(*args)
+            if p:
+                called.add(name)
+                for role, pairs in (("operand", operands), ("result", kernel_pairs(result))):
+                    bad.extend((name, role, x) for x in pairs if not is_residue_tuple(x, p))
+            return result
+
+        return watched
+
+    for module in (poly, groupoid, cantor):
+        for name in KERNEL_OPERANDS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrap(name, getattr(poly, name)))
+    return called, bad
+
+
+@pytest.mark.parametrize("field", [F10007, F31], ids=["F_10007", "F_2^31-1"])
+def test_fp_kernels_take_and_give_canonical_residue_tuples(monkeypatch, field):
+    """The F_p kernel contract: canonical residue tuples in and out, with
+    no second pass.  Checked on every kernel call of star on one
+    answered pair at genus 3, 4 and 8, of the Cantor round trip on that
+    pair and of a difference whose top terms cancel; the points that
+    sample_point_fp builds hold canonical pairs too."""
+    p, rng = field.modulus, seeded(f"kernel-contract-{field.modulus}")
+    called, bad = watch_kernels(monkeypatch)
+    for genus in (3, 4, 8):
+        c, want = random_curve_fp(field, genus, rng), None
+        while want is None:
+            a1, a2 = sample_point_fp(c, rng), sample_point_fp(c, rng)
+            points = [x for a in (a1, a2) for x in (a._u, a._v)]
+            bad.extend(("sample_point_fp", "point", x) for x in points if not is_residue_tuple(x, p))
+            with contextlib.suppress(DegenerateConfiguration):
+                want = star(a1, a2)
+        assert from_mumford(cantor_add(to_mumford(a1, c), to_mumford(a2, c), c), c) == want
+    assert Poly(field, [1, 2, 3]) - Poly(field, [4, 5, 3]) == Poly(field, [-3, -3])
+    assert bad == []
+    assert called == set(KERNEL_OPERANDS)

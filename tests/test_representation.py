@@ -214,3 +214,17 @@ def test_divisor_constructor_keeps_its_checks():
             MumfordDivisor(u, v)
     with pytest.raises(FieldMismatch):
         MumfordDivisor(x, Poly(F11, [1]))
+
+
+def test_divisor_constructor_checks_the_field_first():
+    """A u and v over different fields raise FieldMismatch whatever their
+    degrees and whether u is monic: the field check runs before the
+    shape checks."""
+    for u, v in (
+        (Poly(F7, [1]), Poly(Q, [1])),
+        (Poly(F7, [0, 1]), Poly(F11, [1, 1])),
+        (Poly(F7, [0, 2]), Poly(Q, [1])),
+        (Poly(F7), Poly(Q)),
+    ):
+        with pytest.raises(FieldMismatch):
+            MumfordDivisor(u, v)
