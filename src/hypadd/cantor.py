@@ -25,7 +25,7 @@ needs no second cofactor of either gcd and no degree-3g numerator.
 from .errors import FieldMismatch, InvariantViolation, NonGenericDivisor, NonzeroRemainder
 from .errors import NotOnJacobian
 from .field import FieldSpec
-from .groupoid import CurveParams, GroupoidPoint, _on_curve
+from .groupoid import CurveParams, GroupoidPoint
 from .poly import Poly, _add, _divmod, _monic, _mul, _neg, xgcd
 
 
@@ -97,9 +97,9 @@ def divisor_valid(d: MumfordDivisor, c: CurveParams) -> bool:
 
 
 def to_mumford(a: GroupoidPoint, c: CurveParams) -> MumfordDivisor:
-    """Transport a coordinate point to Mumford form, checking membership."""
-    _modulus(c, a)
-    if not _on_curve(a, c):
+    """Transport a coordinate point to Mumford form, checking membership:
+    z is c's lower half and u divides v^2 - f."""
+    if a._z != c._z or _norm_quotient(a._u, a._v, c._f, _modulus(c, a))[1][0]:
         raise NotOnJacobian("z differs from the curve's lower half, or u does not divide v^2 - f")
     return MumfordDivisor._make(c.field, a._u, a._v)
 

@@ -22,9 +22,9 @@ import sys
 from . import closedform, identities
 from .cantor import cantor_add, from_mumford, to_mumford
 from .errors import AnchorMismatch, DegenerateConfiguration, HypaddError, InvariantViolation
-from .errors import NonGenericDivisor, TooFewPoints
+from .errors import NonGenericDivisor, NotOnJacobian, TooFewPoints
 from .field import field_from_string
-from .groupoid import CurveParams, _on_curve, anchor, grade_scale, invert, rank_witness, star
+from .groupoid import CurveParams, anchor, grade_scale, invert, rank_witness, star
 from .jsonio import curve_from_json, curve_to_json, divisor_from_json, divisor_to_json, dumps
 from .jsonio import point_from_json, point_to_json, vector_to_json
 from .sampling import random_curve_fp, sample_pair_q, sample_point_fp, sample_point_q_on_template
@@ -104,19 +104,20 @@ def _load_point(path: str, c: CurveParams):
 
 
 def _require_on_curve(a, c: CurveParams, label: str):
-    if not _on_curve(a, c):
-        raise AnchorMismatch(f"point {label} does not sit over the given curve")
+    """a's divisor, or AnchorMismatch when a does not sit over c."""
+    try:
+        return to_mumford(a, c)
+    except NotOnJacobian as exc:
+        raise AnchorMismatch(f"point {label} does not sit over the given curve") from exc
 
 
 def _cmd_add(args) -> int:
     c = _load_curve(args)
-    a = _load_point(args.a, c)
-    b = _load_point(args.b, c)
-    _require_on_curve(a, c, "--a")
-    _require_on_curve(b, c, "--b")
+    a, b = _load_point(args.a, c), _load_point(args.b, c)
+    da, db = _require_on_curve(a, c, "--a"), _require_on_curve(b, c, "--b")
 
     def by_cantor():
-        d = cantor_add(to_mumford(a, c), to_mumford(b, c), c)
+        d = cantor_add(da, db, c)
         try:
             return from_mumford(d, c)
         except NonGenericDivisor as exc:

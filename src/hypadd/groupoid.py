@@ -51,12 +51,12 @@ the pairs r1 and e; one builder, `_r_function`, reads R's three
 polynomials from solved blocks, for `star_detail` and for the bordered
 determinant.  Each product by a power of x is a shift, and r1^(-1) mod
 u3 comes from `poly._inverse` on the one extended Euclid `poly._euclid`.
-`star`, `anchor` and `_on_curve` share one anchor division,
-`_anchor_division`.  The matrix routes (build_r_determinant,
-rank_witness, anchor_s) and `phi_poly` stay as the tests' independent
-oracles, and none runs the h-solve.  All three matrix routes run on int
-rows for the `linalg` kernels `_solve_rows` and `_rank_rows`: the first
-two stack the same columns, and anchor_s one Vandermonde row per point.
+`star` and `anchor` share one anchor division, `_anchor_division`.
+The matrix routes (build_r_determinant, rank_witness, anchor_s) and
+`phi_poly` stay as the tests' independent oracles, and none runs the
+h-solve.  All three matrix routes run on int rows for the `linalg`
+kernels `_solve_rows` and `_rank_rows`: the first two stack the same
+columns, and anchor_s one Vandermonde row per point.
 
 Weights: x has weight 2, y weight 2g+1, every coefficient with index k
 weight k.  All vectors here are listed highest weight first.
@@ -77,7 +77,7 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar, _inverse_value
 from .linalg import _rank_rows, _solve_rows
-from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read, _trim
+from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read, _trim, x_power
 
 
 def _scalars(*vectors):
@@ -189,16 +189,21 @@ class GroupoidPoint:
 class PointListRep:
     """g affine curve points with distinct abscissas, plus the z vector:
     ValueError unless g >= 1 and every entry is a Scalar, FieldMismatch
-    unless all lie over the first abscissa's field."""
+    unless all lie over the first abscissa's field, RepeatedAbscissa
+    unless the abscissas are distinct.  Keeps the bare abscissas,
+    ordinates and z for viete_phi and anchor_s."""
 
-    __slots__ = ("field", "pairs", "z")
+    __slots__ = ("field", "pairs", "z", "_xs", "_ys", "_zs")
 
     def __init__(self, pairs, z):
         self.pairs = tuple((x, y) for x, y in pairs)
         self.z = tuple(z)
         if not len(self.pairs) == len(self.z) > 0:
             raise ValueError("expected g >= 1 pairs and g z entries")
-        self.field = _scalars([c for pair in self.pairs for c in pair], self.z)[0]
+        self.field, xys, self._zs = _scalars([c for pair in self.pairs for c in pair], self.z)
+        self._xs, self._ys = xys[0::2], xys[1::2]
+        if len(set(self._xs)) != len(self._xs):
+            raise RepeatedAbscissa("abscissas must be pairwise distinct")
 
     @property
     def genus(self) -> int:
@@ -287,13 +292,6 @@ def anchor(a: GroupoidPoint):
     highest weight first.
     """
     return _read(a.field, _anchor_division(a)[1], a.genus), a.z
-
-
-def _on_curve(a: GroupoidPoint, c: CurveParams) -> bool:
-    """Whether anchor(a) is c's coefficient vector, compared on pairs: the
-    same z, and Z1 = f mod x^g, which holds exactly when u | v^2 - f."""
-    f_low = _norm(c._f[0][: c.genus], c._f[1], c.field.modulus)
-    return a._z == c._z and _anchor_division(a)[1] == f_low
 
 
 def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
@@ -423,7 +421,7 @@ def phi_poly(r: RFunction, c: CurveParams) -> Poly:
     phi = (-1)^g [ (x^g r2 + r3)^2 - r1^2 f ]; always monic of degree 3g
     for a well-formed (r, c) pair, and that shape is checked.
     """
-    g, even_half = r.genus, r.r2._shift(r.genus) + r.r3
+    g, even_half = r.genus, x_power(r.field, r.genus) * r.r2 + r.r3
     phi = even_half * even_half - r.r1 * r.r1 * curve_poly(c)
     if g % 2 == 1:
         phi = -phi
@@ -601,12 +599,8 @@ def _phi_values(field: FieldSpec, xs, ys, z) -> GroupoidPoint:
 def viete_phi(t: PointListRep) -> GroupoidPoint:
     """Coordinate image of a list of curve points with distinct abscissas:
     p_even from u = prod (x - x_i), p_odd the interpolant v of the y_i."""
-    field = t.field
-    xs = [field._value(x) for x, _ in t.pairs]
-    if len(set(xs)) != len(xs):
-        raise RepeatedAbscissa("abscissas must be pairwise distinct")
-    zs, dz = _ints(_scalars(t.z)[1], field.modulus)
-    return _phi_values(field, xs, [field._value(y) for _, y in t.pairs], (tuple(zs), dz))
+    zs, dz = _ints(t._zs, t.field.modulus)
+    return _phi_values(t.field, t._xs, t._ys, (tuple(zs), dz))
 
 
 def anchor_s(t: PointListRep):
@@ -618,17 +612,12 @@ def anchor_s(t: PointListRep):
     denominators over Q, for one `_solve_rows` call.  Agrees with anchor
     on the coordinate image.
     """
-    field, g = t.field, t.genus
-    p = field.modulus
-    pairs = [(field._value(x), field._value(y)) for x, y in t.pairs]
-    if len({x for x, _ in pairs}) != g:
-        raise RepeatedAbscissa("abscissas must be pairwise distinct")
-    z, rows = [field._value(c) for c in t.z], []
-    for x, y in pairs:
+    g, p, rows = t.genus, t.field.modulus, []
+    for x, y in zip(t._xs, t._ys):
         powers = [x**i for i in range(g)]
-        vz = sum([c * w for c, w in zip(z, powers)])
+        vz = sum([c * w for c, w in zip(t._zs, powers)])
         rows.append(_ints(powers + [y * y - x ** (2 * g + 1) - x**g * vz], p)[0])
-    return _read(field, _solve_rows(rows, g, p), g), t.z
+    return _read(t.field, _solve_rows(rows, g, p), g), t.z
 
 
 def rank_witness(a1: GroupoidPoint, a2: GroupoidPoint, a3: GroupoidPoint) -> bool:

@@ -292,10 +292,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _shift(self, k: int) -> "Poly":
-        """x^k * self: k zeros in front, the same denominator and content."""
-        return Poly._wrap(self.field, (0,) * k + self._values if self._values else (), self._den)
-
     def __divmod__(self, other):
         """Exact long division: self = q*other + r with deg r < deg other."""
         if not self._check(other):

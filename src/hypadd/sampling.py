@@ -16,7 +16,7 @@ from .field import FieldSpec, make_field
 from .groupoid import CurveParams, GroupoidPoint, _interpolate, _phi_values
 from .groupoid import anchor, curve_from_anchor
 
-BOUND = 9  # Q samples: abscissas from [-BOUND, BOUND], ordinates from [1, BOUND]
+BOUND = 9  # Q samples: ordinates from [1, BOUND], abscissas from `_abscissas`
 
 
 def sqrt_mod(a: int, p: int):
@@ -96,11 +96,17 @@ def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
     return CurveParams._from_values(field, lam[:g], lam[g:])
 
 
+def _abscissas(rng: random.Random, n: int) -> list:
+    """n distinct ints from [-b, b], b = max(BOUND, n // 2), so any n fits."""
+    b = max(BOUND, n // 2)
+    return rng.sample(range(-b, b + 1), n)
+
+
 def sample_pair_q(genus: int, rng: random.Random):
     """A rational curve plus two anchored points on it, all with small
     coordinates before the fit."""
     field, g = make_field("q"), genus
-    xs = rng.sample(range(-BOUND, BOUND + 1), 2 * g)
+    xs = _abscissas(rng, 2 * g)
     ys = [rng.randint(1, BOUND) for _ in xs]
     c = fit_curve_through(field, g, list(zip(xs, ys)))
     return c, _phi_values(field, xs[:g], ys[:g], c._z), _phi_values(field, xs[g:], ys[g:], c._z)
@@ -110,7 +116,7 @@ def sample_point_q_on_template(c: CurveParams, rng: random.Random):
     """A rational point plus the curve it lies on: the template's lower
     coefficient half and the upper half of the point's anchor."""
     field, g = c.field, c.genus
-    xs = [field._value(x) for x in rng.sample(range(-BOUND, BOUND + 1), g)]
+    xs = [field._value(x) for x in _abscissas(rng, g)]
     ys = [field._value(rng.randint(1, BOUND)) for _ in xs]
     point = _phi_values(field, xs, ys, c._z)
     return curve_from_anchor(g, *anchor(point)), point

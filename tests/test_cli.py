@@ -122,6 +122,26 @@ def test_add_off_curve_point_exits_2(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "AnchorMismatch"
 
 
+@pytest.mark.parametrize("method", ["groupoid", "cantor", "both"])
+def test_add_tests_each_input_once(method, tmp_path, capsys, monkeypatch):
+    """Every method transports each input once through to_mumford, the
+    one membership test, and an off-curve input is an AnchorMismatch."""
+    c, a, b = setup_worked(tmp_path)
+    seen = []
+
+    def counted(point, curve):
+        seen.append(point)
+        return to_mumford(point, curve)
+
+    monkeypatch.setattr(cli, "to_mumford", counted)
+    assert run(["add", "--curve", c, "--a", a, "--b", b, "--method", method]) == 0
+    capsys.readouterr()
+    assert seen == [A1, A2]
+    bad = write(tmp_path, "bad.json", point_to_json(GroupoidPoint(qs(0), qs(2), qs(0))))
+    assert run(["add", "--curve", c, "--a", a, "--b", bad, "--method", method]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "AnchorMismatch"
+
+
 def test_invert_command(tmp_path, capsys):
     c, a, _ = setup_worked(tmp_path)
     assert run(["invert", "--curve", c, "--a", a]) == 0
@@ -230,6 +250,18 @@ def test_random_point_fp_stays_on_curve(tmp_path, capsys):
     # ascending lambda list [3, 7] pins lambda_4 = 3, lambda_6 = 7
     assert [s.value for s in z1] == [7]
     assert [s.value for s in z2] == [3]
+
+
+def test_random_point_on_a_genus_20_q_template(tmp_path, capsys):
+    """A genus-20 Q template needs 20 distinct abscissas, more than the
+    19 ints of [-9, 9]; the point printed lies on the curve printed."""
+    template = CurveParams(20, qs(*range(20)), qs(*range(1, 21)))
+    c = write(tmp_path, "g20.json", curve_to_json(template))
+    assert run(["random-point", "--curve", c, "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    fitted = curve_from_json(doc["curve"])
+    assert fitted.genus == 20 and fitted.lambda2 == template.lambda2
+    assert to_mumford(point_from_json(Q, doc["point"]), fitted).u.degree == 20
 
 
 def test_random_point_on_a_bool_genus_exits_2(tmp_path, capsys):
@@ -357,6 +389,35 @@ def test_verify_q_assoc_answers_trials(capsys):
         assoc = json.loads(capsys.readouterr().out)["props"]["assoc"]
         assert assoc["failures"] == 0
         assert assoc["passes"] > 0, assoc
+
+
+def test_verify_q_past_genus_9(capsys):
+    """Over Q a genus-10 pair needs 20 distinct abscissas, more than the
+    19 ints of [-9, 9]; verify samples them and answers every property."""
+    argv = ["verify", "--field", "q", "--genus", "10", "--trials", "1"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    answered = {k for k, v in report["props"].items() if v.get("passes") == 1}
+    assert answered == set(cli.KNOWN_PROPS) - {"closedform"}
+
+
+def test_verify_q_grading_draws_a_rational_scale(capsys, monkeypatch):
+    """Over Q the grading scale is a nonzero int of [-9, 9], and the
+    graded product is the product of the graded points."""
+    scales = []
+    real = cli._nonzero_scale
+
+    def counted(field, rng):
+        scales.append(real(field, rng))
+        return scales[-1]
+
+    monkeypatch.setattr(cli, "_nonzero_scale", counted)
+    argv = ["verify", "--field", "q", "--genus", "2", "--trials", "4", "--props", "grading"]
+    assert run(argv) == 0
+    grading = json.loads(capsys.readouterr().out)["props"]["grading"]
+    assert grading["passes"] == len(scales) > 0 and grading["failures"] == 0
+    assert all(s.field == Q and s.value.denominator == 1 and 0 < abs(s.value) <= 9 for s in scales)
 
 
 def test_verify_closedform_skips_high_genus(capsys):

@@ -119,3 +119,14 @@ def test_g2_shared_u_degenerate():
 def test_g2_genus_check():
     with pytest.raises(ValueError):
         g2_add(A1, A2)
+
+
+def test_g2_anchor_mismatch():
+    """Two genus-2 points over different curves are refused before any
+    slope is formed."""
+    rng = seeded("g2-anchor-mismatch")
+    for draw in (lambda: q_pair(2, rng), lambda: fp_pair(P, 2, rng)):
+        (_, a, _), (_, b, _) = draw(), draw()
+        assert anchor(a) != anchor(b)
+        with pytest.raises(AnchorMismatch):
+            g2_add(a, b)

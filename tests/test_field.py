@@ -228,3 +228,41 @@ def test_zero_denominator_is_a_value_error():
             field.scalar(value)
     assert f7.scalar("7/7") == f7.one()
     assert make_field("fp", 11).scalar("1/7") == make_field("fp", 11).scalar(8)
+
+
+def test_make_field_refuses_an_unknown_kind():
+    """Only "q" and "fp" name a field; "fq" with a prime is not F_7."""
+    for kind in ("fq", "Q", ""):
+        with pytest.raises(ValueError, match="unknown field kind"):
+            make_field(kind, 7)
+
+
+def test_int_over_a_scalar_is_its_inverse_times_the_int():
+    assert 1 / P.scalar(3) == P.scalar(3).inverse()
+    assert 2 / Q.scalar(4) == Q.scalar(Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        1 / P.zero()
+
+
+def test_negative_power_is_a_power_of_the_inverse():
+    """s ** -k is (1/s) ** k, and 0 ** -1 raises ZeroDivisionError over
+    both fields, as the inverse of zero does."""
+    assert P.scalar(3) ** -2 == P.scalar(3).inverse() ** 2
+    assert Q.scalar(Fraction(2, 3)) ** -3 == Q.scalar(Fraction(27, 8))
+    for field in (P, Q):
+        with pytest.raises(ZeroDivisionError):
+            field.zero() ** -1
+
+
+def test_a_scalar_is_true_unless_zero():
+    for field in (P, Q):
+        assert not field.zero() and not bool(field.scalar(0))
+        assert field.one() and bool(field.scalar(-1))
+    assert not P.scalar(10007)
+
+
+def test_a_scalar_equals_the_int_it_lifts_to():
+    """An int compares through its image in the field: 10010 is 3 in F_10007."""
+    assert P.scalar(3) == 3 and P.scalar(3) == 10010 and 10010 == P.scalar(3)
+    assert P.scalar(3) != 4 and Q.scalar(3) != 10010
+    assert Q.scalar(Fraction(6, 2)) == 3 and Q.scalar(Fraction(1, 2)) != 0

@@ -165,9 +165,12 @@ def test_viete_g2_hand_values():
 
 
 def test_viete_repeated_abscissa():
-    t = PointListRep(((Q.scalar(1), Q.scalar(2)), (Q.scalar(1), Q.scalar(3))), qs(0, 0))
+    """The point list itself refuses two equal abscissas, so neither
+    viete_phi nor anchor_s ever sees one."""
     with pytest.raises(RepeatedAbscissa):
-        viete_phi(t)
+        PointListRep(((Q.scalar(1), Q.scalar(2)), (Q.scalar(1), Q.scalar(3))), qs(0, 0))
+    with pytest.raises(RepeatedAbscissa):
+        PointListRep(((F7.scalar(1), F7.scalar(2)), (F7.scalar(8), F7.scalar(3))), [F7.zero()] * 2)
 
 
 def test_anchor_s_agrees_with_anchor():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hypadd import GroupoidPoint, identities, make_field, star_detail
 from hypadd.groupoid import StarResult
 from hypadd.identities import (
@@ -114,3 +116,16 @@ def test_zp_formal_expression_vanishes():
     for _ in range(40):
         h1, h2, p222s = (big.scalar(rng.randrange(big.modulus)) for _ in range(3))
         assert zp_relation(h1, h2, p222s) == big.zero()
+
+
+def test_identities_refuse_the_wrong_genus():
+    """Each identity holds at one genus, and refuses points of another
+    with a ValueError that names its genus."""
+    rng = seeded("identity-genus")
+    _, b1, b2 = q_pair(2, rng)
+    with pytest.raises(ValueError, match="genus-1 identity"):
+        check_g1_wp_prime_sum(b1, b2)
+    for genus in (1, 3):
+        _, a1, a2 = q_pair(genus, rng)
+        with pytest.raises(ValueError, match="genus-2 identity"):
+            check_zp_consistency(a1, a2)

@@ -345,14 +345,6 @@ def test_divmod_by_a_non_poly_raises_type_error():
             divmod(qp(1, 2), other)
 
 
-def test_shift_is_the_monomial_product():
-    for f in (qp(Fraction(1, 3), 0, Fraction(-2, 5)), Poly(F7, [3, 0, 6]), qp(), Poly(F7)):
-        for k in (0, 1, 4):
-            shifted = f._shift(k)
-            assert shifted == x_power(f.field, k) * f
-            assert canonical_form(shifted)
-
-
 def boxed_inverse(a, m):
     """The kernel `_inverse` on two Polys, boxed."""
     s = _inverse(a._values, a._den, m._values, m._den, a.field.modulus)

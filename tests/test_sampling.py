@@ -245,3 +245,8 @@ def _draw_transcript() -> str:
 
 def test_draw_sequence_is_pinned():
     assert hashlib.sha256(_draw_transcript().encode()).hexdigest() == DRAWS_SHA256
+
+
+def test_random_curve_fp_refuses_genus_zero():
+    with pytest.raises(ValueError, match="genus must be at least 1"):
+        random_curve_fp(P, 0, seeded("genus-zero"))

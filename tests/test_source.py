@@ -144,7 +144,6 @@ UNCALLED = {
     "identities.check_g1_wp_prime_sum",
     "identities.check_zp_consistency",
     "poly.from_roots",
-    "poly.x_power",
 }
 
 
@@ -225,3 +224,41 @@ def test_linalg_imports_only_errors():
     tree = ast.parse((SRC / "linalg.py").read_text())
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert [(n.level, n.module) for n in imports] == [(1, "errors")]
+
+
+def test_cantor_imports_only_the_transported_classes():
+    """Cantor is the oracle, so from groupoid it imports only the two
+    classes it transports between, CurveParams and GroupoidPoint, and
+    runs none of star's helpers; no module keeps a second membership
+    test `_on_curve` next to cantor's."""
+    tree = ast.parse((SRC / "cantor.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    from_groupoid = [a.name for n in imports if n.module == "groupoid" for a in n.names]
+    assert sorted(from_groupoid) == ["CurveParams", "GroupoidPoint"]
+    assert [a.name for n in imports if n.module is None for a in n.names if a.name == "groupoid"] == []
+    assert names_outside("", "_on_curve") == []
+
+
+def raisers(error: str) -> list:
+    """The qualified name of the function around each `raise` of error in src/."""
+    found = []
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                if any(getattr(n, "id", None) == error for n in ast.walk(child.exc)):
+                    found.append(qual)
+            visit(child, qual)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_only_the_point_list_refuses_a_repeated_abscissa():
+    """A PointListRep checks its abscissas once, when it is built, so
+    viete_phi and anchor_s read points that are already distinct."""
+    assert raisers("RepeatedAbscissa") == ["groupoid.PointListRep.__init__"]
