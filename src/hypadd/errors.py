@@ -66,17 +66,17 @@ class AnchorMismatch(HypaddError):
     """Points do not project to the same base parameters."""
 
 
-class NonzeroRemainder(HypaddError):
-    """Exact polynomial division left a remainder where none is possible."""
-
-
 class InvariantViolation(HypaddError):
     """An internal consistency check failed: two routes that must agree
     disagree, or a result lacks a shape the algebra guarantees.  This is
     a bug in the library, not a property of the input."""
 
 
-class NotMonicDegree3g(HypaddError):
+class NonzeroRemainder(InvariantViolation):
+    """Exact polynomial division left a remainder where none is possible."""
+
+
+class NotMonicDegree3g(InvariantViolation):
     """Norm polynomial failed its monic degree-3g shape check."""
 
 

@@ -1,5 +1,6 @@
 import random
 
+from hypadd import groupoid
 from hypadd.linalg import _solve_rows
 from hypadd.poly import _ints, _read
 from hypadd.sampling import random_curve_fp, sample_pair_q, sample_point_fp
@@ -32,3 +33,30 @@ def vandermonde_solve(field, xs, ys) -> tuple:
         x = field._value(x)
         rows.append(_ints([x**j for j in range(n)] + [field._value(y)], p)[0])
     return _read(field, _solve_rows(rows, n, p), n)
+
+
+def bump_anchor_quotient(monkeypatch):
+    """Double the leading coefficient of q_a, the anchor check's quotient
+    of w^2 - f_high (degree 2g + 1) by u: the only quotient of degree
+    deg u + 1 that star computes before its norm."""
+    real = groupoid._divmod
+
+    def bumped(a, da, b, db, p):
+        (q, dq), r = real(a, da, b, db, p)
+        if len(q) == len(b) + 1:
+            q = q[:-1] + (2 * q[-1],)
+        return (q, dq), r
+
+    monkeypatch.setattr(groupoid, "_divmod", bumped)
+
+
+def shift_g2_low(monkeypatch):
+    """f's low half off by one at every genus-2 F_p input: star's
+    straight-line route then finds f - V^2 not divisible by u1 u2."""
+    real = groupoid._g2_low
+
+    def shifted(u, v, z, p):
+        f0, f1 = real(u, v, z, p)
+        return (f0 + 1) % p, f1
+
+    monkeypatch.setattr(groupoid, "_g2_low", shifted)

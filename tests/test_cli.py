@@ -19,7 +19,7 @@ from hypadd.jsonio import (
     point_from_json,
     point_to_json,
 )
-from tests.conftest import q_pair, seeded
+from tests.conftest import TEST_PRIME, bump_anchor_quotient, fp_pair, q_pair, seeded, shift_g2_low
 
 Q = make_field("q")
 
@@ -81,6 +81,30 @@ def test_add_invariant_violation_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "star", broken)
     assert run(["add", "--curve", c, "--a", a, "--b", b]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize(
+    "genus, field, plant, error",
+    [
+        (2, make_field("fp", TEST_PRIME), shift_g2_low, "NonzeroRemainder"),
+        (3, Q, bump_anchor_quotient, "NotMonicDegree3g"),
+    ],
+    ids=["g2-fp", "g3-q"],
+)
+def test_add_failed_internal_check_exits_1(tmp_path, capsys, monkeypatch, genus, field, plant, error):
+    """A planted fault that trips one of star's exact-division checks is
+    a library fault, not a usage error: `hypadd add` exits 1 and names
+    the check's error, where the same pair exits 0 without the fault."""
+    rng = seeded(f"cli-internal-check-{genus}")
+    c, a1, a2 = fp_pair(field, genus, rng) if field.modulus else q_pair(genus, rng)
+    argv = ["add", "--curve", write(tmp_path, "c.json", curve_to_json(c))]
+    argv += ["--a", write(tmp_path, "a.json", point_to_json(a1))]
+    argv += ["--b", write(tmp_path, "b.json", point_to_json(a2))]
+    assert run(argv) == 0
+    capsys.readouterr()
+    plant(monkeypatch)
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_add_methods_that_disagree_exit_1(tmp_path, capsys, monkeypatch):

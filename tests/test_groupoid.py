@@ -46,7 +46,7 @@ from hypadd.groupoid import (
 from hypadd.field import Scalar
 from hypadd.poly import Poly, _read
 from hypadd.sampling import fit_curve_through, random_curve_fp, sample_point_fp
-from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
+from tests.conftest import TEST_PRIME, bump_anchor_quotient, fp_pair, q_pair, seeded, shift_g2_low
 from tests.test_poly import FRACTION_ARITHMETIC
 
 Q = make_field("q")
@@ -675,28 +675,13 @@ def test_star_boxes_only_its_answer(monkeypatch):
         assert (got.point, got.r) == (res.point, res.r)
 
 
-def _bump_anchor_quotient(monkeypatch):
-    """Double the leading coefficient of q_a, the anchor check's quotient
-    of w^2 - f_high (degree 2g + 1) by u: the only quotient of degree
-    deg u + 1 that star computes before its norm."""
-    real = groupoid._divmod
-
-    def bumped(a, da, b, db, p):
-        (q, dq), r = real(a, da, b, db, p)
-        if len(q) == len(b) + 1:
-            q = q[:-1] + (2 * q[-1],)
-        return (q, dq), r
-
-    monkeypatch.setattr(groupoid, "_divmod", bumped)
-
-
 def test_star_checks_the_norm_quotient_shape(monkeypatch):
     """At odd g, r1 leads R, so a wrong q_a moves the x^(2g) coefficient
     of phi / u1: star raises NotMonicDegree3g, as phi is then not monic
     of degree 3g."""
     rng = seeded("norm-shape")
     pairs = [fp_pair(P, g, rng)[1:] for g in (1, 3)] + [q_pair(g, rng)[1:] for g in (1, 3)]
-    _bump_anchor_quotient(monkeypatch)
+    bump_anchor_quotient(monkeypatch)
     for a1, a2 in pairs:
         with pytest.raises(NotMonicDegree3g):
             star(a1, a2)
@@ -710,17 +695,11 @@ def test_star_checks_the_division_by_u2(monkeypatch):
     by u1 u2.  star_detail still runs the generic body on that pair."""
     rng = seeded("norm-remainder")
     g2_fp, *pairs = [fp_pair(P, g, rng)[1:] for g in (2, 4)] + [q_pair(g, rng)[1:] for g in (2, 4)]
-    real = groupoid._g2_low
-
-    def shifted(u, v, z, p):
-        f0, f1 = real(u, v, z, p)
-        return (f0 + 1) % p, f1
-
     with monkeypatch.context() as patch:
-        patch.setattr(groupoid, "_g2_low", shifted)
+        shift_g2_low(patch)
         with pytest.raises(NonzeroRemainder):
             star(*g2_fp)
-    _bump_anchor_quotient(monkeypatch)
+    bump_anchor_quotient(monkeypatch)
     with pytest.raises(NonzeroRemainder):
         star_detail(*g2_fp)
     for a1, a2 in pairs:

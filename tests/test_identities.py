@@ -1,15 +1,8 @@
-import random
-
 import pytest
 
-from hypadd import GroupoidPoint, identities, make_field, star_detail
+from hypadd import GroupoidPoint, Poly, RFunction, identities, make_field, star_detail
 from hypadd.groupoid import StarResult
-from hypadd.identities import (
-    check_g1_wp_prime_sum,
-    check_pgg_sum,
-    check_zp_consistency,
-    zp_relation,
-)
+from hypadd.identities import check_g1_wp_prime_sum, check_pgg_sum, check_zp_consistency
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 Q = make_field("q")
@@ -87,35 +80,63 @@ def test_zp_consistency_random():
         assert check_zp_consistency(b1, b2)
 
 
-def test_zp_consistency_catches_wrong_p3(monkeypatch):
-    """A product whose p3 is off fails the check; the cubic relation
-    alone cannot see it, because it holds for any p3."""
+def off_by_one(part):
+    """A star_detail whose answer has one value raised by one: the
+    product's p2 or p3 (its last even or odd coordinate), or at genus 1
+    R's h3 (the constant of r3)."""
     real = identities.star_detail
 
-    def wrong_p3(a1, a2):
+    def bump(values):
+        return values[:-1] + (values[-1] + 1,)
+
+    def patched(a1, a2):
         res = real(a1, a2)
-        p = res.point
-        odd = p.p_odd[:-1] + (p.p_odd[-1] + 1,)
-        return StarResult(GroupoidPoint(p.p_even, odd, p.z), res.r)
+        p, r = res.point, res.r
+        if part == "h3":
+            r = RFunction(r.genus, r.r1, r.r2, r.r3 + Poly(r.field, [1]))
+        even = bump(p.p_even) if part == "p2" else p.p_even
+        odd = bump(p.p_odd) if part == "p3" else p.p_odd
+        return StarResult(GroupoidPoint(even, odd, p.z), r)
 
-    rng = seeded("zp-wrong")
-    pairs = [q_pair(2, rng)[1:], fp_pair(P, 2, rng)[1:]]
+    return patched
+
+
+def fails_when_off(monkeypatch, check, genus, part, tag):
+    """check holds on a Q pair and an F_10007 pair of the genus, and
+    fails on both once star_detail's `part` is off by one."""
+    rng = seeded(tag)
+    pairs = [q_pair(genus, rng)[1:], fp_pair(P, genus, rng)[1:]]
     for a1, a2 in pairs:
-        assert check_zp_consistency(a1, a2)
-    monkeypatch.setattr(identities, "star_detail", wrong_p3)
+        assert check(a1, a2)
+    monkeypatch.setattr(identities, "star_detail", off_by_one(part))
     for a1, a2 in pairs:
-        assert not check_zp_consistency(a1, a2)
+        assert not check(a1, a2)
 
 
-def test_zp_formal_expression_vanishes():
-    """Schwartz-Zippel over a large prime: the relation that
-    check_zp_consistency evaluates is the zero polynomial in
-    (h1, h2, p222s)."""
-    big = make_field("fp", 2**31 - 1)
-    rng = random.Random("zp-formal")
-    for _ in range(40):
-        h1, h2, p222s = (big.scalar(rng.randrange(big.modulus)) for _ in range(3))
-        assert zp_relation(h1, h2, p222s) == big.zero()
+def test_g1_wp_prime_sum_catches_wrong_h3(monkeypatch):
+    """An h3 that is off breaks only the h-coefficient form of the
+    genus-1 rule: the coordinate form still holds, and the check fails."""
+    fails_when_off(monkeypatch, check_g1_wp_prime_sum, 1, "h3", "wp-prime-wrong-h3")
+
+
+def test_g1_wp_prime_sum_catches_wrong_p3(monkeypatch):
+    fails_when_off(monkeypatch, check_g1_wp_prime_sum, 1, "p3", "wp-prime-wrong-p3")
+
+
+def test_pgg_sum_catches_wrong_p2(monkeypatch):
+    fails_when_off(monkeypatch, check_pgg_sum, 2, "p2", "pgg-wrong")
+
+
+def test_zp_consistency_catches_wrong_p2(monkeypatch):
+    """A product whose p2 is off fails the p2 sum rule, while its p3
+    still equals g2_add's."""
+    fails_when_off(monkeypatch, check_zp_consistency, 2, "p2", "zp-wrong-p2")
+
+
+def test_zp_consistency_catches_wrong_p3(monkeypatch):
+    """A product whose p3 is off fails the comparison with g2_add's p3,
+    while the p2 sum rule still holds."""
+    fails_when_off(monkeypatch, check_zp_consistency, 2, "p3", "zp-wrong")
 
 
 def test_identities_refuse_the_wrong_genus():

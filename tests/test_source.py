@@ -218,6 +218,14 @@ def test_no_expression_dag():
         assert name not in hypadd.__all__
 
 
+def test_identities_check_only_what_can_fail():
+    """The genus-2 zeta relation holds for any p222s, so no module
+    defines or names `zp_relation`; and identities writes the p2 sum
+    rule's right side h1^2 - 2 h2 once, for both checkers that make it."""
+    assert names_outside("", "zp_relation") == []
+    assert (SRC / "identities.py").read_text().count("h1 * h1 - 2 * h2") == 1
+
+
 def test_linalg_imports_only_errors():
     """linalg stays the int-row elimination: it imports only its errors,
     so it cannot box Scalars or build Polys."""
