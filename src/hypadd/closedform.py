@@ -6,45 +6,56 @@ terms of a seed slope h and its images h' = L(h), h'' = L(h') under the
 shift operator L = 1/2 [(u3 - v3)(d/du2 - d/dv2) + (u5 - v5)(d/du4 - d/dv4)].
 Its coefficients involve only u3, v3, u5 and v5, which L does not
 differentiate, so L is d/dt along the fixed direction d = L(p):
-h(p + t*d) = h + t*h' + (t^2/2)*h''.  `g2_add` reads h, h' and h'' off
-one evaluation of the slope on polynomials in t; its denominator is
-constant along L.  The acceptance suite checks the tangency identity
-and L(h'') = 0 on the same expansion.
+h(p + t*d) = h + t*h' + (t^2/2)*h''.  With the slope N/D evaluated at
+t = 0, 1 and -1, h = N(0)/D, h' = (N(1) - N(-1))/(2D) and h'' = (N(1) +
+N(-1) - 2N(0))/D.  That is exact, as N is quadratic in t (the t^2 term
+of v2 v4 - u2 u4 cancels) and D is constant in t (its t term cancels),
+which the acceptance suite checks with `_g2_slope` on polynomials in t.
+
+Both laws compute on bare values from `poly._read_values`: residues over
+F_p, with h, h' and h'' reduced mod p, and Fractions over Q; 1/2, ...,
+5/4 come from the inverse of 2.  Only the answer is boxed, as pairs.
 """
 
-from fractions import Fraction
-
 from .errors import AnchorMismatch, DegenerateConfiguration
-from .groupoid import GroupoidPoint, anchor
-from .poly import Poly
+from .field import _inverse_value
+from .groupoid import GroupoidPoint, _anchor_division, _common_field
+from .poly import _read_values
 
 
-def _half(field):
-    return field.scalar(Fraction(1, 2))
+def _summands(a1: GroupoidPoint, a2: GroupoidPoint, genus: int):
+    """The modulus and each point's bare p_even + p_odd, for two points of
+    one genus on one curve, refused as `star` refuses them."""
+    field = _common_field(a1, a2)
+    if a1.genus != genus:
+        raise ValueError(f"g{genus}_add needs genus-{genus} points")
+    if a1._z != a2._z or _anchor_division(a1)[1] != _anchor_division(a2)[1]:
+        raise AnchorMismatch("summands sit over different curve parameters")
+    read = (_read_values(field, a._u, genus, -1) + _read_values(field, a._v, genus) for a in (a1, a2))
+    return field.modulus, *read
+
+
+def _reduced(p: int, *values) -> list:
+    """values mod p over F_p; over Q (p = 0) as they are."""
+    return [v % p for v in values] if p else list(values)
 
 
 def g1_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     """Chord law on (p2, p3) coordinates."""
-    if a1.genus != 1 or a2.genus != 1:
-        raise ValueError("g1_add needs genus-1 points")
-    if anchor(a1) != anchor(a2):
-        raise AnchorMismatch("summands sit over different curve parameters")
-    field = a1.field
-    u2, u3 = a1.p_even[0], a1.p_odd[0]
-    v2, v3 = a2.p_even[0], a2.p_odd[0]
+    p, (u2, u3), (v2, v3) = _summands(a1, a2, 1)
     if u2 == v2:
         raise DegenerateConfiguration("equal abscissa coordinates", stage="slope_den")
-    h = (v3 - u3) / (v2 - u2)
+    (h,), half = _reduced(p, (v3 - u3) * _inverse_value(v2 - u2, p)), _inverse_value(2, p)
     w2 = -(u2 + v2) + h * h
-    w3 = -_half(field) * (u3 + v3) + field.scalar(Fraction(3, 2)) * (u2 + v2) * h - h**3
-    return GroupoidPoint((w2,), (w3,), a1.z)
+    w3 = -half * (u3 + v3) + 3 * half * (u2 + v2) * h - h**3
+    return GroupoidPoint._from_values(a1.field, [-w2, 1], [w3], a1._z)
 
 
 def _g2_slope(u2, u3, u4, u5, v2, v3, v4, v5) -> tuple:
     """Numerator and denominator of the genus-2 seed slope h.
 
-    Built from +, - and * only, so it runs on Scalars and on `Poly`s.
-    The overall sign is pinned by the equality tests against star.
+    Built from +, - and * only, so it runs on bare values, Scalars and
+    `Poly`s.  The overall sign is pinned by the equality tests against star.
     """
     num = (v4 - u4) * ((v4 + v2 * v2) - (u4 + u2 * u2)) - (v2 - u2) * (v2 * v4 - u2 * u4)
     den = (v4 - u4) * (v3 - u3) - (v2 - u2) * (v5 - u5)
@@ -53,35 +64,23 @@ def _g2_slope(u2, u3, u4, u5, v2, v3, v4, v5) -> tuple:
 
 def g2_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     """Closed-form genus-2 addition on (p4, p2, p5, p3) coordinates."""
-    if a1.genus != 2 or a2.genus != 2:
-        raise ValueError("g2_add needs genus-2 points")
-    if anchor(a1) != anchor(a2):
-        raise AnchorMismatch("summands sit over different curve parameters")
-    field = a1.field
-    half = _half(field)
-    u4, u2 = a1.p_even
-    u5, u3 = a1.p_odd
-    v4, v2 = a2.p_even
-    v5, v3 = a2.p_odd
-
-    # The slope at p + t*d: d = L(p) moves u2, v2 by +-d2 and u4, v4 by +-d4.
-    d2, d4 = half * (u3 - v3), half * (u5 - v5)
-    moved = ((u2, d2), (u3,), (u4, d4), (u5,), (v2, -d2), (v3,), (v4, -d4), (v5,))
-    num, den = _g2_slope(*[Poly(field, c) for c in moved])
-    if den.is_zero():
+    p, (u4, u2, u5, u3), (v4, v2, v5, v3) = _summands(a1, a2, 2)
+    half = _inverse_value(2, p)
+    # The slope at the point moved by t*d: d = L moves u2, v2 by +-d2 and u4, v4 by +-d4.
+    d2, d4 = _reduced(p, half * (u3 - v3), half * (u5 - v5))
+    (n0, den), (n1, _), (nm1, _) = (
+        _g2_slope(u2 + t * d2, u3, u4 + t * d4, u5, v2 - t * d2, v3, v4 - t * d4, v5)
+        for t in (0, 1, -1)
+    )
+    (den,) = _reduced(p, den)
+    if not den:
         raise DegenerateConfiguration("slope denominator vanishes", stage="slope_den")
-    inv = den[0].inverse()
-    h, hp, hpp = num[0] * inv, num[1] * inv, 2 * num[2] * inv
+    inv = _inverse_value(den, p)
+    h, hp, hpp = _reduced(p, n0 * inv, (n1 - nm1) * half * inv, (n1 + nm1 - 2 * n0) * inv)
 
-    quarter = field.scalar(Fraction(1, 4))
-    eighth = field.scalar(Fraction(1, 8))
-    frac54 = field.scalar(Fraction(5, 4))
-    frac32 = field.scalar(Fraction(3, 2))
-
-    s2 = u2 + v2
-    s3 = u3 + v3
-    s4 = u4 + v4
-    s5 = u5 + v5
+    quarter, eighth = _reduced(p, half * half, half**3)
+    frac54, frac32 = 5 * quarter, 3 * half
+    s2, s3, s4, s5 = u2 + v2, u3 + v3, u4 + v4, u5 + v5
 
     w2 = half * s2 + h * h - hp
     w3 = half * s3 - frac54 * s2 * h - h**3 + frac32 * h * hp - half * hpp
@@ -106,4 +105,4 @@ def g2_add(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
         - quarter * hp * hpp
         + half * h * h * hpp
     )
-    return GroupoidPoint((w4, w2), (w5, w3), a1.z)
+    return GroupoidPoint._from_values(a1.field, [-w4, -w2, 1], [w5, w3], a1._z)

@@ -13,7 +13,7 @@ hash equal.  Scalars live at the API: every coefficient and coordinate
 a caller sees or passes in is one.  `Poly`, the points and curves of
 `groupoid` and the divisors of `cantor` store bare values: ints in
 [0, p) over F_p, and over Q int numerators over one denominator, made
-Fractions only when read by `poly._read`.
+Fractions only when read by `poly._read_values`.
 FieldSpec._value converts what enters them and raises ValueError on a
 denominator that is 0 (or 0 mod p), and _box builds Scalars on read.
 

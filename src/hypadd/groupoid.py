@@ -77,7 +77,9 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar, _inverse_value
 from .linalg import _rank_rows, _solve_rows
-from .poly import Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read, _trim, x_power
+from .poly import (
+    Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read, _read_values, _trim, x_power
+)
 
 
 def _scalars(*vectors):
@@ -168,6 +170,11 @@ class GroupoidPoint:
         out = cls.__new__(cls)
         out.field, out._u, out._v, out._z = field, u, v, z
         return out
+
+    @classmethod
+    def _from_values(cls, field: FieldSpec, u, v, z) -> "GroupoidPoint":
+        """The point of bare ascending values of u (monic) and v, z as stored."""
+        return cls._make(field, *[_trim(*_ints(w, field.modulus)) for w in (u, v)], z)
 
     genus = property(lambda self: len(self._z[0]))
     p_even = property(lambda self: _read(self.field, self._u, self.genus, -1))
@@ -592,8 +599,7 @@ def _phi_values(field: FieldSpec, xs, ys, z) -> GroupoidPoint:
     p, (u, v) = field.modulus, _interpolate(field, xs, ys)
     if p:
         return GroupoidPoint._make(field, (tuple(u), 1), _trim(v), z)
-    u, v = (_norm(*_ints(w, p), p) for w in (u, v))
-    return GroupoidPoint._make(field, u, v, z)
+    return GroupoidPoint._from_values(field, u, v, z)
 
 
 def viete_phi(t: PointListRep) -> GroupoidPoint:
@@ -629,13 +635,17 @@ def rank_witness(a1: GroupoidPoint, a2: GroupoidPoint, a3: GroupoidPoint) -> boo
 
 
 def grade_scale(a: GroupoidPoint, c: CurveParams, t: Scalar):
-    """Apply the weight grading: every coordinate of weight k picks up t^k."""
+    """Apply the weight grading: every coordinate of weight k picks up t^k.  The x^k
+    coefficients of u, v and f weigh 2g - 2k, 2g + 1 - 2k and 4g + 2 - 2k, z_k 2g + 2 - 2k."""
     if t.is_zero():
         raise ZeroScale("grading scale must be nonzero")
-    g = a.genus
-    p_even = tuple(t ** (2 * g - 2 * i) * s for i, s in enumerate(a.p_even))
-    p_odd = tuple(t ** (2 * g + 1 - 2 * i) * s for i, s in enumerate(a.p_odd))
-    z = tuple(t ** (2 * g + 2 - 2 * i) * s for i, s in enumerate(a.z))
-    lam1 = tuple(t ** (4 * g + 2 - 2 * i) * s for i, s in enumerate(c.lambda1))
-    lam2 = tuple(t ** (2 * g + 2 - 2 * i) * s for i, s in enumerate(c.lambda2))
-    return GroupoidPoint(p_even, p_odd, z), CurveParams(g, lam1, lam2)
+    g, field = a.genus, _common_field(a, c)
+    p, tv = field.modulus, field._value(t)
+    powers = [pow(tv, k, p or None) for k in range(4 * g + 3)]
+    u, v, zv, f = (
+        [s * powers[top - 2 * k] for k, s in enumerate(_read_values(field, pair, len(pair[0])))]
+        for pair, top in ((a._u, 2 * g), (a._v, 2 * g + 1), (a._z, 2 * g + 2), (c._f, 4 * g + 2))
+    )
+    zs, dz = _ints(zv, p)
+    point = GroupoidPoint._from_values(field, u, v, (tuple(zs), dz))
+    return point, CurveParams._from_values(field, f[:g], f[g : 2 * g])

@@ -24,8 +24,9 @@ pairs and p and returns (d, s), d = gcd(a, b) monic and s a = d (mod b),
 raising BothZero on two zeros; nothing computes the cofactor of b.
 `Poly` is the API shell over the kernels, whose Scalars (`coeffs`,
 `p[i]`, `lc()`, evaluation) hold Fractions over Q; `groupoid.star_detail`
-and `cantor` call the kernels directly.  `_read`, the one reader from a
-kernel pair to Scalars, serves `Poly.coeffs` and `groupoid`."""
+and `cantor` call the kernels directly.  `_read_values` reads a kernel pair as
+bare values (ints over F_p, Fractions over Q) for the closed forms and
+`grade_scale`; `_read`, its box, gives Scalars to `Poly.coeffs` and `groupoid`."""
 
 import sys
 from array import array
@@ -70,11 +71,16 @@ def _norm(nums, den: int, p: int):
     return _trim(nums, den)
 
 
-def _read(field: FieldSpec, pair, n: int, sign: int = 1) -> tuple:
-    """The first n coefficients of a kernel pair, times sign and zero-padded, as Scalars."""
+def _read_values(field: FieldSpec, pair, n: int, sign: int = 1) -> list:
+    """The first n coefficients of a kernel pair, times sign and zero-padded, as bare values."""
     nums, den = pair
     vals = [sign * c for c in nums[:n]] + [0] * (n - len(nums[:n]))
-    return field._box(vals if field.modulus else [Fraction(c, den) for c in vals])
+    return vals if field.modulus else [Fraction(c, den) for c in vals]
+
+
+def _read(field: FieldSpec, pair, n: int, sign: int = 1) -> tuple:
+    """The first n coefficients of a kernel pair, times sign and zero-padded, as Scalars."""
+    return field._box(_read_values(field, pair, n, sign))
 
 
 def _add(a, da: int, b, db: int, p: int, sign: int = 1):

@@ -370,15 +370,15 @@ def test_criterion_9_p_identities(capsys):
     while zp_done < 50:
         try:
             c, a, b = _fp_curve_pair(2, rng)
-            assert check_zp_consistency(a, b), "z-p relation failed"
+            assert check_zp_consistency(a, b), "genus-2 pgg rule or p3 against g2_add failed"
         except DegenerateConfiguration:
             continue
         zp_done += 1
     _say(
         capsys,
         "ACCEPTANCE 9 PASS: pgg sum on 300 pairs (100 per genus 1-3), "
-        "genus-1 wp-prime sum on 100 pairs, genus-2 z-p relation on 50 "
-        "pairs, all exact",
+        "genus-1 wp-prime sum on 100 pairs, genus-2 pgg rule and p3 against "
+        "g2_add on 50 pairs, all exact",
     )
 
 

@@ -1,10 +1,23 @@
 import pytest
 
-from hypadd import GroupoidPoint, anchor, g1_add, g2_add, make_field, star, star_detail
+from hypadd import (
+    CurveParams,
+    GroupoidPoint,
+    anchor,
+    cantor_add,
+    from_mumford,
+    g1_add,
+    g2_add,
+    make_field,
+    star,
+    star_detail,
+    to_mumford,
+)
 from hypadd.closedform import _g2_slope
-from hypadd.errors import AnchorMismatch, DegenerateConfiguration
+from hypadd.errors import AnchorMismatch, DegenerateConfiguration, FieldMismatch
 from hypadd.groupoid import PointListRep, viete_phi
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
+from tests.test_cantor import curve_points
 
 Q = make_field("q")
 P = make_field("fp", TEST_PRIME)
@@ -117,7 +130,7 @@ def test_g2_shared_u_degenerate():
 
 
 def test_g2_genus_check():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="g2_add needs genus-2 points"):
         g2_add(A1, A2)
 
 
@@ -130,3 +143,65 @@ def test_g2_anchor_mismatch():
         assert anchor(a) != anchor(b)
         with pytest.raises(AnchorMismatch):
             g2_add(a, b)
+
+
+@pytest.mark.parametrize("genus, law", [(1, g1_add), (2, g2_add)])
+def test_closed_forms_refuse_mixed_inputs_as_star_does(genus, law):
+    """A pair over two fields is a FieldMismatch and a pair of two genera
+    a "genus mismatch", from the closed forms as from star, in either
+    order, before any anchor is compared."""
+    rng = seeded(f"closed-mixed-{genus}")
+    (_, a, _), (_, b, _), (_, d, _) = fp_pair(P, genus, rng), q_pair(genus, rng), q_pair(3, rng)
+    for x, y in ((a, b), (b, a)):
+        for add in (star, law):
+            with pytest.raises(FieldMismatch):
+                add(x, y)
+    for x, y in ((b, d), (d, b)):
+        for add in (star, law):
+            with pytest.raises(ValueError, match="genus mismatch"):
+                add(x, y)
+
+
+# Per (g, p) on the curve with every lambda set to 1, over every ordered
+# pair of its points: the pairs the closed form answers, those it refuses
+# at "slope_den", and the answered pairs that star refuses at
+# "odd_recovery", where the closed form is checked against Cantor.
+CLOSED_FORM_OUTCOMES = {
+    (1, 3): (4, 5, 0),
+    (1, 5): (48, 16, 0),
+    (1, 7): (8, 8, 0),
+    (1, 11): (144, 25, 0),
+    (2, 3): (8, 17, 0),
+    (2, 5): (472, 204, 40),
+    (2, 7): (484, 92, 0),
+}
+
+
+@pytest.mark.parametrize("genus, p", sorted(CLOSED_FORM_OUTCOMES))
+def test_closed_forms_on_every_pair_of_a_small_curve(genus, p):
+    """g1_add / g2_add equal star wherever star answers, and Cantor where
+    star refuses at odd_recovery; they refuse at slope_den exactly where
+    star refuses at h_solve."""
+    field = make_field("fp", p)
+    c = CurveParams(genus, (field.one(),) * genus, (field.one(),) * genus)
+    law, points = g1_add if genus == 1 else g2_add, curve_points(c)
+    answered = refused = by_cantor = 0
+    for a in points:
+        for b in points:
+            try:
+                want, stage = star(a, b), None
+            except DegenerateConfiguration as exc:
+                want, stage = None, exc.stage
+            try:
+                got = law(a, b)
+            except DegenerateConfiguration as exc:
+                assert (exc.stage, stage) == ("slope_den", "h_solve")
+                refused += 1
+                continue
+            if want is None:
+                assert stage == "odd_recovery"
+                want = from_mumford(cantor_add(to_mumford(a, c), to_mumford(b, c), c), c)
+                by_cantor += 1
+            assert got == want
+            answered += 1
+    assert (answered, refused, by_cantor) == CLOSED_FORM_OUTCOMES[genus, p]

@@ -607,6 +607,51 @@ def test_grade_scale_zero_rejected():
         grade_scale(A1, c, Q.zero())
 
 
+def test_grade_scale_refuses_mixed_inputs_as_star_does():
+    """A curve of another genus is a "genus mismatch" and one over another
+    field a FieldMismatch, as star refuses such a pair of points."""
+    rng = seeded("grade-mixed")
+    (c2, a2, _), (c3, _, _) = q_pair(2, rng), q_pair(3, rng)
+    with pytest.raises(ValueError, match="genus mismatch"):
+        grade_scale(a2, c3, Q.scalar(3))
+    cp, ap, _ = fp_pair(P, 2, rng)
+    with pytest.raises(FieldMismatch):
+        grade_scale(ap, c2, P.scalar(3))
+    with pytest.raises(FieldMismatch):
+        grade_scale(a2, cp, Q.scalar(3))
+
+
+@pytest.mark.parametrize("modulus", [101, TEST_PRIME, 0])
+def test_grade_scale_keeps_the_point_on_the_graded_curve(modulus):
+    """The graded point lies on the graded curve (to_mumford accepts it,
+    and u stays monic) at genus 1-4, grading by t^(-1) undoes grading by
+    t, and each coordinate of weight k is t^k times the original, as
+    Scalars."""
+    rng = seeded(f"grade-on-curve-{modulus}")
+    field = make_field("fp", modulus) if modulus else Q
+
+    def weighted(vec, top, t):
+        return tuple(t ** (top - 2 * i) * s for i, s in enumerate(vec))
+
+    for g in (1, 2, 3, 4):
+        for _ in range(3):
+            c, a, _ = fp_pair(field, g, rng) if modulus else q_pair(g, rng)
+            t = field.scalar(Fraction(rng.randint(2, 9), rng.randint(2, 9)) + 1)
+            ga, gc = grade_scale(a, c, t)
+            assert ga != a and u_poly(ga).is_monic()
+            to_mumford(ga, gc)
+            assert grade_scale(ga, gc, t.inverse()) == (a, c)
+            assert (ga.p_even, ga.p_odd, ga.z) == (
+                weighted(a.p_even, 2 * g, t),
+                weighted(a.p_odd, 2 * g + 1, t),
+                weighted(a.z, 2 * g + 2, t),
+            )
+            assert (gc.lambda1, gc.lambda2) == (
+                weighted(c.lambda1, 4 * g + 2, t),
+                weighted(c.lambda2, 2 * g + 2, t),
+            )
+
+
 def test_grade_scale_weights_worked_g1():
     c = curve_from_anchor(1, *anchor(A1))
     t = Q.scalar(2)

@@ -80,7 +80,7 @@ def test_points_and_curves_are_read_not_converted():
 def test_only_poly_and_the_divisor_constructor_read_den():
     """Outside poly, a Poly's denominator slot `_den` is named only where
     the MumfordDivisor constructor reads its two input Polys, once each;
-    everything else passes kernel pairs or boxes through `poly._read`."""
+    everything else passes kernel pairs or reads them through `poly._read_values`."""
     tree = ast.parse((SRC / "cantor.py").read_text())
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MumfordDivisor")
     init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
@@ -224,6 +224,22 @@ def test_identities_check_only_what_can_fail():
     rule's right side h1^2 - 2 h2 once, for both checkers that make it."""
     assert names_outside("", "zp_relation") == []
     assert (SRC / "identities.py").read_text().count("h1 * h1 - 2 * h2") == 1
+
+
+def test_closed_forms_and_grading_compute_on_bare_values():
+    """g1_add, g2_add and grade_scale compute on the bare values of their
+    inputs' kernel pairs and box only the answer: closedform names no
+    `Poly`, `p_even` or `p_odd` and calls no `.scalar(`, and grade_scale
+    reads none of the boxed coordinates p_even, p_odd, z, lambda1 and
+    lambda2."""
+    closedform = SRC / "closedform.py"
+    for name in ("Poly", "p_even", "p_odd"):
+        assert names_in(closedform, name) == []
+    assert ".scalar(" not in closedform.read_text()
+    tree = ast.parse((SRC / "groupoid.py").read_text())
+    grade = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "grade_scale")
+    boxed = {"p_even", "p_odd", "z", "lambda1", "lambda2"}
+    assert [n.attr for n in ast.walk(grade) if isinstance(n, ast.Attribute) and n.attr in boxed] == []
 
 
 def test_linalg_imports_only_errors():
