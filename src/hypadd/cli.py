@@ -33,11 +33,6 @@ USAGE_ERROR = 2
 FAILURE = 1
 DEGENERATE = 3
 
-KNOWN_PROPS = (
-    "assoc", "comm", "inverse", "anchor", "rank", "grading", "oracle", "pgg", "closedform"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hypadd", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -206,13 +201,6 @@ def _sample_pair(field, genus, curve, rng):
     return c, sample_point_fp(c, rng), sample_point_fp(c, rng)
 
 
-def _third_point(c, a, b, field, rng):
-    """A further point on the pair's anchor; over Q, b - a, so no star in assoc doubles."""
-    if field.modulus != 0:
-        return sample_point_fp(c, rng)
-    return star(invert(a), b)
-
-
 def _run_prop(prop, field, genus, curve, trials, seed):
     passes = failures = skipped = 0
     skipped_by_reason = {}
@@ -223,7 +211,7 @@ def _run_prop(prop, field, genus, curve, trials, seed):
         rng = _trial_rng(seed, prop, trial)
         try:
             c, a, b = _sample_pair(field, genus, curve, rng)
-            ok = _check_prop(prop, c, a, b, field, rng)
+            ok = KNOWN_PROPS[prop](c, a, b, rng)
         except (DegenerateConfiguration, TooFewPoints) as exc:
             reason = getattr(exc, "stage", None) or type(exc).__name__
             skipped_by_reason[reason] = skipped_by_reason.get(reason, 0) + 1
@@ -253,39 +241,43 @@ def _run_prop(prop, field, genus, curve, trials, seed):
     return report, examples
 
 
-def _check_prop(prop, c, a, b, field, rng) -> bool:
-    if prop == "assoc":
-        d = _third_point(c, a, b, field, rng)
-        return star(star(a, b), d) == star(a, star(b, d))
-    if prop == "comm":
-        return star(a, b) == star(b, a)
-    if prop == "inverse":
-        return star(star(a, b), invert(b)) == a
-    if prop == "anchor":
-        return anchor(star(a, b)) == anchor(a)
-    if prop == "rank":
-        return rank_witness(a, b, star(a, b))
-    if prop == "grading":
-        t = _nonzero_scale(field, rng)
-        ga, gc = grade_scale(a, c, t)
-        gb, _ = grade_scale(b, c, t)
-        gs, _ = grade_scale(star(a, b), c, t)
-        return star(ga, gb) == gs
-    if prop == "oracle":
-        want = star(a, b)
-        try:
-            got = from_mumford(cantor_add(to_mumford(a, c), to_mumford(b, c), c), c)
-        except NonGenericDivisor:
-            # a reduced divisor is unique in its class, so star's degree-g
-            # answer and a non-generic Cantor sum cannot both be right
-            return False
-        return got == want
-    if prop == "pgg":
-        return identities.check_pgg_sum(a, b)
-    if prop == "closedform":
-        closed = closedform.g1_add if c.genus == 1 else closedform.g2_add
-        return closed(a, b) == star(a, b)
-    raise ValueError(f"unknown property {prop!r}")
+def _assoc(c, a, b, rng) -> bool:
+    """With a further point d on the pair's anchor: over Q, b - a, so no star doubles."""
+    d = sample_point_fp(c, rng) if c.field.modulus else star(invert(a), b)
+    return star(star(a, b), d) == star(a, star(b, d))
+
+
+def _grading(c, a, b, rng) -> bool:
+    t = _nonzero_scale(c.field, rng)
+    ga, gb, gs = (grade_scale(x, c, t)[0] for x in (a, b, star(a, b)))
+    return star(ga, gb) == gs
+
+
+def _oracle(c, a, b, rng) -> bool:
+    want = star(a, b)
+    try:
+        got = from_mumford(cantor_add(to_mumford(a, c), to_mumford(b, c), c), c)
+    except NonGenericDivisor:
+        # a reduced divisor is unique in its class, so star's degree-g
+        # answer and a non-generic Cantor sum cannot both be right
+        return False
+    return got == want
+
+
+# Each verify property, in report order, and its check (c, a, b, rng) -> bool.
+KNOWN_PROPS = {
+    "assoc": _assoc,
+    "comm": lambda c, a, b, rng: star(a, b) == star(b, a),
+    "inverse": lambda c, a, b, rng: star(star(a, b), invert(b)) == a,
+    "anchor": lambda c, a, b, rng: anchor(star(a, b)) == anchor(a),
+    "rank": lambda c, a, b, rng: rank_witness(a, b, star(a, b)),
+    "grading": _grading,
+    "oracle": _oracle,
+    "pgg": lambda c, a, b, rng: identities.check_pgg_sum(a, b),
+    "closedform": lambda c, a, b, rng: (
+        (closedform.g1_add if c.genus == 1 else closedform.g2_add)(a, b) == star(a, b)
+    ),
+}
 
 
 def _nonzero_scale(field, rng):

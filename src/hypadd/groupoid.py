@@ -63,6 +63,7 @@ weight k.  All vectors here are listed highest weight first.
 """
 
 from math import lcm
+from operator import floordiv, mul
 
 from .errors import (
     AnchorMismatch,
@@ -349,30 +350,27 @@ def _columns(a: GroupoidPoint):
 def _solve_h_core(b1, b2):
     """(h1, h2, den): h1 and h2 as int numerators over one denominator
     from (L1 - L2) h2 = ell2 - ell1 and h1 = -(L1 h2 + ell1), for two
-    points.  One body for both fields: over Q column j of both sides is
-    scaled by m_j = lcm(d1j, d2j) of the two points' column denominators,
-    so the system is on ints, and `_solve_rows` gives h2_j = m_j y_j /
-    (det m_g); h1 = -(det ell1 + sum y_j col_j) follows over the same
-    denominator den = det m_g.  Over F_p every m_j and det are 1, so
-    nothing is scaled and h2 is y.
+    points.  One body for both fields: column j of point i, over d_ij,
+    times k_ij = m_j / d_ij lies over m_j = lcm(d1j, d2j), so the system
+    is on ints, and `_solve_rows` gives h2_j = m_j y_j / (det m_g);
+    h1 = -(det ell1 + sum y_j col_j) follows over the same denominator
+    den = det m_g.  Over F_p every m_j, k_ij and det are 1, so the same
+    statements leave the columns as they are, h2 = y and den = 1.
     """
     p, g = b1.field.modulus, b1.genus
     (s1, d1), (s2, d2) = _columns(b1), _columns(b2)
-    if not p:
-        m = [lcm(x, y) for x, y in zip(d1, d2)]
-        s1 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(s1, m, d1)]
-        s2 = [col if mj == dj else [v * (mj // dj) for v in col] for col, mj, dj in zip(s2, m, d2)]
-    a = [[x[i] - y[i] for x, y in zip(s1[:g], s2)] + [s2[g][i] - s1[g][i]] for i in range(g)]
+    m = list(map(lcm, d1, d2))
+    k1, k2 = list(map(floordiv, m, d1)), list(map(floordiv, m, d2))
+    a = [[x[i] * e - y[i] * f for x, y, e, f in zip(s1[:g], s2, k1, k2)]
+         + [s2[g][i] * k2[g] - s1[g][i] * k1[g]] for i in range(g)]
     try:
         y, det = _solve_rows(a, g, p)
     except SingularMatrix as exc:
         raise DegenerateConfiguration(
             "column difference is singular; fall back to cantor_add", stage="h_solve"
         ) from exc
-    h1, h2 = [-det * v for v in s1[g]], y if p else [mj * z for mj, z in zip(m, y)]
-    for col, z in zip(s1, y):
-        h1 = [w - z * v for w, v in zip(h1, col)]
-    return h1, h2, 1 if p else det * m[g]
+    yk = list(map(mul, y, k1)) + [det * k1[g]]
+    return [-sum(map(mul, yk, row)) for row in zip(*s1)], list(map(mul, m, y)), det * m[g]
 
 
 def _r_function(field: FieldSpec, h1, h2, den: int) -> RFunction:

@@ -22,11 +22,13 @@ and Q take the coefficient loops.  `_inverse` (for `star`) and `xgcd`
 (for Cantor) are thin callers of `_euclid`: `xgcd` takes two kernel
 pairs and p and returns (d, s), d = gcd(a, b) monic and s a = d (mod b),
 raising BothZero on two zeros; nothing computes the cofactor of b.
-`Poly` is the API shell over the kernels, whose Scalars (`coeffs`,
-`p[i]`, `lc()`, evaluation) hold Fractions over Q; `groupoid.star_detail`
-and `cantor` call the kernels directly.  `_read_values` reads a kernel pair as
-bare values (ints over F_p, Fractions over Q) for the closed forms and
-`grade_scale`; `_read`, its box, gives Scalars to `Poly.coeffs` and `groupoid`."""
+`Poly` is the API shell over the kernels: each method but `p[i]` is one
+kernel call plus `_wrap` or `_read` (evaluation at a is the remainder by
+x - a), and its reads `coeffs`, `p[i]`, `lc()` and evaluation give
+Scalars that hold Fractions over Q.  `groupoid` and `cantor` call the
+kernels directly.  `_read_values` reads a kernel pair as bare values
+(ints over F_p, Fractions over Q) for the closed forms and
+`grade_scale`; `_read`, its box, gives Scalars to `Poly` and `groupoid`."""
 
 import sys
 from array import array
@@ -220,10 +222,8 @@ class Poly:
     __slots__ = ("field", "_values", "_den")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        vs, den = _ints([field._value(c) for c in coeffs], field.modulus)
-        while vs and not vs[-1]:
-            vs.pop()
-        self.field, self._values, self._den = field, tuple(vs), den
+        self.field = field
+        self._values, self._den = _trim(*_ints([field._value(c) for c in coeffs], field.modulus))
 
     @classmethod
     def _wrap(cls, field: FieldSpec, nums, den: int) -> "Poly":
@@ -288,10 +288,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
-            s = self.field._value(other)
-            nums, den = [c * s.numerator for c in self._values], self._den * s.denominator
-            return Poly._wrap(self.field, *_norm(nums, den, self.field.modulus))
-        if not self._check(other):
+            other = Poly(self.field, [other])
+        elif not self._check(other):
             return NotImplemented
         out = _mul(self._values, self._den, other._values, other._den, self.field.modulus)
         return Poly._wrap(self.field, *out)
@@ -312,18 +310,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, at: Scalar) -> Scalar:
-        """Horner evaluation; over Q on ints, homogenised in x = xn / xd."""
-        x = self.field._value(at)
+        """The value at a: the remainder by x - a (the remainder theorem)."""
         p = self.field.modulus
-        if p:
-            acc = 0
-            for c in reversed(self._values):
-                acc = (acc * x + c) % p
-            return Scalar(self.field, acc)
-        xn, xd, acc, w = x.numerator, x.denominator, 0, 1
-        for c in reversed(self._values):
-            acc, w = acc * xn + c * w, w * xd
-        return Scalar(self.field, Fraction(acc * xd, self._den * w))
+        _, rem = _divmod(self._values, self._den, *_ints([-self.field._value(at), 1], p), p)
+        return _read(self.field, rem, 1)[0]
 
     def monic(self) -> "Poly":
         if self.is_zero():

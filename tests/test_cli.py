@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hypadd import CurveParams, GroupoidPoint, cli, invert, make_field, star, to_mumford
+from hypadd import CurveParams, GroupoidPoint, StarResult, cli, invert, make_field, star, to_mumford
 from hypadd.cantor import cantor_add
 from hypadd.cli import run
 from hypadd.errors import DegenerateConfiguration, InvariantViolation, NonGenericDivisor
@@ -564,3 +564,68 @@ def test_verify_names_a_genus_below_one(field, genus, capsys):
     assert code == 2
     assert captured.out == ""
     assert json.loads(captured.err)["detail"] == f"--genus must be at least 1, got {genus}"
+
+
+def _shifted(point, block):
+    """point with the last entry of its p_even or p_odd block plus 1."""
+    vectors = {"p_even": point.p_even, "p_odd": point.p_odd, "z": point.z}
+    vectors[block] = vectors[block][:-1] + (vectors[block][-1] + 1,)
+    return GroupoidPoint(**vectors)
+
+
+def _plant(monkeypatch, prop):
+    """Plant, for one verify property, a wrong answer that its law must catch."""
+    real_star, real_detail, real_grade = cli.star, cli.identities.star_detail, cli.grade_scale
+
+    def inverted(a, b):
+        return invert(real_star(a, b))
+
+    def by_order(a, b):
+        first = dumps(point_to_json(a)) < dumps(point_to_json(b))
+        return real_star(a, b) if first else inverted(a, b)
+
+    def off_curve(a, b):
+        return _shifted(real_star(a, b), "p_odd")
+
+    graded = []
+
+    def misscaled(a, c, t):
+        # the grading check scales a, b and then their product: square t for the product
+        graded.append(a)
+        return real_grade(a, c, t * t if len(graded) % 3 == 0 else t)
+
+    def wrong_p2(a1, a2):
+        res = real_detail(a1, a2)
+        return StarResult(_shifted(res.point, "p_even"), res.r)
+
+    target, plant = {
+        "assoc": ("star", inverted),
+        "comm": ("star", by_order),
+        "inverse": ("star", inverted),
+        "anchor": ("star", off_curve),
+        "rank": ("star", inverted),
+        "grading": ("grade_scale", misscaled),
+        "oracle": ("star", inverted),
+        "pgg": ("star_detail", wrong_p2),
+        "closedform": ("star", inverted),
+    }[prop]
+    monkeypatch.setattr(cli.identities if target == "star_detail" else cli, target, plant)
+
+
+@pytest.mark.parametrize("prop", list(cli.KNOWN_PROPS))
+def test_every_verify_property_can_fail(prop, monkeypatch, capsys):
+    """Each entry of KNOWN_PROPS passes on the true law and, with a wrong
+    answer planted that its law must catch, exits 1 with failures and a
+    counterexample on stderr."""
+    argv = [
+        "verify", "--field", f"fp:{TEST_PRIME}", "--genus", "2", "--trials", "4",
+        "--seed", "3", "--props", prop,
+    ]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["props"][prop]["failures"] == 0
+    _plant(monkeypatch, prop)
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["props"][prop]["failures"] > 0
+    examples = [json.loads(doc) for doc in re.split(r"(?m)^(?=\{$)", err) if doc]
+    assert examples and all(e["prop"] == prop for e in examples)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hypadd import cantor, cantor_add, from_mumford, groupoid, make_field, poly, star, to_mumford
 from hypadd.errors import BothZero, DegenerateConfiguration, DivisionByZeroPoly, FieldMismatch
@@ -177,14 +177,33 @@ def test_ring_axioms(case):
     assert holds_field_scalars(a * b, field)
 
 
-@given(polys_over_one_field(2))
-def test_eval_is_ring_hom(case):
+def horner(f, x):
+    """f(x) by Horner's rule on Scalars: a reference for evaluation that
+    shares no code with the kernels."""
+    acc = f.field.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@given(
+    polys_over_one_field(2, (F7, F10007, F61)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(lambda x: x.denominator > 1),
+)
+@example((Q, (qp(1, -2, 3), qp(5)), Fraction(-7, 3)), Fraction(5, 6))
+def test_eval_is_ring_hom(case, rational):
+    """Evaluation is a ring homomorphism and equals Horner's rule, also
+    on the zero and a constant polynomial, and over Q at points whose
+    denominator is not 1, of either sign."""
     field, (a, b), x0 = case
-    x = field.scalar(x0)
-    assert (a * b)(x) == a(x) * b(x)
-    assert (a + b)(x) == a(x) + b(x)
-    assert (a - b)(x) == a(x) - b(x)
-    assert (a * x)(x) == a(x) * x
+    for at in (x0, rational) if field.modulus == 0 else (x0,):
+        x = field.scalar(at)
+        for f in (a, b, a * b, Poly(field), Poly(field, [b[0] + 1])):
+            assert f(x) == horner(f, x) and f(x).field is field
+        assert (a * b)(x) == a(x) * b(x)
+        assert (a + b)(x) == a(x) + b(x)
+        assert (a - b)(x) == a(x) - b(x)
+        assert (a * x)(x) == a(x) * x
 
 
 def test_monic_and_eval_fp():
@@ -235,11 +254,13 @@ def test_results_are_canonical(case):
     """Every kernel result is canonical, on lengths up to 12 and on primes
     up to 2^61 - 1, so that the packed paths of `_mul` and `_divmod` run
     (on F_7 and F_10007, and on F_(2^31 - 1) at their shortest packed
-    lengths) and so do their coefficient loops: the sums, products,
-    quotients and remainders, the (d, s) pair of `xgcd` and the result
-    of `_inverse`."""
+    lengths) and so do their coefficient loops: the sums, products (by
+    a scalar too, zero and over Q a Fraction), quotients and remainders,
+    the (d, s) pair of `xgcd` and the result of `_inverse`."""
     field, (a, b), x0 = case
-    results = [a, b, a + b, a - b, -a, a * b, a * field.scalar(x0), a.monic()]
+    results = [a, b, a + b, a - b, -a, a * b, a * field.scalar(x0), a * field.zero(), a.monic()]
+    if not field.modulus:
+        results.append(a * field.scalar(Fraction(-6, 35)))
     if not b.is_zero():
         results += divmod(a, b)
     if not (a.is_zero() and b.is_zero()):

@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 import hypadd
-from hypadd import invert, make_field, rank_witness, star
+from hypadd import cli, invert, make_field, rank_witness, star
 from hypadd.errors import DegenerateConfiguration
 from hypadd.field import Scalar
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
@@ -286,3 +286,53 @@ def test_only_the_point_list_refuses_a_repeated_abscissa():
     """A PointListRep checks its abscissas once, when it is built, so
     viete_phi and anchor_s read points that are already distinct."""
     assert raisers("RepeatedAbscissa") == ["groupoid.PointListRep.__init__"]
+
+
+def modulus_tests(fn) -> list:
+    """The line of each if, while or conditional expression in fn whose
+    test reads `.modulus` or a name that fn binds to `.modulus`, as in
+    `p = self.field.modulus` or `p, g = field.modulus, genus`."""
+    bound = set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Assign) and len(n.targets) == 1:
+            target, value = n.targets[0], n.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and getattr(v, "attr", None) == "modulus":
+                    bound.add(t.id)
+    return [
+        n.lineno
+        for n in ast.walk(fn)
+        if isinstance(n, (ast.If, ast.IfExp, ast.While))
+        and any(
+            getattr(x, "id", None) in bound or getattr(x, "attr", None) == "modulus"
+            for x in ast.walk(n.test)
+        )
+    ]
+
+
+def test_one_statement_per_job_above_the_kernels():
+    """Poly builds, scales and evaluates through the kernels: its
+    constructor, `__mul__` and `__call__` build no Fraction or Scalar and
+    test no modulus.  The h-solve `_solve_h_core` runs one body for both
+    fields, with no `if` or conditional expression.  cli states the verify
+    properties once, as KNOWN_PROPS, which maps each name to its check:
+    there is no `_check_prop`."""
+    tree = ast.parse((SRC / "poly.py").read_text())
+    poly = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Poly")
+    methods = [n for n in poly.body if isinstance(n, ast.FunctionDef)]
+    methods = [n for n in methods if n.name in ("__init__", "__mul__", "__call__")]
+    assert len(methods) == 3
+    for fn in methods:
+        calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        built = [n.func.id for n in calls]
+        assert {"Fraction", "Scalar"}.isdisjoint(built), fn.name
+        assert modulus_tests(fn) == [], fn.name
+    tree = ast.parse((SRC / "groupoid.py").read_text())
+    solve = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_solve_h_core")
+    branches = [n for n in ast.walk(solve) if isinstance(n, (ast.If, ast.IfExp))]
+    assert branches + [n for n in ast.walk(solve) if getattr(n, "ifs", None)] == []
+    assert names_in(SRC / "cli.py", "_check_prop") == []
+    assert isinstance(cli.KNOWN_PROPS, dict) and all(callable(v) for v in cli.KNOWN_PROPS.values())
