@@ -19,7 +19,7 @@ F_p, with h, h' and h'' reduced mod p, and Fractions over Q; 1/2, ...,
 
 from .errors import AnchorMismatch, DegenerateConfiguration
 from .field import _inverse_value
-from .groupoid import GroupoidPoint, _anchor_division, _common_field
+from .groupoid import GroupoidPoint, _common_field, _z1
 from .poly import _read_values
 
 
@@ -29,7 +29,7 @@ def _summands(a1: GroupoidPoint, a2: GroupoidPoint, genus: int):
     field = _common_field(a1, a2)
     if a1.genus != genus:
         raise ValueError(f"g{genus}_add needs genus-{genus} points")
-    if a1._z != a2._z or _anchor_division(a1)[1] != _anchor_division(a2)[1]:
+    if a1._z != a2._z or _z1(a1) != _z1(a2):
         raise AnchorMismatch("summands sit over different curve parameters")
     read = (_read_values(field, a._u, genus, -1) + _read_values(field, a._v, genus) for a in (a1, a2))
     return field.modulus, *read

@@ -34,8 +34,10 @@ its answer holds pairs too:
     odd part     v3 = -(e mod u3) r1^(-1) mod u3
 
 At genus 2, R = r1 (y - V) for the cubic V through both inverted inputs,
-so over F_p `star` runs Harley's composition on bare ints (Lange, AAECC
-15, 2005), and r = 0 or s1 = 0 leaves the pair to the stages above:
+so over F_p `star` and `star_detail` run Harley's composition on bare
+ints (Lange, AAECC 15, 2005), read R off V with r1 = -1/s1, and leave
+the pair to the stages above when r = 0 or s1 = 0.  There the check
+that V = w2 mod u2 is the certificate:
 
     anchor       Z1 at both inputs from x^k = A_k x + B_k (mod u)
     slope        s = (w2 - w1) u1^(-1) mod u2 through r = res(u1, u2);
@@ -48,10 +50,11 @@ column of both sides is scaled by the lcm of its two denominators (1
 over F_p), and one `linalg._solve_rows` call eliminates, so h1 and h2
 come out over one denominator.  `star` keeps R = r1 y + x^g r2 + r3 as
 the pairs r1 and e; one builder, `_r_function`, reads R's three
-polynomials from solved blocks, for `star_detail` and for the bordered
-determinant.  Each product by a power of x is a shift, and r1^(-1) mod
-u3 comes from `poly._inverse` on the one extended Euclid `poly._euclid`.
-`star` and `anchor` share one anchor division, `_anchor_division`.
+polynomials from solved blocks, for `star_detail`, the genus-2 route
+and the bordered determinant.  Each product by a power of x is a shift,
+and r1^(-1) mod u3 comes from `poly._inverse` on the one extended
+Euclid `poly._euclid`.  `anchor` and the closed forms read Z1 through
+`_z1`: `_g2_low` at genus 2 over F_p, else `star`'s `_anchor_division`.
 The matrix routes (build_r_determinant, rank_witness, anchor_s) and
 `phi_poly` stay as the tests' independent oracles, and none runs the
 h-solve.  All three matrix routes run on int rows for the `linalg`
@@ -299,7 +302,15 @@ def anchor(a: GroupoidPoint):
     with z read as a polynomial ascending in x.  Both halves come back
     highest weight first.
     """
-    return _read(a.field, _anchor_division(a)[1], a.genus), a.z
+    return _read(a.field, _z1(a), a.genus), a.z
+
+
+def _z1(a: GroupoidPoint):
+    """Z1 as a kernel pair, by `_g2_low` at genus 2 over F_p."""
+    p = a.field.modulus
+    if a.genus == 2 and p:
+        return _trim(_g2_low(a._u[0], (a._v[0] + (0, 0))[:2], a._z[0], p))
+    return _anchor_division(a)[1]
 
 
 def curve_from_anchor(genus: int, z1, z2) -> CurveParams:
@@ -471,7 +482,8 @@ def _g2_slope(u1, v1, u2, v2, p):
 def _g2_star(a1: GroupoidPoint, a2: GroupoidPoint, field: FieldSpec):
     """`star` at genus 2 over F_p as straight-line int code, or None to
     leave the pair to the generic stages: the genus-2 stages of the
-    module docstring, each check raising the generic body's typed error."""
+    module docstring, each check raising the generic body's typed error.
+    Returns the point and R's blocks h1, h2 over den 1 for `_r_function`."""
     p, (z0, z1), (u1, u2) = field.modulus, a1._z[0], (a1._u[0], a2._u[0])
     v1, v2 = (a1._v[0] + (0, 0))[:2], (a2._v[0] + (0, 0))[:2]
     f0, f1 = _g2_low(u1, v1, a1._z[0], p)
@@ -503,7 +515,9 @@ def _g2_star(a1: GroupoidPoint, a2: GroupoidPoint, field: FieldSpec):
     e1, e0 = q1 * scale % p, q0 * scale % p  # u3 = x^2 + e1 x + e0, and v3 = V mod u3
     v3 = ((s1 * e0 * e1 - t2 * e0 + t0) % p, (s1 * (e1 * e1 - e0) - t2 * e1 + t1) % p)
     v3 = v3 if v3[1] else v3[:1] if v3[0] else ()
-    return GroupoidPoint._make(field, ((e0, e1, 1), 1), (v3, 1), a1._z)
+    # R = r1 (y - V) with r1 = -1/s1, so x^2 r2 + r3 = V / s1
+    h1, h2 = [inv_s1 * t0 % p, inv_s1 * t1 % p], [inv_s1 * t2 % p, -inv_s1 % p]
+    return GroupoidPoint._make(field, ((e0, e1, 1), 1), (v3, 1), a1._z), h1, h2
 
 
 def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
@@ -511,8 +525,9 @@ def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
     the module docstring on the inputs' kernel pairs, with w = -v the odd
     part of an inverted input."""
     g, field = a1.genus, _common_field(a1, a2)
-    if g == 2 and field.modulus and not detail and (point := _g2_star(a1, a2, field)):
-        return point
+    if g == 2 and field.modulus and (route := _g2_star(a1, a2, field)):
+        point, h1, h2 = route
+        return StarResult(point, _r_function(field, h1, h2, 1)) if detail else point
     (p, u1, u2), (b1, b2) = (field.modulus, a1._u, a2._u), (invert(a1), invert(a2))
     w1, w2 = b1._v, b2._v
     # The anchors agree when z does and Z1 = (w^2 - f_high) mod u does.
@@ -551,7 +566,8 @@ def star_detail(a1: GroupoidPoint, a2: GroupoidPoint) -> StarResult:
     """The partial product, keeping the internal RFunction for callers
     that inspect its coefficients.  Every call certifies R on u and v
     alone, sharing no code with the h-solve: r1 v + x^g r2 + r3 must
-    vanish mod u at both inverted inputs, else InvariantViolation."""
+    vanish mod u at both inverted inputs, else InvariantViolation; on
+    the genus-2 F_p route, V must be w2 mod u2."""
     return _star(a1, a2, True)
 
 
@@ -559,16 +575,23 @@ def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
     """Add two points sharing an anchor; raises DegenerateConfiguration
     outside the generic chart (doubling, shared abscissa polynomial, ...)
     and InvariantViolation if the certificate of star_detail fails.
-    Runs star_detail's stages without building its RFunction, or at
-    genus 2 over F_p the straight-line route of the module docstring."""
+    Runs star_detail's stages, or at genus 2 over F_p its straight-line
+    route of the module docstring, without building the RFunction."""
     return _star(a1, a2, False)
 
 
 def _interpolate(field: FieldSpec, xs, ys):
     """Ascending bare u = prod (x - x_i) and v = sum y_i q_i / q_i(x_i), the
     interpolant of degree < n, with q_i = u / (x - x_i) by synthetic
-    division (Lagrange).  A repeated abscissa raises SingularMatrix."""
+    division (Lagrange); two F_p points take the line through them.  A
+    repeated abscissa raises SingularMatrix."""
     p = field.modulus
+    if p and len(xs) == 2:  # u = (x - x0)(x - x1), v = y0 + s (x - x0)
+        (x0, x1), (y0, y1) = xs, ys
+        if not (x1 - x0) % p:
+            raise SingularMatrix("repeated abscissa")
+        s = (y1 - y0) * pow(x1 - x0, -1, p) % p
+        return [x0 * x1 % p, -(x0 + x1) % p, 1], [(y0 - s * x0) % p, s]
     # integral Fractions as ints, so u, q_i and q_i(x_i) stay on ints over Q too
     xs = [x.numerator if x.denominator == 1 else x for x in xs]
     u = [1]

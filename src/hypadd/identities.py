@@ -1,10 +1,11 @@
 """Coefficient identities satisfied by the addition law.
 
-The h-coefficients below always refer to the RFunction built inside
-`star` for the pair being tested, indexed by co-weight: r.h_at(k) is
-the coefficient of the monomial of weight 3g - k, or zero when that
-co-weight has no monomial.  Each checker runs `star_detail` once, and
-each comparison it makes fails for some wrong product.
+The h-coefficients below are those of `star_detail`'s RFunction (read
+off the cubic V on the genus-2 F_p route) for the pair being tested, by
+co-weight: r.h_at(k) is the coefficient of the monomial of weight 3g -
+k, or zero when that co-weight has no monomial.  Each checker runs
+`star_detail` once, and each comparison it makes fails for some wrong
+product.
 """
 
 from .closedform import g2_add

@@ -415,6 +415,25 @@ def test_verify_q_assoc_answers_trials(capsys):
         assert assoc["passes"] > 0, assoc
 
 
+def test_verify_q_assoc_takes_b_minus_a_as_its_third_point(monkeypatch):
+    """Over Q the assoc check's third point d is star(invert(a), b), and
+    both sides of (a * b) * d = a * (b * d) are computed from it."""
+    calls, real = [], cli.star
+
+    def recorded(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(cli, "star", recorded)
+    for genus in (1, 2):
+        rng = seeded(f"assoc-third-point:{genus}")
+        c, a, b = q_pair(genus, rng)
+        calls.clear()
+        assert cli.KNOWN_PROPS["assoc"](c, a, b, rng)
+        d, ab = real(invert(a), b), real(a, b)
+        assert calls == [(invert(a), b), (a, b), (ab, d), (b, d), (a, real(b, d))]
+
+
 def test_verify_q_past_genus_9(capsys):
     """Over Q a genus-10 pair needs 20 distinct abscissas, more than the
     19 ints of [-9, 9]; verify samples them and answers every property."""

@@ -9,6 +9,7 @@ from hypadd import (
     GroupoidPoint,
     anchor,
     cantor_add,
+    closedform,
     curve_from_anchor,
     curve_poly,
     from_mumford,
@@ -735,18 +736,22 @@ def test_star_checks_the_norm_quotient_shape(monkeypatch):
 def test_star_checks_the_division_by_u2(monkeypatch):
     """At even g, a wrong q_a leaves phi / u1 monic of degree 2g but no
     longer divisible by u2: star raises NonzeroRemainder.  The genus-2
-    F_p pair takes star's straight-line route, which has no q_a: there
-    f's low half off by one at both inputs leaves f - V^2 not divisible
-    by u1 u2.  star_detail still runs the generic body on that pair."""
+    F_p pair takes the straight-line route, which has no q_a: there f's
+    low half off by one at both inputs leaves f - V^2 not divisible by
+    u1 u2.  With the route patched out, the generic body runs on that
+    pair too."""
     rng = seeded("norm-remainder")
     g2_fp, *pairs = [fp_pair(P, g, rng)[1:] for g in (2, 4)] + [q_pair(g, rng)[1:] for g in (2, 4)]
     with monkeypatch.context() as patch:
         shift_g2_low(patch)
-        with pytest.raises(NonzeroRemainder):
-            star(*g2_fp)
+        for call in (star, star_detail):
+            with pytest.raises(NonzeroRemainder):
+                call(*g2_fp)
+    monkeypatch.setattr(groupoid, "_g2_star", lambda *a: None)
     bump_anchor_quotient(monkeypatch)
-    with pytest.raises(NonzeroRemainder):
-        star_detail(*g2_fp)
+    for call in (star, star_detail):
+        with pytest.raises(NonzeroRemainder):
+            call(*g2_fp)
     for a1, a2 in pairs:
         with pytest.raises(NonzeroRemainder):
             star(a1, a2)
@@ -798,16 +803,23 @@ def _outcome(call, a1, a2):
 @pytest.mark.parametrize(
     "p, refusals", [(10007, 0), (2**61 - 1, 0), (101, 20)], ids=["p10007", "p2^61-1", "p101"]
 )
-def test_genus2_fp_route_agrees_with_the_generic_body(p, refusals):
-    """star's genus-2 F_p route gives the point of star_detail, which runs
-    the generic body, or the same typed error at the same stage: on 300
-    seeded pairs per field, and on each tenth pair's doubling and
-    opposite.  Over F_101 about 9% of the random pairs refuse, so the
-    hand-back to the generic stages runs on its own too."""
+def test_genus2_fp_route_agrees_with_the_generic_body(monkeypatch, p, refusals):
+    """The genus-2 F_p route gives, through star and star_detail, the
+    point of the generic body (the route patched out), or the same typed
+    error at the same stage: on 300 seeded pairs per field, and on each
+    tenth pair's doubling and opposite.  Over F_101 about 9% of the
+    random pairs refuse, so the hand-back to the generic stages runs on
+    its own too."""
+
+    def point(a1, a2):
+        return star_detail(a1, a2).point
 
     def both_agree(a1, a2):
         got = _outcome(star, a1, a2)
-        assert got == _outcome(lambda x, y: star_detail(x, y).point, a1, a2)
+        assert _outcome(point, a1, a2) == got
+        with monkeypatch.context() as patch:
+            patch.setattr(groupoid, "_g2_star", lambda *a: None)
+            assert _outcome(point, a1, a2) == got
         return isinstance(got, tuple)
 
     field, rng, refused = make_field("fp", p), seeded(f"g2-route-agrees:{p}"), 0
@@ -822,11 +834,20 @@ def test_genus2_fp_route_agrees_with_the_generic_body(p, refusals):
 
 @pytest.mark.parametrize("field", [P, M61], ids=["p10007", "p2^61-1"])
 def test_genus2_fp_star_runs_only_the_route(monkeypatch, field):
-    """An answered genus-2 star over F_p builds no Scalar and no Poly and
-    calls none of the generic stages' kernels, so the benchmark's genus-2
-    `verify` times the straight-line route."""
+    """On answered genus-2 pairs over F_p, star_detail, anchor, g2_add
+    and sample_point_fp call none of the generic stages' kernels, and
+    star builds no Scalar and no Poly either, so the benchmark's genus-2
+    `verify` times straight-line code.  The answers are the generic
+    body's (the route patched out) and the anchor division's."""
     pairs = _route_pairs(field, 10, "g2-route-only")
-    want = [star_detail(a1, a2).point for a1, a2 in pairs]
+    points = [a for pair in pairs for a in pair]
+    c = random_curve_fp(field, 2, seeded("g2-route-only:curve"))
+    with monkeypatch.context() as patch:
+        patch.setattr(groupoid, "_g2_star", lambda *a: None)
+        want = [(res.point, res.r) for res in (star_detail(a1, a2) for a1, a2 in pairs)]
+    anchors = [(_read(field, groupoid._anchor_division(a)[1], 2), a.z) for a in points]
+    rng = seeded("g2-route-only:sample")
+    samples = [sample_point_fp(c, rng) for _ in range(10)]
     built, real_init = [], Scalar.__init__
 
     def counted(self, f, value):
@@ -836,13 +857,50 @@ def test_genus2_fp_star_runs_only_the_route(monkeypatch, field):
     def refuse(*_):
         raise AssertionError("a generic stage or a Poly on the genus-2 route")
 
+    for name in ("_solve_rows", "_columns", "_mul", "_divmod", "_anchor_division"):
+        monkeypatch.setattr(groupoid, name, refuse)
+    for name in ("_mul", "_divmod"):
+        monkeypatch.setattr(poly, name, refuse)
+    got = [(res.point, res.r) for res in (star_detail(a1, a2) for a1, a2 in pairs)]
+    assert got == want
+    assert [anchor(a) for a in points] == anchors
+    assert [closedform.g2_add(a1, a2) for a1, a2 in pairs] == [point for point, _ in want]
+    rng = seeded("g2-route-only:sample")
+    assert [sample_point_fp(c, rng) for _ in range(10)] == samples
     monkeypatch.setattr(Scalar, "__init__", counted)
     monkeypatch.setattr(Poly, "__init__", refuse)
     monkeypatch.setattr(Poly, "_wrap", refuse)
-    for name in ("_solve_rows", "_columns", "_mul", "_divmod", "_inverse", "_anchor_division"):
-        monkeypatch.setattr(groupoid, name, refuse)
-    assert [star(a1, a2) for a1, a2 in pairs] == want
+    monkeypatch.setattr(groupoid, "_inverse", refuse)
+    assert [star(a1, a2) for a1, a2 in pairs] == [point for point, _ in want]
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "p, answers", [(10007, 110), (2**61 - 1, 110), (101, 90)], ids=["p10007", "p2^61-1", "p101"]
+)
+def test_genus2_fp_route_r_is_the_bordered_determinant(monkeypatch, p, answers):
+    """star_detail's R on the genus-2 route equals the bordered
+    determinant's R and the generic body's (the route patched out), and
+    a refusal has the generic body's type and stage: on 120 seeded pairs
+    per field and each tenth pair's doubling and opposite.  `pgg` reads
+    only h1^2, so this is the check on r1's sign and on r3."""
+
+    def r(a1, a2):
+        out = _outcome(star_detail, a1, a2)
+        return out if isinstance(out, tuple) else out.r
+
+    field, rng, answered = make_field("fp", p), seeded(f"g2-route-r:{p}"), 0
+    for i in range(120):
+        _, a1, a2 = fp_pair(field, 2, rng)
+        for x, y in [(a1, a2)] + ([(a1, a1), (a1, invert(a1))] if i % 10 == 0 else []):
+            got = r(x, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(groupoid, "_g2_star", lambda *a: None)
+                assert r(x, y) == got
+            if not isinstance(got, tuple):
+                assert got == build_r_determinant(invert(x), invert(y))
+                answered += 1
+    assert answered >= answers
 
 
 def test_genus2_fp_route_checks_the_anchor(monkeypatch):

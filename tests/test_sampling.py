@@ -135,6 +135,25 @@ def test_interpolate_matches_vandermonde_solve(case):
     assert a == GroupoidPoint([-c for c in field._box(u[:-1])], field._box(v), z)
 
 
+def test_two_point_fp_interpolation_matches_vandermonde_solve():
+    """`_interpolate`'s two-point F_p branch gives u = (x - x0)(x - x1)
+    and the line through both points, on seeded ints in [-3p, 3p), so
+    negative and unreduced ones too, over F_7, F_10007 and F_(2^61 - 1);
+    two abscissas equal mod p, such as x and x + p, raise SingularMatrix."""
+    rng = seeded("two-point")
+    for field in (F7, P, make_field("fp", 2**61 - 1)):
+        p = field.modulus
+        for _ in range(40):
+            x0, x1, y0, y1 = (rng.randrange(-3 * p, 3 * p) for _ in range(4))
+            if (x1 - x0) % p:
+                u, v = _interpolate(field, [x0, x1], [y0, y1])
+                assert field._box(u) == from_roots(field, [x0 % p, x1 % p]).coeffs
+                assert field._box(v) == vandermonde_solve(field, [x0 % p, x1 % p], [y0 % p, y1 % p])
+            for x in (x0 + p, x0 - 2 * p, x0):
+                with pytest.raises(SingularMatrix):
+                    _interpolate(field, [x0, x], [y0, y1])
+
+
 def _fit_by_solve(field, g, pairs):
     """The Vandermonde solve that fit_curve_through's interpolation replaces."""
     rhs = [y * y - x ** (2 * g + 1) for x, y in pairs]

@@ -2,7 +2,7 @@
 
 Run from a checkout, with nothing installed:
 
-    python3 tools/output_digest.py [--family verify|star|eval]...
+    python3 tools/output_digest.py [--family verify|star|eval|anchor]...
 
 It prints one JSON line that maps each family to the sha256 of its
 outputs, in a fixed order.  Run it at two commits and compare the lines:
@@ -16,7 +16,9 @@ equal digests mean equal outputs on every input below.  The families:
           round trip on seeded pairs over F_5, F_101, F_10007,
           F_(2^61-1) and Q at genus 1-4 and 8;
   eval    `Poly` evaluation on seeded polynomials and points over Q,
-          F_7, F_10007 and F_(2^61-1).
+          F_7, F_10007 and F_(2^61-1);
+  anchor  `anchor` of both points and the `g1_add` or `g2_add` outcome
+          on the star family's genus-1 and genus-2 pairs.
 
 An outcome is the value's text, or the exception's type and `stage`.
 The tool uses only the public API and takes well under a minute.
@@ -68,11 +70,12 @@ def _outcome(compute):
         return ["raised", type(exc).__name__, getattr(exc, "stage", None)]
 
 
-def _star_runs():
-    """Per pair: the sampling outcome, then star, star_detail's R and Cantor."""
+def _star_pool(genera):
+    """(field, genus, curve, sampling outcome of a pair) for the star
+    family's seeded pools of each genus given."""
     fields = [hypadd.make_field("fp", p) for p in (5, 101, 10007, F61)] + [hypadd.make_field("q")]
     for field in fields:
-        for genus in (1, 2, 3, 4, 8):
+        for genus in genera:
             rng = random.Random(f"output-digest:star:{field.to_string()}:{genus}")
             for _ in range(10 if genus == 8 else 30):
                 if field.modulus:
@@ -81,27 +84,45 @@ def _star_runs():
                 else:
                     c, *pair = sampling.sample_pair_q(genus, rng)
                     pair = ["value", tuple(pair)]
-                if pair[0] != "value":
-                    yield [field.to_string(), genus, pair]
-                    continue
-                a, b = pair[1]
+                yield field, genus, c, pair
 
-                def r_text():
-                    r = hypadd.star_detail(a, b).r
-                    return [repr(r.r1), repr(r.r2), repr(r.r3)]
 
-                def cantor():
-                    d = hypadd.cantor_add(hypadd.to_mumford(a, c), hypadd.to_mumford(b, c), c)
-                    return point_to_json(hypadd.from_mumford(d, c))
+def _star_runs():
+    """Per pair: the sampling outcome, then star, star_detail's R and Cantor."""
+    for field, genus, c, pair in _star_pool((1, 2, 3, 4, 8)):
+        if pair[0] != "value":
+            yield [field.to_string(), genus, pair]
+            continue
+        a, b = pair[1]
 
-                yield [
-                    field.to_string(),
-                    genus,
-                    [point_to_json(a), point_to_json(b)],
-                    _outcome(lambda: point_to_json(hypadd.star(a, b))),
-                    _outcome(r_text),
-                    _outcome(cantor),
-                ]
+        def r_text():
+            r = hypadd.star_detail(a, b).r
+            return [repr(r.r1), repr(r.r2), repr(r.r3)]
+
+        def cantor():
+            d = hypadd.cantor_add(hypadd.to_mumford(a, c), hypadd.to_mumford(b, c), c)
+            return point_to_json(hypadd.from_mumford(d, c))
+
+        yield [
+            field.to_string(),
+            genus,
+            [point_to_json(a), point_to_json(b)],
+            _outcome(lambda: point_to_json(hypadd.star(a, b))),
+            _outcome(r_text),
+            _outcome(cantor),
+        ]
+
+
+def _anchor_runs():
+    """Per genus-1 and genus-2 pair of the star pools: both anchors and
+    the closed form's outcome."""
+    for field, genus, _, pair in _star_pool((1, 2)):
+        if pair[0] != "value":
+            continue
+        a, b = pair[1]
+        add = hypadd.g1_add if genus == 1 else hypadd.g2_add
+        anchors = [[[s.to_string() for s in half] for half in hypadd.anchor(x)] for x in (a, b)]
+        yield [field.to_string(), genus, anchors, _outcome(lambda: point_to_json(add(a, b)))]
 
 
 def _eval_runs():
@@ -120,7 +141,7 @@ def _eval_runs():
             yield [repr(f), a.to_string(), f(a).to_string()]
 
 
-FAMILIES = {"verify": _verify_runs, "star": _star_runs, "eval": _eval_runs}
+FAMILIES = {"verify": _verify_runs, "star": _star_runs, "eval": _eval_runs, "anchor": _anchor_runs}
 
 
 def digest(family: str) -> str:
