@@ -83,8 +83,6 @@ def _read_json(path: str):
 
 
 def _load_curve(args) -> CurveParams:
-    if args.curve is None:
-        raise ValueError("this command needs --curve")
     obj = _read_json(args.curve)
     if args.field and isinstance(obj, dict):
         obj = {**obj, "field": args.field}
@@ -350,27 +348,16 @@ def run(argv=None) -> int:
     try:
         return HANDLERS[args.command](args)
     except _Failure as exc:
-        print(dumps(exc.doc), file=sys.stderr)
-        return FAILURE
-    except InvariantViolation as exc:
-        print(dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
-        return FAILURE
-    except DegenerateConfiguration as exc:
-        print(
-            dumps(
-                {
-                    "error": "DegenerateConfiguration",
-                    "detail": str(exc),
-                    "stage": exc.stage,
-                    "fallback": "re-run with --method cantor",
-                }
-            ),
-            file=sys.stderr,
-        )
-        return DEGENERATE
-    except (HypaddError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
-        return USAGE_ERROR
+        doc, code = exc.doc, FAILURE
+    except (HypaddError, ValueError, KeyError, OSError) as exc:
+        doc, code = {"error": type(exc).__name__, "detail": str(exc)}, USAGE_ERROR
+        if isinstance(exc, InvariantViolation):
+            code = FAILURE
+        elif isinstance(exc, DegenerateConfiguration):
+            doc.update(stage=exc.stage, fallback="re-run with --method cantor")
+            code = DEGENERATE
+    print(dumps(doc), file=sys.stderr)
+    return code
 
 
 def main() -> None:

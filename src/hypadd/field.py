@@ -174,6 +174,30 @@ def _inverse_value(value, modulus: int):
     return pow(value, -1, modulus) if modulus else Fraction(value.denominator, value.numerator)
 
 
+def _operators(op):
+    """The forward and reflected methods of a binary operator op(a, b) on
+    Scalars of one field, as fractions.Fraction builds its own: an int
+    operand is lifted into the field, a Scalar of another field raises
+    FieldMismatch, and any other operand gives NotImplemented."""
+
+    def lift(a, b):
+        if isinstance(b, Scalar):
+            if b.field is not a.field and b.field != a.field:
+                raise FieldMismatch(f"{a.field} vs {b.field}")
+            return b
+        return a.field.scalar(b) if isinstance(b, int) else NotImplemented
+
+    def forward(a, b):
+        b = lift(a, b)
+        return NotImplemented if b is NotImplemented else op(a, b)
+
+    def reflected(a, b):
+        b = lift(a, b)
+        return NotImplemented if b is NotImplemented else op(b, a)
+
+    return forward, reflected
+
+
 class Scalar:
     """One field element.  Immutable; all arithmetic stays in the field."""
 
@@ -183,54 +207,10 @@ class Scalar:
         self.field = field
         self.value = value % field.modulus if field.modulus else value
 
-    def _lift(self, other):
-        if isinstance(other, Scalar):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+    __add__, __radd__ = _operators(lambda a, b: Scalar(a.field, a.value + b.value))
+    __sub__, __rsub__ = _operators(lambda a, b: Scalar(a.field, a.value - b.value))
+    __mul__, __rmul__ = _operators(lambda a, b: Scalar(a.field, a.value * b.value))
+    __truediv__, __rtruediv__ = _operators(lambda a, b: a * b.inverse())
 
     def __neg__(self):
         return Scalar(self.field, -self.value)

@@ -514,10 +514,9 @@ def _g2_star(a1: GroupoidPoint, a2: GroupoidPoint, field: FieldSpec):
         raise InvariantViolation(f"expected a monic degree-2 quotient, got {(q0, q1, q2)}")
     e1, e0 = q1 * scale % p, q0 * scale % p  # u3 = x^2 + e1 x + e0, and v3 = V mod u3
     v3 = ((s1 * e0 * e1 - t2 * e0 + t0) % p, (s1 * (e1 * e1 - e0) - t2 * e1 + t1) % p)
-    v3 = v3 if v3[1] else v3[:1] if v3[0] else ()
     # R = r1 (y - V) with r1 = -1/s1, so x^2 r2 + r3 = V / s1
     h1, h2 = [inv_s1 * t0 % p, inv_s1 * t1 % p], [inv_s1 * t2 % p, -inv_s1 % p]
-    return GroupoidPoint._make(field, ((e0, e1, 1), 1), (v3, 1), a1._z), h1, h2
+    return GroupoidPoint._make(field, ((e0, e1, 1), 1), _trim(v3), a1._z), h1, h2
 
 
 def _star(a1: GroupoidPoint, a2: GroupoidPoint, detail: bool):
@@ -581,17 +580,17 @@ def star(a1: GroupoidPoint, a2: GroupoidPoint) -> GroupoidPoint:
 
 
 def _interpolate(field: FieldSpec, xs, ys):
-    """Ascending bare u = prod (x - x_i) and v = sum y_i q_i / q_i(x_i), the
-    interpolant of degree < n, with q_i = u / (x - x_i) by synthetic
-    division (Lagrange); two F_p points take the line through them.  A
-    repeated abscissa raises SingularMatrix."""
+    """The canonical kernel pairs of u = prod (x - x_i) and of the
+    interpolant v = sum y_i q_i / q_i(x_i) of degree < n, with
+    q_i = u / (x - x_i) by synthetic division (Lagrange); two F_p points
+    take the line through them.  A repeated abscissa raises SingularMatrix."""
     p = field.modulus
     if p and len(xs) == 2:  # u = (x - x0)(x - x1), v = y0 + s (x - x0)
         (x0, x1), (y0, y1) = xs, ys
         if not (x1 - x0) % p:
             raise SingularMatrix("repeated abscissa")
         s = (y1 - y0) * pow(x1 - x0, -1, p) % p
-        return [x0 * x1 % p, -(x0 + x1) % p, 1], [(y0 - s * x0) % p, s]
+        return ((x0 * x1 % p, -(x0 + x1) % p, 1), 1), _trim([(y0 - s * x0) % p, s])
     # integral Fractions as ints, so u, q_i and q_i(x_i) stay on ints over Q too
     xs = [x.numerator if x.denominator == 1 else x for x in xs]
     u = [1]
@@ -609,25 +608,14 @@ def _interpolate(field: FieldSpec, xs, ys):
             raise SingularMatrix("repeated abscissa")
         s = yi * _inverse_value(d, p)
         v = [a + s * b for a, b in zip(v, reversed(q))]
-    if p:
-        return u, [c % p for c in v]
-    return [field._value(c) for c in u], [field._value(c) for c in v]
-
-
-def _phi_values(field: FieldSpec, xs, ys, z) -> GroupoidPoint:
-    """viete_phi on distinct bare abscissas and ordinates, z in a point's
-    stored form.  Over F_p u and v are residue lists already, and u is monic."""
-    p, (u, v) = field.modulus, _interpolate(field, xs, ys)
-    if p:
-        return GroupoidPoint._make(field, (tuple(u), 1), _trim(v), z)
-    return GroupoidPoint._from_values(field, u, v, z)
+    return _trim(*_ints(u, p)), _trim(*_ints(v, p))
 
 
 def viete_phi(t: PointListRep) -> GroupoidPoint:
     """Coordinate image of a list of curve points with distinct abscissas:
     p_even from u = prod (x - x_i), p_odd the interpolant v of the y_i."""
     zs, dz = _ints(t._zs, t.field.modulus)
-    return _phi_values(t.field, t._xs, t._ys, (tuple(zs), dz))
+    return GroupoidPoint._make(t.field, *_interpolate(t.field, t._xs, t._ys), (tuple(zs), dz))
 
 
 def anchor_s(t: PointListRep):

@@ -13,8 +13,8 @@ import random
 
 from .errors import TooFewPoints
 from .field import FieldSpec, make_field
-from .groupoid import CurveParams, GroupoidPoint, _interpolate, _phi_values
-from .groupoid import anchor, curve_from_anchor
+from .groupoid import CurveParams, GroupoidPoint, _interpolate, anchor, curve_from_anchor
+from .poly import _read_values
 
 BOUND = 9  # Q samples: ordinates from [1, BOUND], abscissas from `_abscissas`
 
@@ -77,7 +77,7 @@ def sample_point_fp(c: CurveParams, rng: random.Random) -> GroupoidPoint:
             continue
         xs.append(x)
         ys.append(-root if rng.getrandbits(1) else root)
-    return _phi_values(field, xs, ys, c._z)
+    return GroupoidPoint._make(field, *_interpolate(field, xs, ys), c._z)
 
 
 def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
@@ -91,7 +91,7 @@ def fit_curve_through(field: FieldSpec, genus: int, pairs) -> CurveParams:
         raise ValueError(f"expected {2 * g} points, got {len(pairs)}")
     xs = [field._value(x) for x, _ in pairs]
     rhs = [field._value(y) ** 2 - x ** (2 * g + 1) for x, (_, y) in zip(xs, pairs)]
-    lam = _interpolate(field, xs, rhs)[1]
+    lam = _read_values(field, _interpolate(field, xs, rhs)[1], 2 * g)
     # unknown i is the x^i coefficient, i.e. weight 4g+2-2i
     return CurveParams._from_values(field, lam[:g], lam[g:])
 
@@ -109,7 +109,8 @@ def sample_pair_q(genus: int, rng: random.Random):
     xs = _abscissas(rng, 2 * g)
     ys = [rng.randint(1, BOUND) for _ in xs]
     c = fit_curve_through(field, g, list(zip(xs, ys)))
-    return c, _phi_values(field, xs[:g], ys[:g], c._z), _phi_values(field, xs[g:], ys[g:], c._z)
+    a = GroupoidPoint._make(field, *_interpolate(field, xs[:g], ys[:g]), c._z)
+    return c, a, GroupoidPoint._make(field, *_interpolate(field, xs[g:], ys[g:]), c._z)
 
 
 def sample_point_q_on_template(c: CurveParams, rng: random.Random):
@@ -118,5 +119,5 @@ def sample_point_q_on_template(c: CurveParams, rng: random.Random):
     field, g = c.field, c.genus
     xs = [field._value(x) for x in _abscissas(rng, g)]
     ys = [field._value(rng.randint(1, BOUND)) for _ in xs]
-    point = _phi_values(field, xs, ys, c._z)
+    point = GroupoidPoint._make(field, *_interpolate(field, xs, ys), c._z)
     return curve_from_anchor(g, *anchor(point)), point

@@ -119,6 +119,72 @@ def test_add_methods_that_disagree_exit_1(tmp_path, capsys, monkeypatch):
     assert point_from_json(Q, err["cantor"]) == A1
 
 
+def _method_mismatch(tmp_path, monkeypatch):
+    c, a, b = setup_worked(tmp_path)
+    monkeypatch.setattr(cli, "from_mumford", lambda d, c: A1)
+    return ["add", "--curve", c, "--a", a, "--b", b, "--method", "both"]
+
+
+def _failed_internal_check(tmp_path, monkeypatch):
+    c, a1, a2 = fp_pair(make_field("fp", TEST_PRIME), 2, seeded("cli-internal-check-2"))
+    shift_g2_low(monkeypatch)
+    argv = ["add", "--curve", write(tmp_path, "c.json", curve_to_json(c))]
+    argv += ["--a", write(tmp_path, "a.json", point_to_json(a1))]
+    return argv + ["--b", write(tmp_path, "b.json", point_to_json(a2))]
+
+
+def _doubling(tmp_path, monkeypatch):
+    c, a, _ = setup_worked(tmp_path)
+    return ["add", "--curve", c, "--a", a, "--b", a]
+
+
+def _bad_json(tmp_path, monkeypatch):
+    p = tmp_path / "nonsense.json"
+    p.write_text("{")
+    return ["anchor", "--curve", str(p), "--a", str(p)]
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, keys",
+    [
+        (_method_mismatch, 1, {"error", "groupoid", "cantor"}),
+        (_failed_internal_check, 1, {"error", "detail"}),
+        (_doubling, 3, {"error", "detail", "stage", "fallback"}),
+        (_bad_json, 2, {"error", "detail"}),
+    ],
+    ids=["failure", "internal-check", "degenerate", "usage"],
+)
+def test_each_exit_prints_one_document(tmp_path, capsys, monkeypatch, make_argv, code, keys):
+    """`cli.run`'s four error exits: a failure document exits 1 as it is
+    built; an internal check exits 1 and a usage error 2, both with
+    {error, detail}; a degenerate configuration exits 3 and adds the
+    stage and the fallback.  Each prints one JSON document on stderr
+    (json.loads refuses a second) and nothing on stdout."""
+    assert run(make_argv(tmp_path, monkeypatch)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert set(json.loads(err)) == keys
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["add", "--a", "a.json", "--b", "b.json"],
+        ["invert", "--a", "a.json"],
+        ["anchor", "--a", "a.json"],
+        ["random-point"],
+        ["cantor-add", "--a", "a.json", "--b", "b.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_curve_is_required_where_a_command_reads_one(argv, capsys):
+    """Every command but verify loads its curve file, and argparse
+    refuses it without --curve (exit 2) before any handler runs, so no
+    handler needs a guard of its own."""
+    assert run(argv) == 2
+    assert "--curve" in capsys.readouterr().err
+
+
 def test_add_doubling_succeeds_via_cantor(tmp_path, capsys):
     c, a, _ = setup_worked(tmp_path)
     assert run(["add", "--curve", c, "--a", a, "--b", a, "--method", "cantor"]) == 0

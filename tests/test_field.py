@@ -1,3 +1,4 @@
+import operator
 import time
 from fractions import Fraction
 
@@ -88,6 +89,38 @@ def test_cross_field_rejected():
     assert other_p is not P
     assert P.scalar(3) + other_p.scalar(4) == other_p.scalar(7)
     assert Q.scalar(3) != P.scalar(3)
+
+
+BINARY_DUNDERS = [
+    ("__add__", operator.add, False),
+    ("__radd__", operator.add, True),
+    ("__sub__", operator.sub, False),
+    ("__rsub__", operator.sub, True),
+    ("__mul__", operator.mul, False),
+    ("__rmul__", operator.mul, True),
+    ("__truediv__", operator.truediv, False),
+    ("__rtruediv__", operator.truediv, True),
+]
+
+
+@pytest.mark.parametrize("field", [Q, P], ids=["Q", "F10007"])
+@pytest.mark.parametrize("name, op, reflected", BINARY_DUNDERS, ids=[d[0] for d in BINARY_DUNDERS])
+def test_every_binary_operator_lifts_its_operand(field, name, op, reflected):
+    """Each of Scalar's eight binary dunders lifts an int on either side
+    (so 3 - a and 3 / a keep their order), raises FieldMismatch for a
+    Scalar of another field, and returns NotImplemented for any other
+    operand, so the operator raises TypeError."""
+    a, method = field.scalar(5), getattr(Scalar, name)
+    want = field.scalar(op(Fraction(3), Fraction(5)) if reflected else op(Fraction(5), Fraction(3)))
+    assert method(a, 3) == want
+    assert (op(3, a) if reflected else op(a, 3)) == want
+    assert (op(field.scalar(3), a) if reflected else op(a, field.scalar(3))) == want
+    with pytest.raises(FieldMismatch):
+        method(a, (P if field is Q else Q).scalar(3))
+    for other in (2.5, "3", None):
+        assert method(a, other) is NotImplemented
+        with pytest.raises(TypeError):
+            op(other, a) if reflected else op(a, other)
 
 
 def test_field_construction_errors():

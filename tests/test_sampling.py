@@ -3,6 +3,7 @@ import hashlib
 import io
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from hypadd.groupoid import (
     v_poly,
     viete_phi,
 )
-from hypadd.poly import from_roots
+from hypadd.poly import _read, from_roots
 from hypadd.sampling import (
     fit_curve_through,
     random_curve_fp,
@@ -107,6 +108,19 @@ def test_point_polynomials_have_expected_shape():
     assert v_poly(a).degree <= 2
 
 
+def assert_canonical(field, pair, n):
+    """pair is a canonical kernel pair of at most n coefficients: ints with
+    no trailing zero, residues over 1 on F_p, and on Q a positive
+    denominator with content 1."""
+    nums, den = pair
+    assert type(nums) is tuple and len(nums) <= n and (not nums or nums[-1])
+    assert all(type(c) is int for c in nums + (den,))
+    if field.modulus:
+        assert den == 1 and all(0 <= c < field.modulus for c in nums)
+    else:
+        assert den > 0 and gcd(den, *nums) == 1
+
+
 @st.composite
 def nodes(draw):
     """A field, 1 to 6 distinct abscissas and as many ordinates."""
@@ -124,15 +138,16 @@ def nodes(draw):
 @given(nodes())
 def test_interpolate_matches_vandermonde_solve(case):
     field, xs, ys = case
+    n = len(xs)
     u, v = _interpolate(field, [field._value(x) for x in xs], [field._value(y) for y in ys])
-    assert field._box(u) == from_roots(field, xs).coeffs
-    assert field._box(v) == vandermonde_solve(field, xs, ys)
-    if field is Q:
-        assert all(type(c) is Fraction for c in u + v)
-    z = [field.scalar(0)] * len(xs)
+    assert _read(field, u, n + 1) == from_roots(field, xs).coeffs
+    assert _read(field, v, n) == vandermonde_solve(field, xs, ys)
+    assert_canonical(field, u, n + 1)
+    assert_canonical(field, v, n)
+    z = [field.scalar(0)] * n
     pairs = [(field.scalar(x), field.scalar(y)) for x, y in zip(xs, ys)]
     a = viete_phi(PointListRep(pairs, z))
-    assert a == GroupoidPoint([-c for c in field._box(u[:-1])], field._box(v), z)
+    assert a == GroupoidPoint([-c for c in _read(field, u, n)], _read(field, v, n), z)
 
 
 def test_two_point_fp_interpolation_matches_vandermonde_solve():
@@ -147,11 +162,44 @@ def test_two_point_fp_interpolation_matches_vandermonde_solve():
             x0, x1, y0, y1 = (rng.randrange(-3 * p, 3 * p) for _ in range(4))
             if (x1 - x0) % p:
                 u, v = _interpolate(field, [x0, x1], [y0, y1])
-                assert field._box(u) == from_roots(field, [x0 % p, x1 % p]).coeffs
-                assert field._box(v) == vandermonde_solve(field, [x0 % p, x1 % p], [y0 % p, y1 % p])
+                assert _read(field, u, 3) == from_roots(field, [x0 % p, x1 % p]).coeffs
+                assert _read(field, v, 2) == vandermonde_solve(field, [x0 % p, x1 % p], [y0 % p, y1 % p])
+                assert_canonical(field, u, 3)
+                assert_canonical(field, v, 2)
             for x in (x0 + p, x0 - 2 * p, x0):
                 with pytest.raises(SingularMatrix):
                     _interpolate(field, [x0, x], [y0, y1])
+
+
+@pytest.mark.parametrize("field", [Q, F7, P], ids=["Q", "F7", "F10007"])
+def test_interpolate_returns_canonical_pairs(field):
+    """`_interpolate` hands back the kernel pairs a point stores: residues
+    over 1 on F_p, also from negative and unreduced ordinates; on Q a
+    positive denominator with content 1, also for Fraction abscissas; and
+    no trailing zero, also where collinear points make the interpolant's
+    top coefficient vanish."""
+    p = field.modulus
+    cases = [
+        ([-1, 0, 2], [-2, 1, 7], 2),  # collinear: v = 3x + 1
+        ([3, 5], [4, 4], 1),  # a horizontal line, the two-point branch on F_p
+        ([3, 5], [0, 0], 0),
+        ([0, 1, 2, 3], [0, 0, 0, 0], 0),
+        ([Fraction(1, 3), Fraction(-3, 2), 6], [Fraction(5, 6), 2, Fraction(-7, 4)], None),
+        ([1, -4, 6, 9], [-5, 3 * p - 1, -2 * p, 8], None),
+    ]
+    for xs, ys, v_len in cases:
+        n = len(xs)
+        xv = [field._value(x) for x in xs]
+        u, v = _interpolate(field, xv, [y if p and type(y) is int else field._value(y) for y in ys])
+        assert_canonical(field, u, n + 1)
+        assert_canonical(field, v, n)
+        assert _read(field, u, n + 1) == from_roots(field, xs).coeffs
+        assert _read(field, v, n) == vandermonde_solve(field, xs, ys)
+        assert len(u[0]) == n + 1
+        if v_len is not None:
+            assert len(v[0]) == v_len
+        if not p and any(type(x) is Fraction for x in xs):
+            assert u[1] > 1
 
 
 def _fit_by_solve(field, g, pairs):

@@ -336,3 +336,37 @@ def test_one_statement_per_job_above_the_kernels():
     assert branches + [n for n in ast.walk(solve) if getattr(n, "ifs", None)] == []
     assert names_in(SRC / "cli.py", "_check_prop") == []
     assert isinstance(cli.KNOWN_PROPS, dict) and all(callable(v) for v in cli.KNOWN_PROPS.values())
+
+
+def test_each_boundary_states_its_rule_once():
+    """Scalar's eight binary operators come in forward and reflected
+    pairs from one helper, `_operators`, which holds the one operand lift,
+    so no module names `_lift`.  Interpolated points reach
+    `GroupoidPoint._make` as `_interpolate`'s canonical pairs, so no
+    module names `_phi_values`.  `cli.run` prints every error document
+    in one place, and cli keeps no guard for a --curve that argparse
+    already requires."""
+    for name in ("_phi_values", "_lift"):
+        assert names_outside("", name) == []
+    tree = ast.parse((SRC / "field.py").read_text())
+    scalar = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scalar")
+    made = [
+        tuple(t.id for t in n.targets[0].elts)
+        for n in scalar.body
+        if isinstance(n, ast.Assign)
+        and isinstance(n.value, ast.Call)
+        and getattr(n.value.func, "id", None) == "_operators"
+    ]
+    assert made == [
+        ("__add__", "__radd__"),
+        ("__sub__", "__rsub__"),
+        ("__mul__", "__rmul__"),
+        ("__truediv__", "__rtruediv__"),
+    ]
+    defined = [n.name for n in scalar.body if isinstance(n, ast.FunctionDef)]
+    assert set(defined).isdisjoint(name for pair in made for name in pair)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    run = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run")
+    prints = [n for n in ast.walk(run) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"]
+    assert len(prints) == 1
+    assert "this command needs --curve" not in (SRC / "cli.py").read_text()

@@ -2,7 +2,7 @@
 
 Run from a checkout, with nothing installed:
 
-    python3 tools/output_digest.py [--family verify|star|eval|anchor]...
+    python3 tools/output_digest.py [--family verify|star|eval|anchor|sample]...
 
 It prints one JSON line that maps each family to the sha256 of its
 outputs, in a fixed order.  Run it at two commits and compare the lines:
@@ -18,10 +18,15 @@ equal digests mean equal outputs on every input below.  The families:
   eval    `Poly` evaluation on seeded polynomials and points over Q,
           F_7, F_10007 and F_(2^61-1);
   anchor  `anchor` of both points and the `g1_add` or `g2_add` outcome
-          on the star family's genus-1 and genus-2 pairs.
+          on the star family's genus-1 and genus-2 pairs;
+  sample  `sample_point_fp` on seeded curves over F_5, F_101, F_10007 and
+          F_(2^61-1) at genus 1-3 and 8, `sample_pair_q` and
+          `sample_point_q_on_template` at genus 1-4, and `fit_curve_through`
+          and `viete_phi` on seeded points with Fraction abscissas over Q,
+          F_101 and F_10007 at genus 1-3.
 
 An outcome is the value's text, or the exception's type and `stage`.
-The tool uses only the public API and takes well under a minute.
+The tool uses only public names and takes well under a minute.
 """
 
 import argparse
@@ -37,8 +42,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import hypadd  # noqa: E402
-from hypadd import cli, sampling  # noqa: E402
-from hypadd.jsonio import point_to_json  # noqa: E402
+from hypadd import cli, groupoid, sampling  # noqa: E402
+from hypadd.jsonio import curve_to_json, point_to_json  # noqa: E402
 
 F61 = 2**61 - 1
 
@@ -141,7 +146,47 @@ def _eval_runs():
             yield [repr(f), a.to_string(), f(a).to_string()]
 
 
-FAMILIES = {"verify": _verify_runs, "star": _star_runs, "eval": _eval_runs, "anchor": _anchor_runs}
+def _sample_runs():
+    """Each sampled, fitted or interpolated curve and point as JSON, or
+    the outcome's exception."""
+    for p in (5, 101, 10007, F61):
+        field = hypadd.make_field("fp", p)
+        for genus in (1, 2, 3, 8):
+            rng = random.Random(f"output-digest:sample:{p}:{genus}")
+            for _ in range(10):
+                c = sampling.random_curve_fp(field, genus, rng)
+                point = _outcome(lambda: point_to_json(sampling.sample_point_fp(c, rng)))
+                yield [p, genus, curve_to_json(c), point]
+    for genus in (1, 2, 3, 4):
+        rng = random.Random(f"output-digest:sample:q:{genus}")
+        for _ in range(10):
+            c, a, b = sampling.sample_pair_q(genus, rng)
+            fitted, point = sampling.sample_point_q_on_template(c, rng)
+            yield [genus, *map(curve_to_json, (c, fitted)), *map(point_to_json, (a, b, point))]
+    for modulus in (0, 101, 10007):
+        field = hypadd.make_field("q") if modulus == 0 else hypadd.make_field("fp", modulus)
+        for genus in (1, 2, 3):
+            rng = random.Random(f"output-digest:fit:{field.to_string()}:{genus}")
+            for _ in range(10):
+                xs = [Fraction(n, rng.randint(1, 3)) for n in rng.sample(range(-40, 41), 2 * genus)]
+                ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in xs]
+                pairs = [(field.scalar(x), field.scalar(y)) for x, y in zip(xs, ys)]
+
+                def fit_and_phi():
+                    c = sampling.fit_curve_through(field, genus, pairs)
+                    point = groupoid.viete_phi(groupoid.PointListRep(pairs[:genus], c.lambda2))
+                    return [curve_to_json(c), point_to_json(point)]
+
+                yield [field.to_string(), genus, _outcome(fit_and_phi)]
+
+
+FAMILIES = {
+    "verify": _verify_runs,
+    "star": _star_runs,
+    "eval": _eval_runs,
+    "anchor": _anchor_runs,
+    "sample": _sample_runs,
+}
 
 
 def digest(family: str) -> str:
