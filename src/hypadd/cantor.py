@@ -24,12 +24,12 @@ needs no second cofactor of either gcd and no degree-3g numerator.
 
 from .errors import FieldMismatch, InvariantViolation, NonGenericDivisor, NonzeroRemainder
 from .errors import NotOnJacobian
-from .field import FieldSpec
+from .field import FieldSpec, _Value
 from .groupoid import CurveParams, GroupoidPoint
 from .poly import Poly, _add, _divmod, _monic, _mul, _neg, xgcd
 
 
-class MumfordDivisor:
+class MumfordDivisor(_Value):
     """Reduced or semi-reduced divisor (u, v): u monic, deg v < deg u, held
     as the field and two kernel pairs, which `.u` and `.v` box as Polys."""
 
@@ -44,23 +44,8 @@ class MumfordDivisor:
             raise ValueError("v must have degree below deg u")
         self.field, self._u, self._v = u.field, (u._values, u._den), (v._values, v._den)
 
-    @classmethod
-    def _make(cls, field: FieldSpec, u, v) -> "MumfordDivisor":
-        """The divisor of canonical kernel pairs u and v."""
-        out = cls.__new__(cls)
-        out.field, out._u, out._v = field, u, v
-        return out
-
-    u = property(lambda self: Poly._wrap(self.field, *self._u))
-    v = property(lambda self: Poly._wrap(self.field, *self._v))
-
-    def __eq__(self, other):
-        if not isinstance(other, MumfordDivisor):
-            return NotImplemented
-        return (self.field, self._u, self._v) == (other.field, other._u, other._v)
-
-    def __hash__(self):
-        return hash((self.field, self._u, self._v))
+    u = property(lambda self: Poly._make(self.field, *self._u))
+    v = property(lambda self: Poly._make(self.field, *self._v))
 
     def __repr__(self):
         return f"MumfordDivisor(u={self.u!r}, v={self.v!r})"

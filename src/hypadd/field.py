@@ -17,6 +17,10 @@ Fractions only when read by `poly._read_values`.
 FieldSpec._value converts what enters them and raises ValueError on a
 denominator that is 0 (or 0 mod p), and _box builds Scalars on read.
 
+FieldSpec, `Poly`, the curves, points and R of `groupoid` and `cantor`'s
+divisors are `_Value`s: their `__slots__` give their equality, hash and
+private constructor `_make`.  Scalar is not one: its equality lifts ints.
+
 The FieldSpec constructor checks a nonzero modulus by deterministic
 Miller-Rabin, which is exact below 3.3e24; a larger one that passes is
 refused, never assumed prime.
@@ -26,6 +30,7 @@ law divide by 2 freely.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import EvenCharacteristic, FieldMismatch, NonPrimeModulus, UncertifiedModulus
 
@@ -66,7 +71,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+class _Value:
+    """An exact value whose `__slots__` are its canonical state: equal to a
+    value of its class with equal slots, hashed by its slots, and built
+    from them, in order, by `_make(*slots)` without the public checks."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._state = attrgetter(*cls.__slots__)
+
+    @classmethod
+    def _make(cls, *slots):
+        out = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, slots):
+            setattr(out, name, value)
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._state(self) == self._state(other)
+
+    def __hash__(self):
+        return hash(self._state(self))
+
+
+class FieldSpec(_Value):
     """A coefficient field: the rationals (modulus 0) or F_p."""
 
     __slots__ = ("modulus",)
@@ -79,12 +110,6 @@ class FieldSpec:
         if modulus and not _is_prime(modulus):
             raise NonPrimeModulus(f"{modulus} is not prime")
         self.modulus = modulus
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.modulus))
 
     def __repr__(self):
         if self.modulus == 0:

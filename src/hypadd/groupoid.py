@@ -79,7 +79,7 @@ from .errors import (
     SingularMatrix,
     ZeroScale,
 )
-from .field import FieldSpec, Scalar, _inverse_value
+from .field import FieldSpec, Scalar, _Value, _inverse_value
 from .linalg import _rank_rows, _solve_rows
 from .poly import (
     Poly, _add, _divmod, _ints, _inverse, _mul, _neg, _norm, _read, _read_values, _trim, x_power
@@ -106,7 +106,7 @@ def _common_field(a, *others) -> FieldSpec:
     return a.field
 
 
-class CurveParams:
+class CurveParams(_Value):
     """Coefficients of y^2 = f(x), split into upper (lambda1) and lower
     (lambda2) weight halves, each highest weight first.  Held as the field,
     f = x^(2g+1) + x^g lambda2 + lambda1 as a kernel pair and lambda2 in
@@ -118,39 +118,30 @@ class CurveParams:
         lambda1, lambda2 = tuple(lambda1), tuple(lambda2)
         if type(genus) is not int or not len(lambda1) == len(lambda2) == genus > 0:
             raise ValueError(f"expected an int genus >= 1, got {genus!r}, and g values per half")
-        self._set(*_scalars(lambda1, lambda2))
+        self.genus, self.field, self._f, self._z = self._slots(*_scalars(lambda1, lambda2))
 
     @classmethod
     def _from_values(cls, field: FieldSpec, lam1, lam2) -> "CurveParams":
         """The curve of the bare values of each half, ascending in x."""
-        out = cls.__new__(cls)
-        out._set(field, list(lam1), list(lam2))
-        return out
+        return cls._make(*cls._slots(field, list(lam1), list(lam2)))
 
-    def _set(self, field, lam1, lam2):
+    @staticmethod
+    def _slots(field, lam1, lam2) -> tuple:
         if not lam2:
             raise ValueError("genus must be at least 1, got 0")
         p = field.modulus
         f, df = _ints(lam1 + lam2 + [0, 1], p)
         z, dz = _ints(lam2, p)
-        self.genus, self.field, self._f, self._z = len(lam2), field, (tuple(f), df), (tuple(z), dz)
+        return len(lam2), field, (tuple(f), df), (tuple(z), dz)
 
     lambda1 = property(lambda self: _read(self.field, self._f, self.genus))
     lambda2 = property(lambda self: _read(self.field, self._z, self.genus))
-
-    def __eq__(self, other):
-        if not isinstance(other, CurveParams):
-            return NotImplemented
-        return self.field == other.field and self._f == other._f
-
-    def __hash__(self):
-        return hash((self.field, self._f))
 
     def __repr__(self):
         return f"CurveParams(g={self.genus}, {self.lambda1}, {self.lambda2})"
 
 
-class GroupoidPoint:
+class GroupoidPoint(_Value):
     """A triple (p_even, p_odd, z) of g-vectors, highest weight first.
     Held as the field, the Mumford pair u = x^g - sum p_even[i] x^i and
     v = sum p_odd[i] x^i as kernel pairs, and z as g int numerators over
@@ -169,13 +160,6 @@ class GroupoidPoint:
         self._v, self._z = _norm(po, do, field.modulus), (tuple(zs), dz)
 
     @classmethod
-    def _make(cls, field: FieldSpec, u, v, z) -> "GroupoidPoint":
-        """The point of canonical pairs u, v and z, in the stored forms."""
-        out = cls.__new__(cls)
-        out.field, out._u, out._v, out._z = field, u, v, z
-        return out
-
-    @classmethod
     def _from_values(cls, field: FieldSpec, u, v, z) -> "GroupoidPoint":
         """The point of bare ascending values of u (monic) and v, z as stored."""
         return cls._make(field, *[_trim(*_ints(w, field.modulus)) for w in (u, v)], z)
@@ -184,14 +168,6 @@ class GroupoidPoint:
     p_even = property(lambda self: _read(self.field, self._u, self.genus, -1))
     p_odd = property(lambda self: _read(self.field, self._v, self.genus))
     z = property(lambda self: _read(self.field, self._z, self.genus))
-
-    def __eq__(self, b):
-        if not isinstance(b, GroupoidPoint):
-            return NotImplemented
-        return (self.field, self._u, self._v, self._z) == (b.field, b._u, b._v, b._z)
-
-    def __hash__(self):
-        return hash((self.field, self._u, self._v, self._z))
 
     def __repr__(self):
         return f"GroupoidPoint({self.p_even}, {self.p_odd}, {self.z})"
@@ -221,18 +197,21 @@ class PointListRep:
         return len(self.pairs)
 
 
-class RFunction:
+class RFunction(_Value):
     """The interpolating function R(x, y) = r1(x) y + x^g r2(x) + r3(x),
     held as the three polynomials the addition law reads.
 
     With rho = floor((g-1)/2), r1 has rho + 1 slots, r2 has g - rho and
     r3 has g.  The lead, r1 for odd g and r2 for even g, carries the
-    monomial of weight 3g and is monic of degree floor(g/2).
+    monomial of weight 3g and is monic of degree floor(g/2).  r1, r2 and
+    r3 lie over one field, else FieldMismatch.
     """
 
     __slots__ = ("genus", "r1", "r2", "r3")
 
     def __init__(self, genus: int, r1: Poly, r2: Poly, r3: Poly):
+        if r2.field != r1.field or r3.field != r1.field:
+            raise FieldMismatch("r1, r2 and r3 over different fields")
         rho = (genus - 1) // 2
         if r1.degree > rho or r2.degree >= genus - rho or r3.degree >= genus:
             raise ValueError("a coefficient lies past its co-weight slots")
@@ -260,11 +239,6 @@ class RFunction:
     def h_at(self, coweight: int) -> Scalar:
         return self.h.get(coweight, self.field.zero())
 
-    def __eq__(self, other):
-        if not isinstance(other, RFunction):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
     def __repr__(self):
         inner = ", ".join(f"h{k}={v.to_string()}" for k, v in sorted(self.h.items()))
         return f"RFunction(g={self.genus}, {inner})"
@@ -272,17 +246,17 @@ class RFunction:
 
 def curve_poly(c: CurveParams) -> Poly:
     """f as a Poly."""
-    return Poly._wrap(c.field, *c._f)
+    return Poly._make(c.field, *c._f)
 
 
 def u_poly(a: GroupoidPoint) -> Poly:
     """Monic abscissa polynomial x^g - sum p_even[i] x^i."""
-    return Poly._wrap(a.field, *a._u)
+    return Poly._make(a.field, *a._u)
 
 
 def v_poly(a: GroupoidPoint) -> Poly:
     """Ordinate interpolation polynomial of degree < g."""
-    return Poly._wrap(a.field, *a._v)
+    return Poly._make(a.field, *a._v)
 
 
 def invert(a: GroupoidPoint) -> GroupoidPoint:
@@ -390,7 +364,7 @@ def _r_function(field: FieldSpec, h1, h2, den: int) -> RFunction:
     the pinned leading den interleaves x^g, y, x^(g+1), y x, ..., so its
     even entries are r2 and its odd ones r1."""
     hs, p = h2 + [den], field.modulus
-    r1, r2, r3 = (Poly._wrap(field, *_norm(h, den, p)) for h in (hs[1::2], hs[::2], h1))
+    r1, r2, r3 = (Poly._make(field, *_norm(h, den, p)) for h in (hs[1::2], hs[::2], h1))
     return RFunction(len(h1), r1, r2, r3)
 
 

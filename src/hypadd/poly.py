@@ -22,9 +22,10 @@ and Q take the coefficient loops.  `_inverse` (for `star`) and `xgcd`
 (for Cantor) are thin callers of `_euclid`: `xgcd` takes two kernel
 pairs and p and returns (d, s), d = gcd(a, b) monic and s a = d (mod b),
 raising BothZero on two zeros; nothing computes the cofactor of b.
-`Poly` is the API shell over the kernels: each method but `p[i]` is one
-kernel call plus `_wrap` or `_read` (evaluation at a is the remainder by
-x - a), and its reads `coeffs`, `p[i]`, `lc()` and evaluation give
+`Poly` is the API shell over the kernels, a `field._Value` whose slots
+(field, nums, den) give its equality and hash: each method but `p[i]` is
+one kernel call plus `_make` or `_read` (evaluation at a is the remainder
+by x - a), and its reads `coeffs`, `p[i]`, `lc()` and evaluation give
 Scalars that hold Fractions over Q.  `groupoid` and `cantor` call the
 kernels directly.  `_read_values` reads a kernel pair as bare values
 (ints over F_p, Fractions over Q) for the closed forms and
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BothZero, DivisionByZeroPoly, FieldMismatch
-from .field import FieldSpec, Scalar
+from .field import FieldSpec, Scalar, _Value
 
 NEG_INF = float("-inf")
 _WORD = array("Q").itemsize * 8  # bits per coefficient of a packed int
@@ -218,19 +219,12 @@ def _inverse(a, da: int, m, dm: int, p: int):
     return s if len(g) == 1 else None
 
 
-class Poly:
+class Poly(_Value):
     __slots__ = ("field", "_values", "_den")
 
     def __init__(self, field: FieldSpec, coeffs=()):
         self.field = field
         self._values, self._den = _trim(*_ints([field._value(c) for c in coeffs], field.modulus))
-
-    @classmethod
-    def _wrap(cls, field: FieldSpec, nums, den: int) -> "Poly":
-        """The Poly of a kernel result: a canonical tuple over den."""
-        out = cls.__new__(cls)
-        out.field, out._values, out._den = field, nums, den
-        return out
 
     @property
     def coeffs(self) -> tuple:
@@ -266,25 +260,17 @@ class Poly:
             raise FieldMismatch("polynomials over different fields")
         return True
 
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (self.field, self._values, self._den) == (other.field, other._values, other._den)
-
-    def __hash__(self):
-        return hash((self.field, self._values, self._den))
-
     def __add__(self, other, sign: int = 1):
         if not self._check(other):
             return NotImplemented
         out = _add(self._values, self._den, other._values, other._den, self.field.modulus, sign)
-        return Poly._wrap(self.field, *out)
+        return Poly._make(self.field, *out)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return Poly._wrap(self.field, *_neg((self._values, self._den), self.field.modulus))
+        return Poly._make(self.field, *_neg((self._values, self._den), self.field.modulus))
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -292,7 +278,7 @@ class Poly:
         elif not self._check(other):
             return NotImplemented
         out = _mul(self._values, self._den, other._values, other._den, self.field.modulus)
-        return Poly._wrap(self.field, *out)
+        return Poly._make(self.field, *out)
 
     __rmul__ = __mul__
 
@@ -301,7 +287,7 @@ class Poly:
         if not self._check(other):
             return NotImplemented
         q, r = _divmod(self._values, self._den, other._values, other._den, self.field.modulus)
-        return Poly._wrap(self.field, *q), Poly._wrap(self.field, *r)
+        return Poly._make(self.field, *q), Poly._make(self.field, *r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -318,7 +304,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return Poly._wrap(self.field, *_monic(self._values, self.field.modulus))
+        return Poly._make(self.field, *_monic(self._values, self.field.modulus))
 
     def __repr__(self):
         if self.is_zero():
@@ -338,7 +324,7 @@ class Poly:
 
 def x_power(field: FieldSpec, k: int) -> Poly:
     """The monomial x^k."""
-    return Poly._wrap(field, (0,) * k + (1,), 1)
+    return Poly._make(field, (0,) * k + (1,), 1)
 
 
 def from_roots(field: FieldSpec, roots) -> Poly:

@@ -364,11 +364,11 @@ def test_cantor_boxes_only_its_answer(monkeypatch):
     the pairs and boxes a Poly only when u or v is read."""
     cases = [(c, d1, d2) for c, pool in reference_pools() for d1, d2 in product(pool, repeat=2)]
     want = [cantor_add(d1, d2, c) for c, d1, d2 in cases]
-    built, real_wrap, real_init = [], Poly._wrap.__func__, Poly.__init__
+    built, real_make, real_init = [], Poly._make.__func__, Poly.__init__
 
-    def wrap(cls, *args):
+    def make(cls, *args):
         built.append(args)
-        return real_wrap(cls, *args)
+        return real_make(cls, *args)
 
     def init(self, *args):
         built.append(args)
@@ -377,7 +377,7 @@ def test_cantor_boxes_only_its_answer(monkeypatch):
     def refuse(*_):
         raise AssertionError("Poly arithmetic in cantor_add")
 
-    monkeypatch.setattr(Poly, "_wrap", classmethod(wrap))
+    monkeypatch.setattr(Poly, "_make", classmethod(make))
     monkeypatch.setattr(Poly, "__init__", init)
     for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__divmod__", "__neg__", "monic"):
         monkeypatch.setattr(Poly, name, refuse)

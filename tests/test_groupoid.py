@@ -519,6 +519,20 @@ def test_star_needs_no_xgcd_and_no_monomial_product(monkeypatch):
     assert star(a1, a2) == want
 
 
+def test_rfunction_refuses_mixed_fields():
+    """r1, r2 and r3 lie over one field: otherwise R's h mixed Scalars of
+    two fields.  The field check runs before the slot checks."""
+    RFunction(1, Poly(F7, [1]), Poly(F7, [2]), Poly(F7, [3]))
+    for fields, r1 in (
+        ((F7, Q, F7), [1]),
+        ((Q, Q, F7), [1]),
+        ((F7, P, P), [1]),
+        ((F7, Q, F7), [2]),  # r1 not monic as well
+    ):
+        with pytest.raises(FieldMismatch):
+            RFunction(1, Poly(fields[0], r1), Poly(fields[1], [2]), Poly(fields[2], [3]))
+
+
 def test_rfunction_rejects_bad_slots():
     """r1 is the monic lead at odd g and r2 at even g; a coefficient
     past the slots of its co-weight is refused."""
@@ -869,7 +883,7 @@ def test_genus2_fp_star_runs_only_the_route(monkeypatch, field):
     assert [sample_point_fp(c, rng) for _ in range(10)] == samples
     monkeypatch.setattr(Scalar, "__init__", counted)
     monkeypatch.setattr(Poly, "__init__", refuse)
-    monkeypatch.setattr(Poly, "_wrap", refuse)
+    monkeypatch.setattr(Poly, "_make", refuse)
     monkeypatch.setattr(groupoid, "_inverse", refuse)
     assert [star(a1, a2) for a1, a2 in pairs] == [point for point, _ in want]
     assert built == []

@@ -59,7 +59,7 @@ def boxed_xgcd(a, b):
     """The kernel-level `xgcd` on two Polys, boxed, with the second
     cofactor t = (d - s*a) / b recomputed, and 0 when b is 0."""
     d, s = (
-        Poly._wrap(a.field, *r)
+        Poly._make(a.field, *r)
         for r in xgcd(a._values, a._den, b._values, b._den, a.field.modulus)
     )
     return d, s, Poly(a.field) if b.is_zero() else (d - s * a) // b
@@ -369,7 +369,7 @@ def test_divmod_by_a_non_poly_raises_type_error():
 def boxed_inverse(a, m):
     """The kernel `_inverse` on two Polys, boxed."""
     s = _inverse(a._values, a._den, m._values, m._den, a.field.modulus)
-    return None if s is None else Poly._wrap(a.field, *s)
+    return None if s is None else Poly._make(a.field, *s)
 
 
 @given(polys_over_one_field(2))

@@ -12,6 +12,7 @@ from hypadd import (
     GroupoidPoint,
     MumfordDivisor,
     Poly,
+    RFunction,
     cantor_add,
     cantor_neg,
     from_mumford,
@@ -24,7 +25,7 @@ from hypadd import (
     v_poly,
 )
 from hypadd.errors import DegenerateConfiguration, FieldMismatch, NotOnJacobian
-from hypadd.field import Scalar
+from hypadd.field import FieldSpec, Scalar
 from hypadd.jsonio import (
     curve_from_json,
     curve_to_json,
@@ -33,6 +34,7 @@ from hypadd.jsonio import (
     point_from_json,
     point_to_json,
 )
+from hypadd.poly import _ints, _trim
 from tests.conftest import TEST_PRIME, fp_pair, q_pair, seeded
 
 Q = make_field("q")
@@ -228,3 +230,75 @@ def test_divisor_constructor_checks_the_field_first():
     ):
         with pytest.raises(FieldMismatch):
             MumfordDivisor(u, v)
+
+
+def values_two_ways(c, a, b):
+    """(class, built by the public constructor, built from its slots by
+    `_make` or `_from_values`) for each value class, on one answered pair:
+    the private side starts from bare values and `poly` kernel pairs."""
+    field, p, g = c.field, c.field.modulus, c.genus
+
+    def bare(scalars):
+        return [s.value for s in scalars]
+
+    def kernel_pair(scalars):
+        return _trim(*_ints(bare(scalars), p))
+
+    u = [-s for s in a.p_even] + [field.one()]
+    zs, dz = _ints(bare(a.z), p)
+    z = (tuple(zs), dz)
+    r = star_detail(a, b).r
+    rs = [r.r1.coeffs, r.r2.coeffs, r.r3.coeffs]
+    return [
+        (FieldSpec, make_field("fp", p) if p else make_field("q"), FieldSpec._make(p)),
+        (Poly, Poly(field, u), Poly._make(field, *kernel_pair(u))),
+        (
+            CurveParams,
+            CurveParams(g, c.lambda1, c.lambda2),
+            CurveParams._from_values(field, bare(c.lambda1), bare(c.lambda2)),
+        ),
+        (
+            GroupoidPoint,
+            GroupoidPoint(a.p_even, a.p_odd, a.z),
+            GroupoidPoint._make(field, kernel_pair(u), kernel_pair(a.p_odd), z),
+        ),
+        (GroupoidPoint, a, GroupoidPoint._from_values(field, bare(u), bare(a.p_odd), z)),
+        (
+            MumfordDivisor,
+            MumfordDivisor(u_poly(a), v_poly(a)),
+            MumfordDivisor._make(field, kernel_pair(u), kernel_pair(a.p_odd)),
+        ),
+        (
+            RFunction,
+            RFunction(g, *[Poly(field, coeffs) for coeffs in rs]),
+            RFunction._make(g, *[Poly._make(field, *kernel_pair(coeffs)) for coeffs in rs]),
+        ),
+    ]
+
+
+def test_public_and_private_constructors_give_one_value():
+    """Each value class's public constructor and `_make` (or
+    `_from_values`) build values that compare equal and hash alike, over
+    F_p and Q at genus 1-4: both hold the same canonical slots."""
+    seen = set()
+    for c, a, b in answered(seeded("value-rule"), 1):
+        for cls, public, private in values_two_ways(c, a, b):
+            assert type(public) is type(private) is cls and public is not private
+            assert public == private and private == public and not public != private
+            assert hash(public) == hash(private)
+            assert len({public, private}) == 1
+            seen.add(cls)
+    assert len(seen) == 6
+
+
+def test_a_value_equals_only_its_own_class():
+    """A point and the divisor of its Mumford pair hold one field, u and v,
+    yet compare unequal; and no value equals an int, so `x == 3` is
+    False through the base rule's NotImplemented."""
+    for c, a, b in answered(seeded("value-class"), 1):
+        d = to_mumford(a, c)
+        assert (d.field, d._u, d._v) == (a.field, a._u, a._v)
+        assert a != d and d != a and not a == d
+        for _, public, private in values_two_ways(c, a, b):
+            assert public.__eq__(3) is NotImplemented
+            assert (public == 3) is False and (3 == private) is False and public != 3

@@ -263,23 +263,30 @@ def test_cantor_imports_only_the_transported_classes():
     assert names_outside("", "_on_curve") == []
 
 
-def raisers(error: str) -> list:
-    """The qualified name of the function around each `raise` of error in src/."""
+def enclosing(match) -> list:
+    """The qualified name (module.Class.function) of the class or function
+    around each node of src/ for which match(node) holds."""
     found = []
 
     def visit(node, qual):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{qual}.{child.name}")
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                if any(getattr(n, "id", None) == error for n in ast.walk(child.exc)):
-                    found.append(qual)
-            visit(child, qual)
+            if match(child):
+                found.append(qual)
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{qual}.{child.name}" if inner else qual)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     return found
+
+
+def raisers(error: str) -> list:
+    """The qualified name of the function around each `raise` of error in src/."""
+    return enclosing(
+        lambda n: isinstance(n, ast.Raise)
+        and n.exc is not None
+        and any(getattr(x, "id", None) == error for x in ast.walk(n.exc))
+    )
 
 
 def test_only_the_point_list_refuses_a_repeated_abscissa():
@@ -370,3 +377,22 @@ def test_each_boundary_states_its_rule_once():
     prints = [n for n in ast.walk(run) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"]
     assert len(prints) == 1
     assert "this command needs --curve" not in (SRC / "cli.py").read_text()
+
+
+def test_values_follow_one_rule():
+    """Equality, hashing and the private constructor come from each value
+    class's slots through `field._Value`: only `_Value` and Scalar (whose
+    equality lifts ints) define or assign `__eq__` or `__hash__`, no
+    module names a second bypass constructor `_wrap`, and only
+    `_Value._make` calls `cls.__new__`."""
+
+    def defines_eq_or_hash(node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name in ("__eq__", "__hash__")
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        names = [t for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        return any(t.id in ("__eq__", "__hash__") for t in names)
+
+    assert sorted(enclosing(defines_eq_or_hash)) == ["field.Scalar"] * 2 + ["field._Value"] * 2
+    assert names_outside("", "_wrap") == []
+    assert enclosing(lambda n: isinstance(n, ast.Attribute) and n.attr == "__new__") == ["field._Value._make"]

@@ -3,10 +3,14 @@
 Run from a checkout, with nothing installed:
 
     python3 tools/output_digest.py [--family verify|star|eval|anchor|sample]...
+    python3 tools/output_digest.py --dump FAMILY
 
 It prints one JSON line that maps each family to the sha256 of its
 outputs, in a fixed order.  Run it at two commits and compare the lines:
-equal digests mean equal outputs on every input below.  The families:
+equal digests mean equal outputs on every input below.  `--dump` prints
+one family's outputs unhashed instead, one JSON line per input, whose
+sha256 is the family's digest: diff two commits' dumps to find the
+inputs whose outputs moved.  The families:
 
   verify  `hypadd verify` stdout and exit code for the eight seeds of
           the cli-verify-g2 benchmark pool at bench seeds 0-2 (genus 2
@@ -189,18 +193,30 @@ FAMILIES = {
 }
 
 
-def digest(family: str) -> str:
-    """The sha256 of a family's outputs, one JSON line per output."""
-    h = hashlib.sha256()
+def lines(family: str):
+    """A family's outputs, one JSON line per output."""
     for item in FAMILIES[family]():
-        h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
+        yield json.dumps(item, sort_keys=True) + "\n"
+
+
+def digest(family: str) -> str:
+    """The sha256 of a family's lines."""
+    h = hashlib.sha256()
+    for line in lines(family):
+        h.update(line.encode())
     return h.hexdigest()
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--family", action="append", choices=sorted(FAMILIES), help="default: all")
-    families = parser.parse_args(argv).family or list(FAMILIES)
+    choice = parser.add_mutually_exclusive_group()
+    choice.add_argument("--family", action="append", choices=sorted(FAMILIES), help="default: all")
+    choice.add_argument("--dump", choices=sorted(FAMILIES), help="print one family's lines unhashed")
+    args = parser.parse_args(argv)
+    if args.dump:
+        sys.stdout.writelines(lines(args.dump))
+        return
+    families = args.family or list(FAMILIES)
     print(json.dumps({name: digest(name) for name in dict.fromkeys(families)}, sort_keys=True))
 
 
